@@ -26,9 +26,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .cover import correction_sigma
+from .cover import correction_terms
 from .engine import signature
-from .errors import InputError, InternalConsistencyError, LefsigError
+from .errors import InputError, InternalConsistencyError
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
 from .ratlinalg import Matrix, Vector, as_rational
@@ -54,7 +54,7 @@ class FibrationDocument:
     name: str | None = None
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], what: str) -> None:
     for key in required:
         if key not in obj:
             raise InputError(f"{what}: missing field {key!r}")
@@ -72,12 +72,12 @@ def _as_int(value: Any, what: str) -> int:
 def parse_fibration_document(text: str) -> FibrationDocument:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
     _require_keys(obj, {"name", "genus", "boundary", "cycles"},
-                  {"genus", "boundary", "cycles"}, "document")
+                  ("genus", "boundary", "cycles"), "document")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError("document: name must be a string")
@@ -91,7 +91,7 @@ def parse_fibration_document(text: str) -> FibrationDocument:
     for i, entry in enumerate(obj["cycles"], start=1):
         if not isinstance(entry, dict):
             raise InputError(f"cycle {i}: expected an object")
-        _require_keys(entry, {"vector", "chirality"}, {"vector"}, f"cycle {i}")
+        _require_keys(entry, {"vector", "chirality"}, ("vector",), f"cycle {i}")
         vec = entry["vector"]
         if not isinstance(vec, list):
             raise InputError(f"cycle {i}: vector must be a list")
@@ -134,11 +134,11 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     are integers or "p/q" strings.  `expect` pins the number of matrices."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
-    _require_keys(obj, {"dimension", "matrices"}, {"dimension", "matrices"}, "document")
+    _require_keys(obj, {"dimension", "matrices"}, ("dimension", "matrices"), "document")
     dim = _as_int(obj["dimension"], "dimension")
     if dim < 0 or dim % 2 != 0:
         raise InputError(f"dimension must be even and nonnegative, got {dim}")
@@ -233,9 +233,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1")
     base = signature(doc.word).total
-    space = doc.word.space
-    phi = word_action(doc.word)
-    terms = [correction_sigma(space, phi, m) for m in range(1, args.n)]
+    terms = correction_terms(doc.word.space, word_action(doc.word), args.n)
     total = args.n * base - sum(t.sigma for t in terms)
     if args.json:
         payload = {

@@ -132,16 +132,3 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     rhs = [0] * space.dim + [1]
     return solve_linear(stacked, rhs).status != "inconsistent"
 
-
-def homologically_trivial_split_check(word: MonodromyWord, split: int) -> bool:
-    """True iff the whole word acts trivially on homology.
-
-    When it does, the signature is additive across any split of the word:
-    signature(word) = signature(prefix) + signature(suffix) for every split
-    index, because the gluing defect of two pieces with inverse boundary
-    monodromies vanishes.  The split argument is validated so callers state
-    which decomposition they are about to use.
-    """
-    if not 0 <= split <= len(word):
-        raise InputError(f"split {split} out of range 0..{len(word)}")
-    return word_action(word) == Matrix.identity(word.space.dim)

@@ -16,7 +16,9 @@ of B vanish; the cover route then reproduces n * sigma(block) with no loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
+from .cover import correction_sums
 from .errors import InputError
 from .ratlinalg import Matrix
 from .symplectic import MonodromyWord, Surface, SymplecticSpace, VanishingCycle
@@ -72,13 +74,7 @@ def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:
         raise InputError("certificate applies to entrywise positive matrices")
     if n < 1:
         raise InputError("certificate needs n >= 1")
-    space = SymplecticSpace.standard(1)
-    j = space.form
-    total = Matrix.zeros(2, 2)
-    p = Matrix.identity(2)
-    for _ in range(n):
-        p = p @ b
-        total = total + (p.transpose() @ j - j @ p)
+    total = next(islice(correction_sums(SymplecticSpace.standard(1), b), n - 1, None))
     member = (
         total.at(0, 1) == total.at(1, 0)
         and total.at(0, 0) < 0

@@ -11,9 +11,9 @@ transvection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError
@@ -22,7 +22,6 @@ from .ratlinalg import (
     Scalar,
     Vector,
     as_vector,
-    matrix_power,
     rank,
     span_basis,
     vec_dot,
@@ -147,9 +146,19 @@ class MonodromyWord:
     def __len__(self) -> int:
         return len(self.cycles)
 
-    @property
+    @cached_property
     def space(self) -> SymplecticSpace:
         return SymplecticSpace.standard(self.surface.half_dim)
+
+    @cached_property
+    def _prefix_products(self) -> tuple[Matrix, ...]:
+        """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass."""
+        phi = Matrix.identity(self.space.dim)
+        products = [phi]
+        for c in self.cycles:
+            phi = transvection(self.space, c) @ phi
+            products.append(phi)
+        return tuple(products)
 
     def repeated(self, n: int) -> "MonodromyWord":
         if n < 1:
@@ -198,23 +207,16 @@ def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
     )
 
 
-@lru_cache(maxsize=16384)
-def _prefix_action(word: MonodromyWord, k: int) -> Matrix:
-    if k == 0:
-        return Matrix.identity(word.space.dim)
-    return transvection(word.space, word.cycles[k - 1]) @ _prefix_action(word, k - 1)
-
-
 def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     """Product T_k ... T_1 of the first k transvections (all of them by default).
 
-    Prefix products are memoized, so sweeping k over a word costs one matrix
-    product per step instead of one per (step, prefix) pair.
+    The word computes all its prefix products on first use and keeps them, so
+    sweeping k over a word costs one matrix product per step in total.
     """
     k = len(word) if upto is None else upto
     if not 0 <= k <= len(word):
         raise InputError(f"prefix length {k} out of range 0..{len(word)}")
-    return _prefix_action(word, k)
+    return word._prefix_products[k]
 
 
 def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:

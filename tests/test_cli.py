@@ -1,6 +1,7 @@
 """Command line interface: documents, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,9 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         ('{"genus": 1, "boundary": 0, "cycles": [{"vector": [1, 0], "chirality": 2}]}',
          "chirality"),
         ('{"genus": true, "boundary": 0, "cycles": []}', "expected an integer"),
+        # past Python's 4300-digit int limit json.loads raises a plain ValueError
+        ('{"genus": 1, "boundary": 0, "cycles": [{"vector": [' + "7" * 5000 + ', 0]}]}',
+         "invalid JSON"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
@@ -153,6 +157,19 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "signature", str(f))
         assert code == 2, text
         assert needle in err, (text, err)
+
+
+def test_missing_field_error_is_independent_of_hash_seed(tmp_path):
+    f = tmp_path / "empty.json"
+    f.write_text("{}")
+    errors = set()
+    for seed in range(1, 6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefsig.cli", "signature", str(f)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {"error: document: missing field 'genus'\n"}
 
 
 def test_matrix_document_parsing():

@@ -15,6 +15,7 @@ from lefsig import (
     signature,
     word_action,
 )
+from lefsig.cover import correction_sums
 from lefsig.ratlinalg import kernel_basis
 
 from .fixtures import (
@@ -26,9 +27,22 @@ from .fixtures import (
     MATSUMOTO_PHI,
     chain_word,
     random_symplectic,
+    random_word,
 )
 
 SP2 = SymplecticSpace.standard(2)
+
+
+def test_correction_sums_match_power_sums():
+    # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i) from matrix_power
+    j = SP2.form
+    random_phi = word_action(random_word(random.Random(84), 2, 8))
+    for phi in (MATSUMOTO_PHI, random_phi):
+        reference = Matrix.zeros(4, 4)
+        for m, total in zip(range(1, 31), correction_sums(SP2, phi)):
+            power = matrix_power(phi, m)
+            reference = reference + (power.transpose() @ j - j @ power)
+            assert total == reference, m
 
 
 def test_first_matsumoto_correction_matrix():
@@ -130,5 +144,8 @@ def test_input_validation():
                                                 [0, 0, 2, 0], [0, 0, 0, 2]]), 1)
     with pytest.raises(InputError, match=">= 1"):
         cover_signature(0, MATSUMOTO_PHI, 0)
+    # phi is validated for every fold count, also when no correction is needed
+    with pytest.raises(InputError, match="symplectic"):
+        cover_signature(0, Matrix.from_rows([[2, 0], [0, 2]]), 1)
     with pytest.raises(InputError, match="even"):
         cover_signature(0, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 2)

@@ -14,7 +14,6 @@ from lefsig import (
     Surface,
     VanishingCycle,
     fiber_sum_defect,
-    homologically_trivial_split_check,
     local_sigma,
     local_sigma_via_maslov,
     shortcut_dual_preserved,
@@ -192,20 +191,14 @@ def test_shortcut_rejects_null_cycle():
 
 
 def test_split_check_and_additivity():
+    # a word acting trivially on homology is additive across every split
     w = matsumoto_word(10)
     assert word_action(w) == Matrix.identity(4)
     total = signature(w).total
     for split in (0, 4, 11, 20, 40):
-        assert homologically_trivial_split_check(w, split)
         prefix = w.subword(0, split)
         suffix = w.subword(split, len(w))
         assert signature(prefix).total + signature(suffix).total == total
-
-
-def test_split_check_validates_index():
-    w = matsumoto_word()
-    with pytest.raises(InputError, match="out of range"):
-        homologically_trivial_split_check(w, 5)
 
 
 def test_split_defect_formula():
@@ -221,6 +214,14 @@ def test_split_defect_formula():
             defect = fiber_sum_defect(
                 w.space, word_action(suffix), word_action(prefix))
             assert full == signature(prefix).total + signature(suffix).total - defect
+
+
+def test_cold_local_sigma_on_ten_thousand_cycles():
+    # phi has order 10, so Phi_9999 = phi^9 * T_3 T_2 T_1 equals Phi_39 of matsumoto x10
+    step = local_sigma(matsumoto_word(2500), 10_000)
+    short = local_sigma(matsumoto_word(10), 40)
+    assert (step.sigma, step.witness, step.cumulative_action) == (
+        short.sigma, short.witness, short.cumulative_action)
 
 
 def test_step_index_validation():

@@ -101,6 +101,13 @@ def test_word_action_matsumoto():
     assert is_symplectic(SymplecticSpace.standard(2), MATSUMOTO_PHI)
 
 
+def test_cold_word_action_on_ten_thousand_cycles():
+    # matsumoto's phi has order 10, so 2500 repetitions act as the identity
+    w = matsumoto_word(2500)
+    assert word_action(w) == Matrix.identity(4)
+    assert word_action(w, 4) == MATSUMOTO_PHI
+
+
 def test_effective_dimension_table():
     assert effective_dimension(Surface(1, 1)) == 2
     assert effective_dimension(Surface(2, 0)) == 4
