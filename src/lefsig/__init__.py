@@ -31,7 +31,6 @@ from .symplectic import (
     SymplecticSpace,
     VanishingCycle,
     direct_sum_lagrangian,
-    direct_sum_space,
     effective_dimension,
     graph_lagrangians,
     is_symplectic,
@@ -61,7 +60,6 @@ __all__ = [
     "correction_sigma",
     "cover_signature",
     "direct_sum_lagrangian",
-    "direct_sum_space",
     "effective_dimension",
     "fiber_sum_defect",
     "generate",

@@ -260,6 +260,8 @@ def _triple_from_file(path: str) -> tuple[SymplecticSpace, Lagrangian, Lagrangia
 
 def _random_symplectic(space: SymplecticSpace, rng: random.Random) -> Matrix:
     m = Matrix.identity(space.dim)
+    if space.dim == 0:
+        return m
     for _ in range(rng.randint(1, 4)):
         vec = [rng.randint(-2, 2) for _ in range(space.dim)]
         if all(x == 0 for x in vec):

@@ -12,6 +12,13 @@ its signature is the index.  Everything is computed exactly over Q with
 deterministic pivot choices, and the guaranteed properties (symmetry, radical
 containment, nonsingularity) are asserted at runtime rather than trusted.
 
+W is represented by vectors of the canonical (RREF) basis d_0 .. d_{k-1} of
+B ∩ (C + A).  In these coordinates the radical complement is chosen by one
+rule: d_i is a representative exactly when e_i is not in
+U + span(e_0 .. e_{i-1}), U = (B ∩ C) + (B ∩ A), which is exactly when
+column i is not a pivot of the RREF of U's coordinate vectors read right to
+left.
+
 Normalization: in the plane with Q((x1,x2),(y1,y2)) = x1 y2 - x2 y1,
 tau(span(1,0), span(1,1), span(0,1)) = -1.
 
@@ -30,18 +37,23 @@ from .errors import InputError, InternalConsistencyError
 from .ratlinalg import (
     Matrix,
     Vector,
-    in_span,
     intersect_spans,
     rank,
     signature_symmetric,
     solve_many,
-    sum_spans,
+    span_basis,
     vec_add,
     vec_dot,
     vec_scale,
     zero_vector,
 )
-from .symplectic import Lagrangian, SymplecticSpace, graph_lagrangians, is_symplectic
+from .symplectic import (
+    Lagrangian,
+    SymplecticSpace,
+    is_symplectic,
+    symplectic_inverse,
+    unchecked_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     if dim == 0:
         return WallSpace(space, (), Matrix.zeros(0, 0))
 
-    circle = intersect_spans(b.basis, sum_spans(c.basis, a.basis, dim), dim)
+    circle = intersect_spans(b.basis, c.basis + a.basis, dim)
     if not circle:
         return WallSpace(space, (), Matrix.zeros(0, 0))
 
@@ -100,33 +112,23 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     if psi != psi.transpose():
         raise InternalConsistencyError("Psi did not come out symmetric")
 
-    # Coordinates (w.r.t. the `circle` basis) of the would-be radical
-    # U = (B ∩ C) + (B ∩ A); it must actually annihilate Psi.
-    u = sum_spans(
-        intersect_spans(b.basis, c.basis, dim),
-        intersect_spans(b.basis, a.basis, dim),
-        dim,
-    )
+    # Coordinates (w.r.t. the `circle` basis) of a spanning set of the
+    # would-be radical U = (B ∩ C) + (B ∩ A); it must actually annihilate Psi.
     circle_columns = Matrix.from_columns(circle, rows=dim)
+    u = intersect_spans(b.basis, c.basis, dim) + intersect_spans(b.basis, a.basis, dim)
     u_coords: list[Vector] = []
-    for sol in solve_many(circle_columns, list(u)):
+    for sol in solve_many(circle_columns, u):
         if sol is None:
             raise InternalConsistencyError("radical summand escaped B ∩ (C + A)")
         u_coords.append(sol)
         if any(x != 0 for x in psi.apply(sol)):
             raise InternalConsistencyError("(B∩C) + (B∩A) is not in the radical of Psi")
 
-    # Deterministic complement: first standard coordinate vectors extending U.
-    chosen: list[int] = []
-    spanning = list(u_coords)
-    for i in range(k):
-        if len(chosen) == k - len(u_coords):
-            break
-        e = tuple(Fraction(1 if j == i else 0) for j in range(k))
-        if not in_span(tuple(spanning), e, k):
-            chosen.append(i)
-            spanning.append(e)
-    if len(chosen) != k - len(u):
+    # Complement rule (see the module docstring); RREF rows lead with 1.
+    reversed_u = span_basis([x[::-1] for x in u_coords], k)
+    radical_pivots = {k - 1 - row.index(1) for row in reversed_u}
+    chosen = [i for i in range(k) if i not in radical_pivots]
+    if len(chosen) != k - len(reversed_u):
         raise InternalConsistencyError("complement of the radical has wrong dimension")
 
     reps = tuple(circle[i] for i in chosen)
@@ -155,10 +157,12 @@ def fiber_sum_defect(space: SymplecticSpace, phi_minus: Matrix, phi_plus: Matrix
     for name, m in (("phi_minus", phi_minus), ("phi_plus", phi_plus)):
         if not is_symplectic(space, m):
             raise InputError(f"{name} is not symplectic for this space")
-    graph_minus, _ = graph_lagrangians(space, phi_minus)
-    graph_id, _ = graph_lagrangians(space, Matrix.identity(space.dim))
-    _, conj_plus = graph_lagrangians(space, phi_plus)
-    return maslov_index(graph_minus, graph_id, conj_plus)
+    doubled = space.doubled()
+    return maslov_index(
+        unchecked_graph(doubled, phi_minus),
+        unchecked_graph(doubled, Matrix.identity(space.dim)),
+        unchecked_graph(doubled, symplectic_inverse(space, phi_plus)),
+    )
 
 
 def meyer_cocycle(space: SymplecticSpace, m1: Matrix, m2: Matrix) -> int:

@@ -7,6 +7,11 @@ package stay tiny (a few dozen at the very most), so the implementation
 favours clarity over asymptotic cleverness: plain Gaussian elimination with
 a deterministic first-nonzero pivot rule, which also keeps every witness
 vector reproducible between runs.
+
+Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
+reads off the particular solutions and the kernel, and `solve_linear`,
+`solve_many` and `kernel_basis` are views of it.  Subspace intersections are
+one Zassenhaus reduction each (see `intersect_spans`).
 """
 
 from __future__ import annotations
@@ -45,10 +50,6 @@ def as_vector(entries: Iterable[Scalar]) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Vector) -> Vector:
@@ -128,9 +129,6 @@ class Matrix:
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -139,9 +137,6 @@ class Matrix:
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
             self.rows,
         )
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and self == self.transpose()
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
@@ -263,66 +258,54 @@ def _rref(rows: list[list[Fraction]],
     return rows, pivots
 
 
-def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
-    """Solve A x = b exactly, reporting the full affine solution set."""
-    rhs = as_vector(b)
-    if len(rhs) != a.rows:
-        raise InputError(f"rhs of length {len(rhs)} against {a.rows}x{a.cols}")
-    aug = [list(row) + [v] for row, v in zip(a.entries, rhs)]
-    if not aug:
-        # no equations: everything is a solution
-        kernel = tuple(
-            tuple(Fraction(1 if i == j else 0) for i in range(a.cols))
-            for j in range(a.cols)
-        )
-        status: SolveStatus = "unique" if a.cols == 0 else "affine"
-        return SolveResult(status, zero_vector(a.cols), kernel)
-    reduced, pivots = _rref(aug)
-    if a.cols in pivots:
-        return SolveResult("inconsistent", None, ())
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(a.cols) if c not in pivot_set]
-    particular = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        particular[c] = reduced[r][a.cols]
-    kernel = []
-    for f in free_cols:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        kernel.append(tuple(v))
-    status = "unique" if not free_cols else "affine"
-    return SolveResult(status, tuple(particular), tuple(kernel))
+def _solve(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]
+           ) -> tuple[list[Vector | None], tuple[Vector, ...]]:
+    """One elimination of [A | b_1 ... b_m] with pivots limited to A's columns.
 
-
-def solve_many(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]) -> list[Vector | None]:
-    """Particular solutions of A x = b for several b, one elimination for all.
-
-    Each result matches solve_linear(a, b).particular exactly (same pivot
-    rule, free variables zeroed); None marks an inconsistent right-hand side.
+    Returns one particular solution per b (free variables zero, None when
+    that b is inconsistent) and one kernel vector of A per free column.
     """
     columns = [as_vector(b) for b in rhs_list]
     for b in columns:
         if len(b) != a.rows:
             raise InputError(f"rhs of length {len(b)} against {a.rows}x{a.cols}")
-    if not columns:
-        return []
-    if a.rows == 0:
-        return [zero_vector(a.cols)] * len(columns)
     aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(a.entries)]
     reduced, pivots = _rref(aug, pivot_limit=a.cols)
-    out: list[Vector | None] = []
-    for j in range(len(columns)):
-        col = a.cols + j
+    particulars: list[Vector | None] = []
+    for col in range(a.cols, a.cols + len(columns)):
         if any(reduced[r][col] != 0 for r in range(len(pivots), a.rows)):
-            out.append(None)
+            particulars.append(None)
             continue
         particular = [Fraction(0)] * a.cols
         for r, c in enumerate(pivots):
             particular[c] = reduced[r][col]
-        out.append(tuple(particular))
-    return out
+        particulars.append(tuple(particular))
+    pivot_set = set(pivots)
+    kernel = []
+    for f in (c for c in range(a.cols) if c not in pivot_set):
+        v = [Fraction(0)] * a.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        kernel.append(tuple(v))
+    return particulars, tuple(kernel)
+
+
+def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
+    """Solve A x = b exactly, reporting the full affine solution set."""
+    (particular,), kernel = _solve(a, [b])
+    if particular is None:
+        return SolveResult("inconsistent", None, ())
+    return SolveResult("affine" if kernel else "unique", particular, kernel)
+
+
+def solve_many(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]) -> list[Vector | None]:
+    """Particular solutions of A x = b for several b, one elimination for all.
+
+    Each result matches solve_linear(a, b).particular exactly; None marks an
+    inconsistent right-hand side.
+    """
+    return _solve(a, rhs_list)[0]
 
 
 def _swap_sym(m: list[list[Fraction]], i: int, j: int) -> None:
@@ -399,45 +382,38 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> tuple[Vector, .
     for r in rows:
         if len(r) != dim:
             raise InputError(f"vector of length {len(r)} in ambient dimension {dim}")
-    if not rows:
-        return ()
     reduced, pivots = _rref(rows)
     return tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
 
 def rank(a: Matrix) -> int:
-    if a.rows == 0 or a.cols == 0:
-        return 0
     _, pivots = _rref(a.to_lists())
     return len(pivots)
 
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column."""
-    return solve_linear(a, zero_vector(a.rows)).kernel_basis
-
-
-def in_span(basis: Sequence[Vector], v: Sequence[Scalar], dim: int) -> bool:
-    if not basis:
-        return all(as_rational(x) == 0 for x in v)
-    m = Matrix.from_columns(basis, rows=dim)
-    return solve_linear(m, v).status != "inconsistent"
+    return _solve(a, [])[1]
 
 
 def intersect_spans(
-    u: Sequence[Vector], v: Sequence[Vector], dim: int
+    u: Sequence[Sequence[Scalar]], v: Sequence[Sequence[Scalar]], dim: int
 ) -> tuple[Vector, ...]:
-    """Canonical basis of span(u) ∩ span(v) inside Q^dim."""
+    """Canonical basis of span(u) ∩ span(v) inside Q^dim, for any spanning sets.
+
+    Zassenhaus: reduce the rows (x | x) for x in u and (y | 0) for y in v.
+    The rows whose left half vanishes hold, in their right half, the RREF
+    basis of the intersection.
+    """
     if not u or not v:
         return ()
-    stacked = Matrix.from_columns(list(u) + [vec_scale(Fraction(-1), w) for w in v], rows=dim)
-    meet = []
-    for coeffs in kernel_basis(stacked):
-        vec = zero_vector(dim)
-        for c, basis_vec in zip(coeffs[: len(u)], u):
-            vec = vec_add(vec, vec_scale(c, basis_vec))
-        meet.append(vec)
-    return span_basis(meet, dim)
+    rows = [list(as_vector(x)) for x in (*u, *v)]
+    if any(len(r) != dim for r in rows):
+        raise InputError("column length mismatch")
+    zeros = [Fraction(0)] * dim
+    rows = [r + r for r in rows[: len(u)]] + [r + zeros for r in rows[len(u):]]
+    reduced, pivots = _rref(rows)
+    return tuple(tuple(row[dim:]) for row, p in zip(reduced, pivots) if p >= dim)
 
 
 def sum_spans(u: Sequence[Vector], v: Sequence[Vector], dim: int) -> tuple[Vector, ...]:

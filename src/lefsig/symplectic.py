@@ -72,10 +72,6 @@ class SymplecticSpace:
         return SymplecticSpace(self.form.block_diag(-self.form))
 
 
-def direct_sum_space(a: SymplecticSpace, b: SymplecticSpace) -> SymplecticSpace:
-    return SymplecticSpace(a.form.block_diag(b.form))
-
-
 @dataclass(frozen=True)
 class Surface:
     """Orientable surface with genus g and b boundary components."""
@@ -257,29 +253,33 @@ def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
-    space = direct_sum_space(a.space, b.space)
+    space = SymplecticSpace(a.space.form.block_diag(b.space.form))
     pad_a = [tuple(v) + (Fraction(0),) * b.space.dim for v in a.basis]
     pad_b = [(Fraction(0),) * a.space.dim + tuple(v) for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)
 
 
-def graph_lagrangians(space: SymplecticSpace, m: Matrix) -> tuple[Lagrangian, Lagrangian]:
-    """Graph {(x, Mx)} and conjugate graph {(Mx, x)} inside the doubled space.
+def unchecked_graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
+    """Graph {(x, Mx)} in the doubled space, for an M the caller has checked.
 
-    Both are Lagrangian for (V + V, Q + -Q) exactly when M is symplectic.
+    Rows [I | M^T] span the graph and are already its canonical echelon
+    basis; it is Lagrangian exactly when M is symplectic, so the usual
+    `span` re-validation would only repeat that check.
+    """
+    ident = Matrix.identity(m.rows).entries
+    return Lagrangian(doubled, tuple(e + r for e, r in zip(ident, m.transpose().entries)))
+
+
+def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
+    return (-space.form) @ m.transpose() @ space.form  # M^{-1} = -J M^T J
+
+
+def graph_lagrangians(space: SymplecticSpace, m: Matrix) -> tuple[Lagrangian, Lagrangian]:
+    """Graph {(x, Mx)} and conjugate graph {(Mx, x)} = graph of M^{-1} inside
+    the doubled space.  Both are Lagrangian for (V + V, Q + -Q) exactly when
+    M is symplectic.
     """
     if not is_symplectic(space, m):
         raise InputError("graph Lagrangians need a symplectic matrix")
     doubled = space.doubled()
-    n = space.dim
-    # Rows [I | M^T] span the graph and are already the canonical echelon
-    # basis; the conjugate graph is the graph of M^{-1} = -J M^T J.  The
-    # symplecticity check above is exactly isotropy of both, so the usual
-    # `span` re-validation would only repeat it.
-    minv_t = ((-space.form) @ m.transpose() @ space.form).transpose()
-    ident = Matrix.identity(n)
-    graph = Lagrangian(
-        doubled, tuple(ident.entries[i] + m.transpose().entries[i] for i in range(n)))
-    conj = Lagrangian(
-        doubled, tuple(ident.entries[i] + minv_t.entries[i] for i in range(n)))
-    return graph, conj
+    return unchecked_graph(doubled, m), unchecked_graph(doubled, symplectic_inverse(space, m))

@@ -5,13 +5,19 @@ number is recovered from the characteristic polynomial instead.  For a
 symmetric matrix all eigenvalues are real, so Descartes' rule of signs is
 exact: the number of positive eigenvalues equals the sign variations of
 p(t), the number of negative ones the variations of p(-t).
+
+The Wall space of a Lagrangian triple is rebuilt here the long way, as the
+library once did it: intersections by a kernel, a recombination and a
+canonicalization, and the radical complement by a greedy scan over the
+standard coordinate vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lefsig.ratlinalg import Matrix
+from lefsig.ratlinalg import Matrix, as_vector, kernel_basis, solve_linear, span_basis
+from lefsig.symplectic import Lagrangian
 
 
 def charpoly(m: Matrix) -> list[Fraction]:
@@ -43,3 +49,54 @@ def signature_via_charpoly(s: Matrix) -> int:
     pos = _variations(p)
     neg = _variations([c if k % 2 == 0 else -c for k, c in enumerate(p)])
     return pos - neg
+
+
+def reference_intersect_spans(u, v, dim: int) -> tuple:
+    """Canonical basis of span(u) ∩ span(v): every kernel vector (s, t) of
+    [u | -v] gives the common vector sum s_i u_i."""
+    if not u or not v:
+        return ()
+    u = [as_vector(x) for x in u]
+    stacked = Matrix.from_columns(u + [tuple(-y for y in as_vector(w)) for w in v], rows=dim)
+    meet = [
+        tuple(sum((c * x[i] for c, x in zip(coeffs, u)), Fraction(0)) for i in range(dim))
+        for coeffs in kernel_basis(stacked)
+    ]
+    return span_basis(meet, dim)
+
+
+def greedy_complement(u_coords, k: int) -> list[int]:
+    """Indices i of the standard vectors e_i, scanned left to right, that are
+    not yet in the span of u_coords and the e_j chosen before."""
+    chosen: list[int] = []
+    spanning = list(u_coords)
+    for i in range(k):
+        e = tuple(Fraction(1 if j == i else 0) for j in range(k))
+        if len(span_basis(spanning + [e], k)) > len(span_basis(spanning, k)):
+            chosen.append(i)
+            spanning.append(e)
+    return chosen
+
+
+def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[tuple, Matrix]:
+    """(representatives, form matrix) of the Wall space, computed the long way."""
+    space = a.space
+    dim = space.dim
+    circle = reference_intersect_spans(b.basis, span_basis(c.basis + a.basis, dim), dim)
+    if not circle:
+        return (), Matrix.zeros(0, 0)
+    ac_columns = Matrix.from_columns(a.basis + c.basis, rows=dim)
+    c_parts = []
+    for d in circle:
+        sol = solve_linear(ac_columns, [-x for x in d]).particular
+        coeffs = sol[len(a.basis):]
+        c_parts.append(tuple(sum((t * y[i] for t, y in zip(coeffs, c.basis)), Fraction(0))
+                             for i in range(dim)))
+    psi = [[space.pairing(x, cp) for cp in c_parts] for x in circle]
+    u = span_basis(reference_intersect_spans(b.basis, c.basis, dim)
+                   + reference_intersect_spans(b.basis, a.basis, dim), dim)
+    circle_columns = Matrix.from_columns(circle, rows=dim)
+    u_coords = [solve_linear(circle_columns, x).particular for x in u]
+    chosen = greedy_complement(u_coords, len(circle))
+    form = Matrix(tuple(tuple(psi[i][j] for j in chosen) for i in chosen), len(chosen))
+    return tuple(circle[i] for i in chosen), form

@@ -107,6 +107,19 @@ def test_maslov_command_with_axiom_check(capsys):
     assert "axiom direct-sum additivity: pass" in out
 
 
+def test_maslov_axioms_in_dimension_zero(capsys, tmp_path):
+    doc = tmp_path / "point.json"
+    doc.write_text('{"dimension": 0, "matrices": [[[]], [[]], [[]]]}')
+    code, out, _ = run(capsys, "maslov", str(doc), "--check-axioms")
+    assert code == 0
+    assert out.splitlines() == [
+        "maslov index: 0",
+        "axiom antisymmetry: pass",
+        "axiom symplectic invariance: pass",
+        "axiom direct-sum additivity: pass",
+    ]
+
+
 def test_meyer_command(capsys):
     code, out, _ = run(capsys, "meyer", str(DATA_DIR / "meyer_pair.json"))
     assert code == 0

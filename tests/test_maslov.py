@@ -16,6 +16,7 @@ from lefsig import (
     meyer_cocycle,
     wall_space,
 )
+from lefsig.ratlinalg import intersect_spans
 from lefsig.symplectic import direct_sum_lagrangian
 
 from .fixtures import (
@@ -25,6 +26,7 @@ from .fixtures import (
     random_lagrangian,
     random_symplectic,
 )
+from .oracles import reference_intersect_spans, reference_wall_space
 
 PLANE = SymplecticSpace.standard(1)
 A_LINE = Lagrangian.span(PLANE, [(1, 0)])
@@ -159,3 +161,44 @@ def test_defect_requires_symplectic_inputs():
     with pytest.raises(InputError, match="phi_plus"):
         fiber_sum_defect(PLANE, Matrix.identity(2),
                          Matrix.from_rows([[1, 1], [1, 1]]))
+
+
+def test_rederived_rules_match_reference():
+    """Zassenhaus intersections and the pivot-read radical complement agree
+    with the kernel-and-recombination intersection and the greedy complement."""
+    rng = random.Random(1969)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        core = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+        # repeated and dependent vectors on top of the core; v shares part of u
+        u = core + core[:1] + [[x + y for x, y in zip(core[0], core[-1])]] if core else []
+        v = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+        v += rng.sample(u, rng.randint(0, len(u)))
+        assert intersect_spans(u, v, dim) == reference_intersect_spans(u, v, dim)
+        assert intersect_spans(v, u, dim) == reference_intersect_spans(v, u, dim)
+
+    # Triples of sums of plane lines moved by one symplectic map: blocks where
+    # B shares its line with A or C put (B∩C) + (B∩A) != 0, blocks with three
+    # distinct lines add to W.
+    lines = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
+    both_nonzero = 0
+    for _ in range(30):
+        space = SymplecticSpace.standard(rng.choice([2, 3]))
+        g = random_symplectic(rng, space)
+
+        def block_lagrangian():
+            vectors = []
+            for i in range(space.half_dim):
+                v = [0] * space.dim
+                v[2 * i: 2 * i + 2] = rng.choice(lines)
+                vectors.append(g.apply(v))
+            return Lagrangian.span(space, vectors)
+
+        a, b, c = block_lagrangian(), block_lagrangian(), block_lagrangian()
+        for x, y, z in ((a, b, c), (c, b, a), (a, b, a), (a, b, b)):
+            w = wall_space(x, y, z)
+            assert (w.representatives, w.form_matrix) == reference_wall_space(x, y, z)
+            radical = (intersect_spans(y.basis, x.basis, space.dim)
+                       + intersect_spans(y.basis, z.basis, space.dim))
+            both_nonzero += bool(w.representatives) and bool(radical)
+    assert both_nonzero >= 10

@@ -10,7 +10,7 @@ from lefsig.errors import InputError
 from lefsig.ratlinalg import (
     Matrix,
     as_rational,
-    in_span,
+    as_vector,
     intersect_spans,
     kernel_basis,
     matrix_power,
@@ -102,9 +102,10 @@ def test_inconsistent_really_means_it(case):
     b[0] += 1  # may or may not stay consistent; trust only the reported status
     res = solve_linear(a, b)
     if res.status == "inconsistent":
-        # b must then be outside the column span
-        cols = [a.column(j) for j in range(a.cols)]
-        assert not in_span(span_basis(cols, a.rows), b, a.rows)
+        # b must then be outside the column span: appending it raises the rank
+        augmented = Matrix(tuple(row + (v,) for row, v in zip(a.entries, as_vector(b))),
+                           a.cols + 1)
+        assert rank(augmented) > rank(a)
     else:
         assert a.apply(res.particular) == tuple(b)
 
