@@ -41,7 +41,6 @@ from .symplectic import (
     direct_sum_lagrangian,
     effective_dimension,
     map_lagrangian,
-    transvection,
     word_action,
 )
 
@@ -259,15 +258,15 @@ def _triple_from_file(path: str) -> tuple[SymplecticSpace, Lagrangian, Lagrangia
 
 
 def _random_symplectic(space: SymplecticSpace, rng: random.Random) -> Matrix:
-    m = Matrix.identity(space.dim)
     if space.dim == 0:
-        return m
+        return Matrix.identity(0)
+    cycles = []
     for _ in range(rng.randint(1, 4)):
         vec = [rng.randint(-2, 2) for _ in range(space.dim)]
         if all(x == 0 for x in vec):
             vec[0] = 1
-        m = transvection(space, VanishingCycle(tuple(vec), rng.choice([1, -1]))) @ m
-    return m
+        cycles.append(VanishingCycle(tuple(vec), rng.choice([1, -1])))
+    return word_action(MonodromyWord(Surface(space.half_dim, 0), tuple(cycles)))
 
 
 def cmd_maslov(args: argparse.Namespace) -> int:

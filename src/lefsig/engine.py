@@ -73,7 +73,9 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
     gamma = cycle.vector()
-    res = solve_linear(Matrix.identity(space.dim) - phi_k, gamma)
+    step = Matrix(tuple(tuple(int(i == j) - x for j, x in enumerate(row))
+                        for i, row in enumerate(phi_k.entries)), space.dim)  # Id - Phi_k
+    res = solve_linear(step, gamma)
     if res.particular is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
     q = space.pairing(gamma, res.particular)

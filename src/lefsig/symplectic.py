@@ -23,6 +23,7 @@ from .ratlinalg import (
     Vector,
     as_vector,
     rank,
+    solve_many,
     span_basis,
     vec_dot,
 )
@@ -66,6 +67,12 @@ class SymplecticSpace:
     def pairing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
         """Q(x, y) = x^T J y."""
         return vec_dot(as_vector(x), self.form.apply(y))
+
+    @cached_property
+    def _inverse_form(self) -> Matrix:
+        """J^{-1}; it is -J only for forms with J^2 = -Id, such as the standard one."""
+        return Matrix.from_columns(solve_many(self.form, Matrix.identity(self.dim).entries),
+                                   rows=self.dim)
 
     def doubled(self) -> "SymplecticSpace":
         """(V + V, Q + -Q): the ambient space of graph Lagrangians."""
@@ -148,12 +155,28 @@ class MonodromyWord:
 
     @cached_property
     def _prefix_products(self) -> tuple[Matrix, ...]:
-        """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass."""
-        phi = Matrix.identity(self.space.dim)
-        products = [phi]
+        """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass.
+
+        T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of integer rows.
+        Only rows with g_i != 0 change; the others keep their Fraction tuples.
+        """
+        n = self.space.dim
+        form = [[(j, int(x)) for j, x in enumerate(row) if x] for row in self.space.form.entries]
+        phi = [[int(i == j) for j in range(n)] for i in range(n)]
+        products = [Matrix.identity(n)]
         for c in self.cycles:
-            phi = transvection(self.space, c) @ phi
-            products.append(phi)
+            g = c.homology_class
+            r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
+            for row, phi_i in zip(form, phi):
+                if wi := sum(f * g[j] for j, f in row):
+                    r = [a + wi * b for a, b in zip(r, phi_i)]
+            rows = list(products[-1].entries)
+            for i, gi in enumerate(g):
+                if gi:
+                    s = c.chirality * gi
+                    phi[i] = [a - s * b for a, b in zip(phi[i], r)]
+                    rows[i] = tuple(map(Fraction, phi[i]))
+            products.append(Matrix(tuple(rows), n))
         return tuple(products)
 
     def repeated(self, n: int) -> "MonodromyWord":
@@ -206,8 +229,8 @@ def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
 def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     """Product T_k ... T_1 of the first k transvections (all of them by default).
 
-    The word computes all its prefix products on first use and keeps them, so
-    sweeping k over a word costs one matrix product per step in total.
+    The word computes all its prefix actions on first use and keeps them: one
+    integer rank-one update per cycle, O(dim^2) work, in a single forward pass.
     """
     k = len(word) if upto is None else upto
     if not 0 <= k <= len(word):
@@ -271,7 +294,8 @@ def unchecked_graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
 
 
 def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
-    return (-space.form) @ m.transpose() @ space.form  # M^{-1} = -J M^T J
+    """M^{-1} = J^{-1} M^T J, which M^T J M = J gives for any form J."""
+    return space._inverse_form @ m.transpose() @ space.form
 
 
 def graph_lagrangians(space: SymplecticSpace, m: Matrix) -> tuple[Lagrangian, Lagrangian]:

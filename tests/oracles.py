@@ -10,6 +10,10 @@ The Wall space of a Lagrangian triple is rebuilt here the long way, as the
 library once did it: intersections by a kernel, a recombination and a
 canonicalization, and the radical complement by a greedy scan over the
 standard coordinate vectors.
+
+Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
+transvection out as a full matrix and multiplying it in, with no call into
+the package.
 """
 
 from __future__ import annotations
@@ -100,3 +104,20 @@ def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[t
     chosen = greedy_complement(u_coords, len(circle))
     form = Matrix(tuple(tuple(psi[i][j] for j in chosen) for i in chosen), len(chosen))
     return tuple(circle[i] for i in chosen), form
+
+
+def dense_prefix_actions(vectors, chiralities, dim: int) -> list[list[list[int]]]:
+    """Phi_0 = Id, ..., Phi_n as int matrices: T_k = Id - c_k g (J g)^T in full,
+    J the standard form with blocks [[0, 1], [-1, 0]], and Phi_k = T_k Phi_{k-1}."""
+    j_form = [[0] * dim for _ in range(dim)]
+    for i in range(0, dim, 2):
+        j_form[i][i + 1], j_form[i + 1][i] = 1, -1
+    phi = [[int(i == k) for k in range(dim)] for i in range(dim)]
+    actions = [phi]
+    for g, c in zip(vectors, chiralities, strict=True):
+        w = [sum(j_form[i][k] * g[k] for k in range(dim)) for i in range(dim)]
+        t = [[int(i == k) - c * g[i] * w[k] for k in range(dim)] for i in range(dim)]
+        phi = [[sum(t[i][m] * phi[m][k] for m in range(dim)) for k in range(dim)]
+               for i in range(dim)]
+        actions.append(phi)
+    return actions

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,16 @@ FIBRATION_FILES = {
     "chain_relation.json": 0,
     "parallel_twist_pair.json": -1,
 }
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**extra):
+    """The caller's environment with this checkout's `src` first on PYTHONPATH,
+    so `python -m lefsig.cli` runs the code under test without an install."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def run(capsys, *argv):
@@ -179,7 +190,7 @@ def test_missing_field_error_is_independent_of_hash_seed(tmp_path):
     for seed in range(1, 6):
         proc = subprocess.run(
             [sys.executable, "-m", "lefsig.cli", "signature", str(f)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+            capture_output=True, text=True, env=subprocess_env(PYTHONHASHSEED=str(seed)))
         assert proc.returncode == 2
         errors.add(proc.stderr)
     assert errors == {"error: document: missing field 'genus'\n"}
@@ -219,6 +230,6 @@ def test_module_execution():
     proc = subprocess.run(
         [sys.executable, "-m", "lefsig.cli", "signature",
          str(DATA_DIR / "positive_g1.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "signature: 1"

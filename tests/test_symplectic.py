@@ -14,13 +14,16 @@ from lefsig import (
     SymplecticSpace,
     VanishingCycle,
     effective_dimension,
+    fiber_sum_defect,
     graph_lagrangians,
     is_symplectic,
     map_lagrangian,
+    signature,
     transvection,
     word,
     word_action,
 )
+from lefsig.symplectic import symplectic_inverse
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -34,6 +37,7 @@ from .fixtures import (
     positive_word,
     random_symplectic,
 )
+from .oracles import dense_prefix_actions
 
 
 def test_standard_form_squares_to_minus_identity():
@@ -106,6 +110,60 @@ def test_cold_word_action_on_ten_thousand_cycles():
     w = matsumoto_word(2500)
     assert word_action(w) == Matrix.identity(4)
     assert word_action(w, 4) == MATSUMOTO_PHI
+
+
+def random_word(rng, surface, n, spread=2):
+    """n random cycles of both chiralities, one of them null-homologous."""
+    dim = effective_dimension(surface)
+    vecs = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(n)]
+    vecs[rng.randrange(n)] = [0] * dim
+    chis = [1, -1] + [rng.choice([1, -1]) for _ in range(n - 2)]
+    rng.shuffle(chis)
+    return word(surface, vecs, chis)
+
+
+def oracle_prefixes(w):
+    dim = effective_dimension(w.surface)
+    oracle = dense_prefix_actions([c.homology_class for c in w.cycles],
+                                  [c.chirality for c in w.cycles], dim)
+    return [Matrix.from_rows(phi, cols=dim) for phi in oracle]
+
+
+def test_prefix_actions_match_dense_oracle():
+    rng = random.Random(404)
+    for genus in range(1, 7):
+        for boundary in (0, 1, 3):
+            w = random_word(rng, Surface(genus, boundary), rng.randint(3, 8))
+            expected = oracle_prefixes(w)
+            assert [word_action(w, k) for k in range(len(w) + 1)] == expected
+            assert [s.cumulative_action for s in signature(w).steps] == expected[1:]
+
+
+def test_genus_forty_prefix_actions_match_dense_oracle():
+    w = random_word(random.Random(40), Surface(40, 0), 6)
+    assert [word_action(w, k) for k in range(len(w) + 1)] == oracle_prefixes(w)
+
+
+def test_non_standard_form_inverse_and_defect():
+    plane = SymplecticSpace(Matrix.from_rows([[0, 2], [-2, 0]]))
+    ident = Matrix.identity(2)
+    assert symplectic_inverse(plane, ident) == ident
+    # scaling the form by 2 scales Psi by 2, so graphs stay Lagrangian and
+    # every defect keeps its value
+    std = SymplecticSpace.standard(2)
+    scaled = SymplecticSpace(std.form.scale(2))
+    doubled = scaled.doubled()
+    rng = random.Random(5)
+    defects = set()
+    for _ in range(12):
+        a, b = random_symplectic(rng, std), random_symplectic(rng, std)
+        assert symplectic_inverse(scaled, a) @ a == Matrix.identity(4)
+        for lag in graph_lagrangians(scaled, a):
+            assert all(doubled.pairing(u, v) == 0 for u in lag.basis for v in lag.basis)
+        defect = fiber_sum_defect(scaled, a, b)
+        assert defect == fiber_sum_defect(std, a, b)
+        defects.add(defect)
+    assert len(defects) > 1
 
 
 def test_effective_dimension_table():
