@@ -129,8 +129,8 @@ def serialize_fibration_document(doc: FibrationDocument) -> str:
 
 
 def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, list[Matrix]]:
-    """Parse {"dimension": d, "matrices": [...]}; rows may be any count, entries
-    are integers or "p/q" strings.  `expect` pins the number of matrices."""
+    """Parse {"dimension": d, "matrices": [...]}; any number of rows (none only
+    if d = 0), entries integers or "p/q" strings; `expect` pins the matrix count."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -157,7 +157,7 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
                     f"matrix {idx}: row has length {len(r)}, expected {dim}"
                 )
             parsed.append([_entry(x, idx) for x in r])
-        if not parsed:
+        if not parsed and dim > 0:
             raise InputError(f"matrix {idx}: no rows")
         out.append(Matrix.from_rows(parsed, cols=dim))
     return dim, out
@@ -322,6 +322,9 @@ def cmd_maslov(args: argparse.Namespace) -> int:
 
 def cmd_meyer(args: argparse.Namespace) -> int:
     dim, mats = parse_matrix_document(_read(args.file), expect=2)
+    for idx, m in enumerate(mats, start=1):
+        if m.rows != dim:
+            raise InputError(f"matrix {idx}: expected {dim} rows, got {m.rows}")
     space = SymplecticSpace.standard(dim // 2)
     value = meyer_cocycle(space, mats[0], mats[1])
     print(f"meyer cocycle: {value}")

@@ -13,11 +13,14 @@ deterministic pivot choices, and the guaranteed properties (symmetry, radical
 containment, nonsingularity) are asserted at runtime rather than trusted.
 
 W is represented by vectors of the canonical (RREF) basis d_0 .. d_{k-1} of
-B ∩ (C + A).  In these coordinates the radical complement is chosen by one
-rule: d_i is a representative exactly when e_i is not in
-U + span(e_0 .. e_{i-1}), U = (B ∩ C) + (B ∩ A), which is exactly when
-column i is not a pivot of the RREF of U's coordinate vectors read right to
-left.
+B ∩ (C + A).  Because that basis is reduced, the coordinates of a vector of
+B ∩ (C + A) are its entries at the pivot columns of the d_i, so U's
+coordinates are read there, U = (B ∩ C) + (B ∩ A), and one recombination
+checks them.  With the d_i as the rows of D and the C-parts c' of the splits
+as the rows of C', Psi is the product D J C'^T.  In these coordinates the radical complement is chosen by
+one rule: d_i is a representative exactly when e_i is not in
+U + span(e_0 .. e_{i-1}), which is exactly when column i is not a pivot of
+the RREF of U's coordinate vectors read right to left.
 
 Normalization: in the plane with Q((x1,x2),(y1,y2)) = x1 y2 - x2 y1,
 tau(span(1,0), span(1,1), span(0,1)) = -1.
@@ -31,7 +34,6 @@ doubled space, and the Meyer cocycle is its negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
 from .ratlinalg import (
@@ -42,10 +44,6 @@ from .ratlinalg import (
     signature_symmetric,
     solve_many,
     span_basis,
-    vec_add,
-    vec_dot,
-    vec_scale,
-    zero_vector,
 )
 from .symplectic import (
     Lagrangian,
@@ -79,53 +77,39 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     """Construct W and the matrix of Psi for a Lagrangian triple."""
     space = _same_space(a, b, c)
     dim = space.dim
-    if dim == 0:
-        return WallSpace(space, (), Matrix.zeros(0, 0))
-
     circle = intersect_spans(b.basis, c.basis + a.basis, dim)
     if not circle:
         return WallSpace(space, (), Matrix.zeros(0, 0))
+    k = len(circle)
+    circle_m = Matrix(circle, dim)
 
     # For each generator d of B ∩ (C + A), split -d = a' + c' with a' in A,
     # c' in C, keeping only c'.  The split solves [A | C] (s, t) = -d; the
-    # first-pivot rule makes the chosen c' deterministic.
-    ac_columns = Matrix.from_columns(list(a.basis) + list(c.basis), rows=dim)
-    splits = solve_many(ac_columns, [vec_scale(Fraction(-1), d) for d in circle])
-    c_parts: list[Vector] = []
-    for sol in splits:
-        if sol is None:
-            raise InternalConsistencyError("membership in C + A failed during split")
-        c_part = zero_vector(dim)
-        for coeff, vec in zip(sol[len(a.basis):], c.basis):
-            c_part = vec_add(c_part, vec_scale(coeff, vec))
-        c_parts.append(c_part)
-
-    k = len(circle)
-    images = [space.form.apply(cp) for cp in c_parts]
-    psi = Matrix(
-        tuple(
-            tuple(vec_dot(circle[i], images[j]) for j in range(k))
-            for i in range(k)
-        ),
-        k,
-    )
+    # first-pivot rule makes the chosen c' deterministic.  Psi = D J C'^T.
+    ac_columns = Matrix.from_columns(a.basis + c.basis, rows=dim)
+    splits = solve_many(ac_columns, (-circle_m).entries)
+    if any(sol is None for sol in splits):
+        raise InternalConsistencyError("membership in C + A failed during split")
+    t = Matrix(tuple(sol[len(a.basis):] for sol in splits), len(c.basis))
+    c_parts = t @ Matrix(c.basis, dim)
+    psi = circle_m @ space.form @ c_parts.transpose()
     if psi != psi.transpose():
         raise InternalConsistencyError("Psi did not come out symmetric")
 
     # Coordinates (w.r.t. the `circle` basis) of a spanning set of the
-    # would-be radical U = (B ∩ C) + (B ∩ A); it must actually annihilate Psi.
-    circle_columns = Matrix.from_columns(circle, rows=dim)
+    # would-be radical U = (B ∩ C) + (B ∩ A): `circle` is in RREF, so they
+    # are U's entries at circle's pivot columns.  U must actually be
+    # recombined from them, and must annihilate Psi.
+    pivots = [row.index(1) for row in circle]
     u = intersect_spans(b.basis, c.basis, dim) + intersect_spans(b.basis, a.basis, dim)
-    u_coords: list[Vector] = []
-    for sol in solve_many(circle_columns, u):
-        if sol is None:
-            raise InternalConsistencyError("radical summand escaped B ∩ (C + A)")
-        u_coords.append(sol)
-        if any(x != 0 for x in psi.apply(sol)):
-            raise InternalConsistencyError("(B∩C) + (B∩A) is not in the radical of Psi")
+    u_coords = Matrix(tuple(tuple(x[p] for p in pivots) for x in u), k)
+    if (u_coords @ circle_m).entries != u:
+        raise InternalConsistencyError("radical summand escaped B ∩ (C + A)")
+    if any(x != 0 for row in (u_coords @ psi).entries for x in row):
+        raise InternalConsistencyError("(B∩C) + (B∩A) is not in the radical of Psi")
 
     # Complement rule (see the module docstring); RREF rows lead with 1.
-    reversed_u = span_basis([x[::-1] for x in u_coords], k)
+    reversed_u = span_basis([x[::-1] for x in u_coords.entries], k)
     radical_pivots = {k - 1 - row.index(1) for row in reversed_u}
     chosen = [i for i in range(k) if i not in radical_pivots]
     if len(chosen) != k - len(reversed_u):

@@ -65,10 +65,6 @@ def vec_dot(u: Vector, v: Vector) -> Fraction:
     return total
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix.  `cols` is explicit so 0-row shapes survive."""

@@ -74,9 +74,13 @@ class SymplecticSpace:
         return Matrix.from_columns(solve_many(self.form, Matrix.identity(self.dim).entries),
                                    rows=self.dim)
 
-    def doubled(self) -> "SymplecticSpace":
-        """(V + V, Q + -Q): the ambient space of graph Lagrangians."""
+    @cached_property
+    def _doubled(self) -> "SymplecticSpace":
         return SymplecticSpace(self.form.block_diag(-self.form))
+
+    def doubled(self) -> "SymplecticSpace":
+        """(V + V, Q + -Q): the ambient space of graph Lagrangians, built once."""
+        return self._doubled
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,28 @@ def test_meyer_command(capsys):
     assert out.strip() == "meyer cocycle: -1"
 
 
+def test_matrix_documents_in_dimension_zero(capsys, tmp_path):
+    doc = tmp_path / "point.json"
+    doc.write_text('{"dimension": 0, "matrices": [[], []]}')
+    assert run(capsys, "meyer", str(doc)) == (0, "meyer cocycle: 0\n", "")
+    doc.write_text('{"dimension": 0, "matrices": [[], [], []]}')
+    assert run(capsys, "maslov", str(doc)) == (0, "maslov index: 0\n", "")
+    doc.write_text('{"dimension": 2, "matrices": [[], [[1, 0], [0, 1]]]}')
+    code, _, err = run(capsys, "meyer", str(doc))
+    assert code == 2 and "matrix 1: no rows" in err
+
+
+def test_meyer_requires_square_matrices(capsys, tmp_path):
+    doc = tmp_path / "pair.json"
+    doc.write_text('{"dimension": 2, "matrices": [[[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]]]}')
+    code, out, err = run(capsys, "meyer", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix 1: expected 2 rows, got 3\n"
+    doc.write_text('{"dimension": 0, "matrices": [[[]], [[]]]}')
+    code, _, err = run(capsys, "meyer", str(doc))
+    assert code == 2 and err == "error: matrix 1: expected 0 rows, got 1\n"
+
+
 def test_generate_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "family.json"
     code, out, _ = run(capsys, "generate", "--genus", "2", "--boundary", "1",

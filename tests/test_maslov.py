@@ -7,6 +7,7 @@ import pytest
 
 from lefsig import (
     InputError,
+    InternalConsistencyError,
     Lagrangian,
     Matrix,
     SymplecticSpace,
@@ -16,7 +17,7 @@ from lefsig import (
     meyer_cocycle,
     wall_space,
 )
-from lefsig.ratlinalg import intersect_spans
+from lefsig.ratlinalg import intersect_spans, span_basis
 from lefsig.symplectic import direct_sum_lagrangian
 
 from .fixtures import (
@@ -202,3 +203,49 @@ def test_rederived_rules_match_reference():
                        + intersect_spans(y.basis, z.basis, space.dim))
             both_nonzero += bool(w.representatives) and bool(radical)
     assert both_nonzero >= 10
+
+
+def test_wall_space_self_checks_fire():
+    """On raw, non-isotropic bases the properties wall_space asserts fail,
+    and each reachable runtime check raises its own message."""
+    reachable = {
+        "Psi did not come out symmetric",
+        "(B∩C) + (B∩A) is not in the radical of Psi",
+        "induced form on W is singular",
+    }
+    seen = set()
+    rng = random.Random(3)
+    for _ in range(3000):
+        space = SymplecticSpace.standard(rng.choice([1, 2]))
+
+        def raw_lagrangian():
+            vectors = [[rng.randint(-2, 2) for _ in range(space.dim)]
+                       for _ in range(rng.randint(1, space.dim))]
+            return Lagrangian(space, span_basis(vectors, space.dim))
+
+        try:
+            wall_space(raw_lagrangian(), raw_lagrangian(), raw_lagrangian())
+        except InternalConsistencyError as exc:
+            seen.add(str(exc))
+        if seen == reachable:
+            break
+    assert seen == reachable
+
+
+def test_doubled_space_is_built_once(monkeypatch):
+    space = SymplecticSpace.standard(2)
+    rng = random.Random(1973)
+    pairs = [(random_symplectic(rng, space), random_symplectic(rng, space)) for _ in range(4)]
+    built = []
+    post_init = SymplecticSpace.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.dim)
+        post_init(self)
+
+    monkeypatch.setattr(SymplecticSpace, "__post_init__", counting_post_init)
+    for m1, m2 in pairs:
+        fiber_sum_defect(space, m1, m2)
+    assert built == [8]
+    assert space.doubled() is space.doubled()
+    assert built == [8]
