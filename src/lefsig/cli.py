@@ -23,8 +23,9 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cover import correction_terms
 from .engine import signature
@@ -68,13 +69,19 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-def parse_fibration_document(text: str) -> FibrationDocument:
+def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    # JSONDecodeError, an int past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
+    return obj
+
+
+def parse_fibration_document(text: str) -> FibrationDocument:
+    obj = _load_object(text)
     _require_keys(obj, {"name", "genus", "boundary", "cycles"},
                   ("genus", "boundary", "cycles"), "document")
     name = obj.get("name")
@@ -131,12 +138,7 @@ def serialize_fibration_document(doc: FibrationDocument) -> str:
 def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, list[Matrix]]:
     """Parse {"dimension": d, "matrices": [...]}; any number of rows (none only
     if d = 0), entries integers or "p/q" strings; `expect` pins the matrix count."""
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("document must be a JSON object")
+    obj = _load_object(text)
     _require_keys(obj, {"dimension", "matrices"}, ("dimension", "matrices"), "document")
     dim = _as_int(obj["dimension"], "dimension")
     if dim < 0 or dim % 2 != 0:
@@ -269,6 +271,29 @@ def _random_symplectic(space: SymplecticSpace, rng: random.Random) -> Matrix:
     return word_action(MonodromyWord(Surface(space.half_dim, 0), tuple(cycles)))
 
 
+def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
+                  tau: int) -> Iterator[tuple[str, str, bool]]:
+    """Yield (label, failure name, ok) for each axiom, checking one at a time."""
+    perm_ok = True
+    for order in permutations(range(3)):
+        inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if order[i] > order[j])
+        expected = tau if inversions % 2 == 0 else -tau
+        if maslov_index(*(lags[i] for i in order)) != expected:
+            perm_ok = False
+    yield "antisymmetry", "antisymmetry", perm_ok
+
+    rng = random.Random(2024)
+    inv_ok = True
+    for _ in range(5):
+        m = _random_symplectic(space, rng)
+        if maslov_index(*(map_lagrangian(m, lag) for lag in lags)) != tau:
+            inv_ok = False
+    yield "symplectic invariance", "symplectic invariance", inv_ok
+
+    doubled = (direct_sum_lagrangian(lag, lag) for lag in lags)
+    yield "direct-sum additivity", "additivity", maslov_index(*doubled) == 2 * tau
+
+
 def cmd_maslov(args: argparse.Namespace) -> int:
     space, a, b, c = _triple_from_file(args.file)
     tau = maslov_index(a, b, c)
@@ -276,45 +301,10 @@ def cmd_maslov(args: argparse.Namespace) -> int:
     if not args.check_axioms:
         return 0
     failures = []
-
-    from itertools import permutations
-
-    perm_ok = True
-    for perm in permutations([(0, a), (1, b), (2, c)]):
-        order = [p[0] for p in perm]
-        inversions = sum(
-            1 for i in range(3) for j in range(i + 1, 3) if order[i] > order[j]
-        )
-        expected = tau if inversions % 2 == 0 else -tau
-        if maslov_index(perm[0][1], perm[1][1], perm[2][1]) != expected:
-            perm_ok = False
-    print(f"axiom antisymmetry: {'pass' if perm_ok else 'FAIL'}")
-    if not perm_ok:
-        failures.append("antisymmetry")
-
-    rng = random.Random(2024)
-    inv_ok = True
-    for _ in range(5):
-        m = _random_symplectic(space, rng)
-        moved = [map_lagrangian(m, lag) for lag in (a, b, c)]
-        if maslov_index(*moved) != tau:
-            inv_ok = False
-    print(f"axiom symplectic invariance: {'pass' if inv_ok else 'FAIL'}")
-    if not inv_ok:
-        failures.append("symplectic invariance")
-
-    sum_ok = (
-        maslov_index(
-            direct_sum_lagrangian(a, a),
-            direct_sum_lagrangian(b, b),
-            direct_sum_lagrangian(c, c),
-        )
-        == 2 * tau
-    )
-    print(f"axiom direct-sum additivity: {'pass' if sum_ok else 'FAIL'}")
-    if not sum_ok:
-        failures.append("additivity")
-
+    for label, name, ok in _axiom_checks(space, (a, b, c), tau):
+        print(f"axiom {label}: {'pass' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(name)
     if failures:
         raise InternalConsistencyError(f"axiom check failed: {', '.join(failures)}")
     return 0

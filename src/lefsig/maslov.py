@@ -12,13 +12,20 @@ its signature is the index.  Everything is computed exactly over Q with
 deterministic pivot choices, and the guaranteed properties (symmetry, radical
 containment, nonsingularity) are asserted at runtime rather than trusted.
 
-W is represented by vectors of the canonical (RREF) basis d_0 .. d_{k-1} of
-B ∩ (C + A).  Because that basis is reduced, the coordinates of a vector of
-B ∩ (C + A) are its entries at the pivot columns of the d_i, so U's
-coordinates are read there, U = (B ∩ C) + (B ∩ A), and one recombination
-checks them.  With the d_i as the rows of D and the C-parts c' of the splits
-as the rows of C', Psi is the product D J C'^T.  In these coordinates the radical complement is chosen by
-one rule: d_i is a representative exactly when e_i is not in
+Everything comes from kernels.  With the bases of A, B, C as the rows of
+matrices A, B, C, let K be the set of all (s, t, u) with sB + tC + uA = 0.
+The rows of the RREF of K that pivot in the s-block have RREF s-parts S, and
+because B is stored in RREF, the rows d_0 .. d_{k-1} of D = S B are the
+canonical (RREF) basis of B ∩ (C + A).  The same rows split each d_i as
+-d_i = c'_i + a'_i with c'_i = t_i C, and with the c'_i as the rows of C',
+Psi is the product D J C'^T.  Psi does not depend on which split is read:
+two splits of d differ by some x in C ∩ A, and Q(d, x) = -Q(a', x) - Q(c', x)
+vanishes because A and C are isotropic.  U = (B ∩ C) + (B ∩ A) is spanned by
+the vectors sB for the s-parts of the kernels of sB + tC = 0 and sB + uA = 0.
+Because S is reduced, the coordinates of such a vector in the d_i are the
+entries of s at S's pivots, so U's coordinates are read there and one
+recombination checks them.  In these coordinates the radical complement is
+chosen by one rule: d_i is a representative exactly when e_i is not in
 U + span(e_0 .. e_{i-1}), which is exactly when column i is not a pivot of
 the RREF of U's coordinate vectors read right to left.
 
@@ -39,10 +46,9 @@ from .errors import InputError, InternalConsistencyError
 from .ratlinalg import (
     Matrix,
     Vector,
-    intersect_spans,
+    kernel_basis,
     rank,
     signature_symmetric,
-    solve_many,
     span_basis,
 )
 from .symplectic import (
@@ -77,33 +83,36 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     """Construct W and the matrix of Psi for a Lagrangian triple."""
     space = _same_space(a, b, c)
     dim = space.dim
-    circle = intersect_spans(b.basis, c.basis + a.basis, dim)
-    if not circle:
-        return WallSpace(space, (), Matrix.zeros(0, 0))
-    k = len(circle)
-    circle_m = Matrix(circle, dim)
+    p, q = len(b.basis), len(c.basis)
+    b_m, c_m, a_m = (Matrix(x.basis, dim) for x in (b, c, a))
 
-    # For each generator d of B ∩ (C + A), split -d = a' + c' with a' in A,
-    # c' in C, keeping only c'.  The split solves [A | C] (s, t) = -d; the
-    # first-pivot rule makes the chosen c' deterministic.  Psi = D J C'^T.
-    ac_columns = Matrix.from_columns(a.basis + c.basis, rows=dim)
-    splits = solve_many(ac_columns, (-circle_m).entries)
-    if any(sol is None for sol in splits):
+    # The RREF rows (s, t, u) of the kernel of sB + tC + uA = 0 that pivot in
+    # the s-block give circle = S B, its splits and Psi (module docstring).
+    stacked = b.basis + c.basis + a.basis
+    kernel = span_basis(kernel_basis(Matrix.from_columns(stacked, rows=dim)), len(stacked))
+    rows = [row for row in kernel if row.index(1) < p]
+    if not rows:
+        return WallSpace(space, (), Matrix.zeros(0, 0))
+    k = len(rows)
+    s_m = Matrix(tuple(row[:p] for row in rows), p)
+    circle_m = s_m @ b_m
+    c_parts = Matrix(tuple(row[p:p + q] for row in rows), q) @ c_m
+    a_parts = Matrix(tuple(row[p + q:] for row in rows), len(a.basis)) @ a_m
+    if circle_m + c_parts + a_parts != Matrix.zeros(k, dim):
         raise InternalConsistencyError("membership in C + A failed during split")
-    t = Matrix(tuple(sol[len(a.basis):] for sol in splits), len(c.basis))
-    c_parts = t @ Matrix(c.basis, dim)
     psi = circle_m @ space.form @ c_parts.transpose()
     if psi != psi.transpose():
         raise InternalConsistencyError("Psi did not come out symmetric")
 
-    # Coordinates (w.r.t. the `circle` basis) of a spanning set of the
-    # would-be radical U = (B ∩ C) + (B ∩ A): `circle` is in RREF, so they
-    # are U's entries at circle's pivot columns.  U must actually be
-    # recombined from them, and must annihilate Psi.
-    pivots = [row.index(1) for row in circle]
-    u = intersect_spans(b.basis, c.basis, dim) + intersect_spans(b.basis, a.basis, dim)
-    u_coords = Matrix(tuple(tuple(x[p] for p in pivots) for x in u), k)
-    if (u_coords @ circle_m).entries != u:
+    # U = (B ∩ C) + (B ∩ A) in B-coordinates: the s-parts of the kernels of
+    # sB + tC = 0 and sB + uA = 0.  Their coordinates in the `circle` basis
+    # sit at S's pivots.  U must actually be recombined from them, and must
+    # annihilate Psi.
+    pivots = [row.index(1) for row in rows]
+    u = tuple(x[:p] for other in (c, a)
+              for x in kernel_basis(Matrix.from_columns(b.basis + other.basis, rows=dim)))
+    u_coords = Matrix(tuple(tuple(x[i] for i in pivots) for x in u), k)
+    if (u_coords @ s_m).entries != u:
         raise InternalConsistencyError("radical summand escaped B ∩ (C + A)")
     if any(x != 0 for row in (u_coords @ psi).entries for x in row):
         raise InternalConsistencyError("(B∩C) + (B∩A) is not in the radical of Psi")
@@ -115,7 +124,7 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     if len(chosen) != k - len(reversed_u):
         raise InternalConsistencyError("complement of the radical has wrong dimension")
 
-    reps = tuple(circle[i] for i in chosen)
+    reps = tuple(circle_m.entries[i] for i in chosen)
     induced = Matrix(
         tuple(tuple(psi.at(i, j) for j in chosen) for i in chosen),
         len(chosen),

@@ -10,8 +10,7 @@ vector reproducible between runs.
 
 Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
 reads off the particular solutions and the kernel, and `solve_linear`,
-`solve_many` and `kernel_basis` are views of it.  Subspace intersections are
-one Zassenhaus reduction each (see `intersect_spans`).
+`solve_many` and `kernel_basis` are views of it.
 """
 
 from __future__ import annotations
@@ -390,26 +389,6 @@ def rank(a: Matrix) -> int:
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column."""
     return _solve(a, [])[1]
-
-
-def intersect_spans(
-    u: Sequence[Sequence[Scalar]], v: Sequence[Sequence[Scalar]], dim: int
-) -> tuple[Vector, ...]:
-    """Canonical basis of span(u) ∩ span(v) inside Q^dim, for any spanning sets.
-
-    Zassenhaus: reduce the rows (x | x) for x in u and (y | 0) for y in v.
-    The rows whose left half vanishes hold, in their right half, the RREF
-    basis of the intersection.
-    """
-    if not u or not v:
-        return ()
-    rows = [list(as_vector(x)) for x in (*u, *v)]
-    if any(len(r) != dim for r in rows):
-        raise InputError("column length mismatch")
-    zeros = [Fraction(0)] * dim
-    rows = [r + r for r in rows[: len(u)]] + [r + zeros for r in rows[len(u):]]
-    reduced, pivots = _rref(rows)
-    return tuple(tuple(row[dim:]) for row, p in zip(reduced, pivots) if p >= dim)
 
 
 def sum_spans(u: Sequence[Vector], v: Sequence[Vector], dim: int) -> tuple[Vector, ...]:

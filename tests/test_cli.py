@@ -29,6 +29,9 @@ FIBRATION_FILES = {
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
+DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+
+
 def subprocess_env(**extra):
     """The caller's environment with this checkout's `src` first on PYTHONPATH,
     so `python -m lefsig.cli` runs the code under test without an install."""
@@ -131,6 +134,23 @@ def test_maslov_axioms_in_dimension_zero(capsys, tmp_path):
     ]
 
 
+def test_failed_axiom_checks_exit_3(capsys, monkeypatch):
+    import lefsig.cli as cli_mod
+
+    # a constant index is invariant, but neither antisymmetric nor additive
+    monkeypatch.setattr(cli_mod, "maslov_index", lambda *lags: 1)
+    code, out, err = run(capsys, "maslov", str(DATA_DIR / "maslov_normalization.json"),
+                         "--check-axioms")
+    assert code == 3
+    assert out.splitlines() == [
+        "maslov index: 1",
+        "axiom antisymmetry: FAIL",
+        "axiom symplectic invariance: pass",
+        "axiom direct-sum additivity: FAIL",
+    ]
+    assert err == "internal consistency error: axiom check failed: antisymmetry, additivity\n"
+
+
 def test_meyer_command(capsys):
     code, out, _ = run(capsys, "meyer", str(DATA_DIR / "meyer_pair.json"))
     assert code == 0
@@ -196,13 +216,32 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         # past Python's 4300-digit int limit json.loads raises a plain ValueError
         ('{"genus": 1, "boundary": 0, "cycles": [{"vector": [' + "7" * 5000 + ', 0]}]}',
          "invalid JSON"),
+        # nesting past the interpreter's recursion limit raises RecursionError
+        (DEEP_ARRAY, "invalid JSON"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
         f.write_text(text)
         code, _, err = run(capsys, "signature", str(f))
-        assert code == 2, text
-        assert needle in err, (text, err)
+        assert code == 2, text[:80]
+        assert needle in err, (text[:80], err)
+
+
+def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
+    cases = [
+        ("not json at all", "invalid JSON"),
+        ("[[1, 0], [0, 1]]", "document must be a JSON object"),
+        ('{"dimension": 2}', "missing field 'matrices'"),
+        (DEEP_ARRAY, "invalid JSON"),
+        ('{"dimension": 2, "matrices": ' + DEEP_ARRAY + "}", "invalid JSON"),
+    ]
+    for text, needle in cases:
+        f = tmp_path / "doc.json"
+        f.write_text(text)
+        for command in ("meyer", "maslov"):
+            code, _, err = run(capsys, command, str(f))
+            assert code == 2, (command, text[:80])
+            assert needle in err, (command, text[:80], err)
 
 
 def test_missing_field_error_is_independent_of_hash_seed(tmp_path):

@@ -17,8 +17,14 @@ from lefsig import (
     meyer_cocycle,
     wall_space,
 )
-from lefsig.ratlinalg import intersect_spans, span_basis
-from lefsig.symplectic import direct_sum_lagrangian
+from lefsig.ratlinalg import span_basis
+from lefsig.symplectic import (
+    direct_sum_lagrangian,
+    symplectic_inverse,
+    transvection,
+    unchecked_graph,
+    word_action,
+)
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -26,6 +32,7 @@ from .fixtures import (
     MATSUMOTO_PHI,
     random_lagrangian,
     random_symplectic,
+    random_word,
 )
 from .oracles import reference_intersect_spans, reference_wall_space
 
@@ -33,10 +40,6 @@ PLANE = SymplecticSpace.standard(1)
 A_LINE = Lagrangian.span(PLANE, [(1, 0)])
 DIAG = Lagrangian.span(PLANE, [(1, 1)])
 B_LINE = Lagrangian.span(PLANE, [(0, 1)])
-
-
-def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
-    return (-space.form) @ m.transpose() @ space.form
 
 
 def test_normalization():
@@ -165,24 +168,15 @@ def test_defect_requires_symplectic_inputs():
 
 
 def test_rederived_rules_match_reference():
-    """Zassenhaus intersections and the pivot-read radical complement agree
-    with the kernel-and-recombination intersection and the greedy complement."""
+    """The kernel-read Wall space agrees with the long-way reference: a
+    kernel-and-recombination intersection and the greedy complement."""
     rng = random.Random(1969)
-    for _ in range(60):
-        dim = rng.randint(1, 5)
-        core = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
-        # repeated and dependent vectors on top of the core; v shares part of u
-        u = core + core[:1] + [[x + y for x, y in zip(core[0], core[-1])]] if core else []
-        v = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
-        v += rng.sample(u, rng.randint(0, len(u)))
-        assert intersect_spans(u, v, dim) == reference_intersect_spans(u, v, dim)
-        assert intersect_spans(v, u, dim) == reference_intersect_spans(v, u, dim)
 
     # Triples of sums of plane lines moved by one symplectic map: blocks where
     # B shares its line with A or C put (B∩C) + (B∩A) != 0, blocks with three
     # distinct lines add to W.
     lines = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
-    both_nonzero = 0
+    triples = []
     for _ in range(30):
         space = SymplecticSpace.standard(rng.choice([2, 3]))
         g = random_symplectic(rng, space)
@@ -196,12 +190,34 @@ def test_rederived_rules_match_reference():
             return Lagrangian.span(space, vectors)
 
         a, b, c = block_lagrangian(), block_lagrangian(), block_lagrangian()
-        for x, y, z in ((a, b, c), (c, b, a), (a, b, a), (a, b, b)):
-            w = wall_space(x, y, z)
-            assert (w.representatives, w.form_matrix) == reference_wall_space(x, y, z)
-            radical = (intersect_spans(y.basis, x.basis, space.dim)
-                       + intersect_spans(y.basis, z.basis, space.dim))
-            both_nonzero += bool(w.representatives) and bool(radical)
+        triples += [(a, b, c), (c, b, a), (a, b, a), (a, b, b)]
+
+    # The graph triples fiber_sum_defect builds at each step of a word:
+    # graph(T_k), the diagonal and graph(Phi_{k-1}^{-1}).
+    graph_triples = 0
+    for _ in range(12):
+        w = random_word(rng, rng.randint(1, 3), 5, chiral_only=False)
+        space = w.space
+        doubled = space.doubled()
+        for k, cycle in enumerate(w.cycles, start=1):
+            if cycle.is_null_homologous:
+                continue
+            triples.append((
+                unchecked_graph(doubled, transvection(space, cycle)),
+                unchecked_graph(doubled, Matrix.identity(space.dim)),
+                unchecked_graph(doubled, symplectic_inverse(space, word_action(w, k - 1))),
+            ))
+            graph_triples += 1
+    assert graph_triples >= 30
+
+    both_nonzero = 0
+    for x, y, z in triples:
+        w = wall_space(x, y, z)
+        assert (w.representatives, w.form_matrix) == reference_wall_space(x, y, z)
+        dim = x.space.dim
+        radical = (reference_intersect_spans(y.basis, x.basis, dim)
+                   + reference_intersect_spans(y.basis, z.basis, dim))
+        both_nonzero += bool(w.representatives) and bool(radical)
     assert both_nonzero >= 10
 
 

@@ -11,7 +11,6 @@ from lefsig.ratlinalg import (
     Matrix,
     as_rational,
     as_vector,
-    intersect_spans,
     kernel_basis,
     matrix_power,
     rank,
@@ -209,11 +208,9 @@ def test_span_basis_canonical():
     assert a == b  # same subspace, same canonical representation
 
 
-def test_intersect_and_sum():
+def test_sum_spans():
     u = span_basis([(1, 0, 0), (0, 1, 0)], 3)
     v = span_basis([(0, 1, 0), (0, 0, 1)], 3)
-    meet = intersect_spans(u, v, 3)
-    assert meet == span_basis([(0, 1, 0)], 3)
     join = sum_spans(u, v, 3)
     assert len(join) == 3
 
