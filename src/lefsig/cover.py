@@ -12,7 +12,9 @@ where correction(m) is the signature of the symmetric integer matrix
 S_m represents a pairing that descends to the quotient by the fixed space of
 phi^{m+1}; fixed vectors land in the radical of S_m (checked in the tests),
 so the ambient signature already is the quotient signature.  The generator
-`correction_sums` yields S_1, S_2, ... with three matrix products per term.
+`correction_sums` yields S_1, S_2, ... with two matrix products per term,
+P <- P phi and X = P^T J: because J^T = -J for every symplectic form,
+J P = -X^T and the new summand is X + X^T.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
     p = Matrix.identity(space.dim)
     while True:
         p = p @ phi
-        total = total + (p.transpose() @ j - j @ p)
+        x = p.transpose() @ j
+        total = total + (x + x.transpose())
         yield total
 
 

@@ -14,6 +14,11 @@ containment, nonsingularity) are asserted at runtime rather than trusted.
 
 Everything comes from kernels.  With the bases of A, B, C as the rows of
 matrices A, B, C, let K be the set of all (s, t, u) with sB + tC + uA = 0.
+K's RREF basis comes out of one elimination: take the kernel basis of the
+matrix with the columns of [B | C | A] in reverse order, and read every
+vector and the list itself backwards.  Each vector then has a leading 1 at
+its free column, zeros at the other free columns and entries only at later
+pivot columns, which is the (unique) RREF of K.
 The rows of the RREF of K that pivot in the s-block have RREF s-parts S, and
 because B is stored in RREF, the rows d_0 .. d_{k-1} of D = S B are the
 canonical (RREF) basis of B ∩ (C + A).  The same rows split each d_i as
@@ -87,9 +92,10 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     b_m, c_m, a_m = (Matrix(x.basis, dim) for x in (b, c, a))
 
     # The RREF rows (s, t, u) of the kernel of sB + tC + uA = 0 that pivot in
-    # the s-block give circle = S B, its splits and Psi (module docstring).
+    # the s-block give circle = S B, its splits and Psi; that RREF is the kernel
+    # of the column-reversed stack read right to left (module docstring).
     stacked = b.basis + c.basis + a.basis
-    kernel = span_basis(kernel_basis(Matrix.from_columns(stacked, rows=dim)), len(stacked))
+    kernel = [x[::-1] for x in kernel_basis(Matrix.from_columns(stacked[::-1], rows=dim))[::-1]]
     rows = [row for row in kernel if row.index(1) < p]
     if not rows:
         return WallSpace(space, (), Matrix.zeros(0, 0))

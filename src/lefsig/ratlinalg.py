@@ -10,7 +10,10 @@ vector reproducible between runs.
 
 Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
 reads off the particular solutions and the kernel, and `solve_linear`,
-`solve_many` and `kernel_basis` are views of it.
+`solve_many` and `kernel_basis` are views of it.  The kernel of a matrix with
+its columns reversed, each vector read right to left, is already the RREF
+basis of the original kernel, so it never needs a second reduction.  The
+congruence in `signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -47,14 +50,6 @@ def as_vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(as_rational(x) for x in entries)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u: Vector, v: Vector) -> Fraction:
     # skipping zero terms matters: forms and echelon bases are mostly zeros
     total = Fraction(0)
@@ -66,7 +61,9 @@ def vec_dot(u: Vector, v: Vector) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix.  `cols` is explicit so 0-row shapes survive."""
+    """Immutable rational matrix.  `cols` is explicit so 0-row shapes survive.
+
+    Entries must be Fractions; `from_rows` coerces ints and 'p/q' strings."""
 
     entries: tuple[tuple[Fraction, ...], ...]
     cols: int
@@ -77,6 +74,8 @@ class Matrix:
                 raise InputError(
                     f"ragged matrix: row of length {len(row)}, expected {self.cols}"
                 )
+            if not all(isinstance(x, Fraction) for x in row):
+                raise InputError("matrix entries must be Fractions; use Matrix.from_rows")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -157,12 +156,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()
+        columns = [other.column(j) for j in range(other.cols)]
         return Matrix(
-            tuple(
-                tuple(vec_dot(row, col) for col in ot.entries)
-                for row in self.entries
-            ),
+            tuple(tuple(vec_dot(row, col) for col in columns) for row in self.entries),
             other.cols,
         )
 
@@ -315,7 +311,8 @@ def signature_symmetric(s: Matrix) -> int:
     Symmetric Gaussian steps E M E^T keep the matrix symmetric; when the whole
     trailing diagonal vanishes, a symmetric row+column addition manufactures a
     nonzero diagonal pivot (2*m[i][j]).  The signature is the count of positive
-    pivots minus negative ones; zero rows contribute nothing.
+    pivots minus negative ones; zero rows contribute nothing.  A step updates
+    only the live trailing block, to the Schur complement of its pivot.
     """
     if not s.is_square():
         raise InputError("signature of a non-square matrix")
@@ -337,9 +334,9 @@ def signature_symmetric(s: Matrix) -> int:
                 if pos is None:
                     break  # trailing block is identically zero
                 i, j = pos
-                for c in range(n):
+                for c in range(k, n):
                     m[i][c] += m[j][c]
-                for r in range(n):
+                for r in range(k, n):
                     m[r][i] += m[r][j]
                 if i != k:
                     _swap_sym(m, k, i)
@@ -348,10 +345,8 @@ def signature_symmetric(s: Matrix) -> int:
         for r in range(k + 1, n):
             if m[r][k] != 0:
                 f = m[r][k] / p
-                for c in range(n):
+                for c in range(k + 1, n):
                     m[r][c] -= f * m[k][c]
-                for c in range(n):
-                    m[c][r] -= f * m[c][k]
     return sig
 
 
@@ -389,7 +384,3 @@ def rank(a: Matrix) -> int:
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column."""
     return _solve(a, [])[1]
-
-
-def sum_spans(u: Sequence[Vector], v: Sequence[Vector], dim: int) -> tuple[Vector, ...]:
-    return span_basis(list(u) + list(v), dim)

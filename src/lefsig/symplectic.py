@@ -28,6 +28,10 @@ from .ratlinalg import (
     vec_dot,
 )
 
+# Largest fiber dimension 2h accepted.  Forms and prefix actions are dense
+# d x d Fraction matrices, so the ceiling is checked before any is allocated.
+MAX_DIMENSION = 1000
+
 
 @dataclass(frozen=True)
 class SymplecticSpace:
@@ -49,6 +53,8 @@ class SymplecticSpace:
         """Block-diagonal form with 2x2 blocks [[0,1],[-1,0]], basis a1,b1,...,aG,bG."""
         if half_dim < 0:
             raise InputError("negative dimension")
+        if 2 * half_dim > MAX_DIMENSION:
+            raise InputError(f"dimension above the ceiling of {MAX_DIMENSION}")
         n = 2 * half_dim
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(half_dim):
@@ -93,6 +99,8 @@ class Surface:
     def __post_init__(self) -> None:
         if self.genus < 0 or self.boundary < 0:
             raise InputError("genus and boundary count must be nonnegative")
+        if 2 * self.half_dim > MAX_DIMENSION:
+            raise InputError(f"genus and boundary give a fiber dimension above {MAX_DIMENSION}")
 
     @property
     def half_dim(self) -> int:

@@ -218,6 +218,9 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
          "invalid JSON"),
         # nesting past the interpreter's recursion limit raises RecursionError
         (DEEP_ARRAY, "invalid JSON"),
+        # a 4300-digit genus: its dimension must not be formatted
+        ('{"genus": ' + "9" * 4300 + ', "boundary": 0, "cycles": [{"vector": [1, 0]}]}',
+         "genus and boundary give a fiber dimension above 1000"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
@@ -242,6 +245,17 @@ def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
             code, _, err = run(capsys, command, str(f))
             assert code == 2, (command, text[:80])
             assert needle in err, (command, text[:80], err)
+
+
+def test_genus_above_the_ceiling_exits_2(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"genus": 100000000000000000000, "boundary": 0, "cycles": []}')
+    for argv in (("power", str(huge), "--n", "2"),
+                 ("generate", "--genus", str(10**20), "--boundary", "0", "--n", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: genus and boundary give a fiber dimension above 1000\n"
 
 
 def test_missing_field_error_is_independent_of_hash_seed(tmp_path):

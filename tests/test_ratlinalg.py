@@ -17,7 +17,6 @@ from lefsig.ratlinalg import (
     signature_symmetric,
     solve_linear,
     span_basis,
-    sum_spans,
 )
 
 from .oracles import signature_via_charpoly
@@ -122,6 +121,21 @@ def test_signature_examples():
     )
 
 
+@pytest.mark.parametrize("rows", [
+    # each needs a manufactured pivot after one or more eliminations; in the
+    # first, the trailing block after one step is [[0, 1], [1, 0]]
+    [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+    [[-2, 2, 2], [2, -2, 3], [2, 3, -2]],
+    [[1, 1, 1, 0], [1, 1, 1, 2], [1, 1, 1, -1], [0, 2, -1, 0]],
+    [[3, 0, 3, 3], [0, 0, 1, 0], [3, 1, 3, 3], [3, 0, 3, 0]],
+    [[1, 2, 0, 0, 1], [2, 4, 1, 0, 2], [0, 1, 0, 1, 0], [0, 0, 1, 0, 5], [1, 2, 0, 5, 1]],
+])
+def test_signature_manufactured_pivot_after_elimination(rows):
+    s = Matrix.from_rows(rows)
+    assert signature_symmetric(s) == signature_via_charpoly(s)
+    assert signature_symmetric(-s) == -signature_via_charpoly(s)
+
+
 def test_signature_rejects_non_symmetric():
     with pytest.raises(InputError):
         signature_symmetric(Matrix.from_rows([[0, 1], [0, 0]]))
@@ -197,6 +211,27 @@ def test_matrix_power_rejects_negative():
         matrix_power(Matrix.identity(2), -1)
 
 
+def test_matrix_requires_fraction_entries():
+    with pytest.raises(InputError, match="Matrix.from_rows"):
+        Matrix(((2, 0), (0, 2)), 2)
+    with pytest.raises(InputError, match="Matrix.from_rows"):
+        Matrix(((Fraction(1, 2), 0.5),), 2)
+    res = solve_linear(Matrix.from_rows([[2, 0], [0, 2]]), [1, 1])
+    assert res.particular == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in res.particular)
+
+
+def test_matmul_values_and_empty_shapes():
+    a = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    b = Matrix.from_rows([[0, 1, 2], [3, 0, -1]])
+    assert a @ b == Matrix.from_rows([[6, 1, 0], [12, 3, 2], [18, 5, 4]])
+    assert b @ a == Matrix.from_rows([[13, 16], [-2, 0]])
+    assert Matrix.zeros(2, 0) @ Matrix.zeros(0, 3) == Matrix.zeros(2, 3)
+    empty = Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert Matrix.zeros(3, 2) @ Matrix.zeros(2, 0) == Matrix.zeros(3, 0)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(InputError):
         Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
@@ -211,7 +246,7 @@ def test_span_basis_canonical():
 def test_sum_spans():
     u = span_basis([(1, 0, 0), (0, 1, 0)], 3)
     v = span_basis([(0, 1, 0), (0, 0, 1)], 3)
-    join = sum_spans(u, v, 3)
+    join = span_basis(u + v, 3)
     assert len(join) == 3
 
 

@@ -23,7 +23,7 @@ from lefsig import (
     word,
     word_action,
 )
-from lefsig.symplectic import symplectic_inverse
+from lefsig.symplectic import MAX_DIMENSION, symplectic_inverse
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -45,6 +45,19 @@ def test_standard_form_squares_to_minus_identity():
         j = SymplecticSpace.standard(g).form
         assert j @ j == -Matrix.identity(2 * g)
         assert j.transpose() == -j
+
+
+def test_dimension_ceiling_is_checked_before_allocating():
+    half = MAX_DIMENSION // 2
+    assert effective_dimension(Surface(half, 0)) == MAX_DIMENSION
+    assert effective_dimension(Surface(1, half)) == MAX_DIMENSION
+    for genus, boundary in ((half + 1, 0), (1, half + 1), (10**20, 0), (int("9" * 4300), 3)):
+        with pytest.raises(InputError, match="genus and boundary") as exc:
+            Surface(genus, boundary)
+        assert str(MAX_DIMENSION + 2) not in str(exc.value)
+    for half_dim in (half + 1, 10**20):
+        with pytest.raises(InputError, match="dimension above"):
+            SymplecticSpace.standard(half_dim)
 
 
 def test_pairing_is_determinant_in_the_plane():
