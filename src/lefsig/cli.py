@@ -42,6 +42,7 @@ from .symplectic import (
     direct_sum_lagrangian,
     effective_dimension,
     map_lagrangian,
+    prefix_actions,
     word_action,
 )
 
@@ -190,7 +191,10 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:  # RFC 8259 JSON is UTF-8, whatever the locale; a BOM stays an error
+        return p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
 def cmd_signature(args: argparse.Namespace) -> int:
@@ -234,20 +238,20 @@ def cmd_power(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1")
     base = signature(doc.word).total
-    terms = correction_terms(doc.word.space, word_action(doc.word), args.n)
-    total = args.n * base - sum(t.sigma for t in terms)
+    sigmas = [t.sigma for t in correction_terms(doc.word.space, word_action(doc.word), args.n)]
+    total = args.n * base - sum(sigmas)
     if args.json:
         payload = {
             "base_signature": base,
             "fold": args.n,
-            "corrections": [{"power": t.power, "sigma": t.sigma} for t in terms],
+            "corrections": [{"power": m, "sigma": s} for m, s in enumerate(sigmas, start=1)],
             "signature": total,
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"base signature: {base}")
-    for t in terms:
-        print(f"correction m={t.power}: {t.sigma}")
+    for m, s in enumerate(sigmas, start=1):
+        print(f"correction m={m}: {s}")
     print(f"signature: {total}")
     return 0
 
@@ -268,7 +272,7 @@ def _random_symplectic(space: SymplecticSpace, rng: random.Random) -> Matrix:
         if all(x == 0 for x in vec):
             vec[0] = 1
         cycles.append(VanishingCycle(tuple(vec), rng.choice([1, -1])))
-    return word_action(MonodromyWord(Surface(space.half_dim, 0), tuple(cycles)))
+    return prefix_actions(space, cycles)[-1]
 
 
 def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],

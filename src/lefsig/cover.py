@@ -14,7 +14,9 @@ phi^{m+1}; fixed vectors land in the radical of S_m (checked in the tests),
 so the ambient signature already is the quotient signature.  The generator
 `correction_sums` yields S_1, S_2, ... with two matrix products per term,
 P <- P phi and X = P^T J: because J^T = -J for every symplectic form,
-J P = -X^T and the new summand is X + X^T.
+J P = -X^T and the new summand is X + X^T: S_m is symmetric by construction,
+and `signature_symmetric` checks it once.  `correction_terms` streams the
+terms, so a caller that keeps only the signatures holds one S_m at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .ratlinalg import Matrix, signature_symmetric
 from .symplectic import SymplecticSpace, is_symplectic
 
@@ -47,17 +49,13 @@ def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
         yield total
 
 
-def _term(m: int, total: Matrix) -> CorrectionTerm:
-    if total != total.transpose():
-        raise InternalConsistencyError("correction matrix is not symmetric")
-    return CorrectionTerm(m, total, signature_symmetric(total))
-
-
-def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> list[CorrectionTerm]:
-    """Correction terms m = 1 .. n-1 of the n-fold cover, in one pass over the powers."""
+def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
+    """Correction terms m = 1 .. n-1 of the n-fold cover, streamed in one pass
+    over the powers; phi is checked before the first term is asked for."""
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
-    return [_term(m, total) for m, total in zip(range(1, n), correction_sums(space, phi))]
+    sums = zip(range(1, n), correction_sums(space, phi))
+    return (CorrectionTerm(m, total, signature_symmetric(total)) for m, total in sums)
 
 
 def correction_sigma(space: SymplecticSpace, phi: Matrix, m: int) -> CorrectionTerm:
@@ -66,7 +64,8 @@ def correction_sigma(space: SymplecticSpace, phi: Matrix, m: int) -> CorrectionT
         raise InputError("correction power must be >= 1")
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
-    return _term(m, next(islice(correction_sums(space, phi), m - 1, None)))
+    total = next(islice(correction_sums(space, phi), m - 1, None))
+    return CorrectionTerm(m, total, signature_symmetric(total))
 
 
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:

@@ -97,8 +97,6 @@ def wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> WallSpace:
     stacked = b.basis + c.basis + a.basis
     kernel = [x[::-1] for x in kernel_basis(Matrix.from_columns(stacked[::-1], rows=dim))[::-1]]
     rows = [row for row in kernel if row.index(1) < p]
-    if not rows:
-        return WallSpace(space, (), Matrix.zeros(0, 0))
     k = len(rows)
     s_m = Matrix(tuple(row[:p] for row in rows), p)
     circle_m = s_m @ b_m

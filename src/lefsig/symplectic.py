@@ -7,6 +7,8 @@ on homology as a transvection; a factorization of a fibration's monodromy
 into twists becomes a word of integer vectors, one per vanishing cycle.
 Chirality -1 marks a left-handed twist, which acts by the inverse
 transvection.
+Every twist action, single or a word's prefixes, comes from one exact
+rank-one sweep, `prefix_actions`.
 """
 
 from __future__ import annotations
@@ -167,29 +169,7 @@ class MonodromyWord:
 
     @cached_property
     def _prefix_products(self) -> tuple[Matrix, ...]:
-        """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass.
-
-        T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of integer rows.
-        Only rows with g_i != 0 change; the others keep their Fraction tuples.
-        """
-        n = self.space.dim
-        form = [[(j, int(x)) for j, x in enumerate(row) if x] for row in self.space.form.entries]
-        phi = [[int(i == j) for j in range(n)] for i in range(n)]
-        products = [Matrix.identity(n)]
-        for c in self.cycles:
-            g = c.homology_class
-            r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
-            for row, phi_i in zip(form, phi):
-                if wi := sum(f * g[j] for j, f in row):
-                    r = [a + wi * b for a, b in zip(r, phi_i)]
-            rows = list(products[-1].entries)
-            for i, gi in enumerate(g):
-                if gi:
-                    s = c.chirality * gi
-                    phi[i] = [a - s * b for a, b in zip(phi[i], r)]
-                    rows[i] = tuple(map(Fraction, phi[i]))
-            products.append(Matrix(tuple(rows), n))
-        return tuple(products)
+        return prefix_actions(self.space, self.cycles)
 
     def repeated(self, n: int) -> "MonodromyWord":
         if n < 1:
@@ -213,29 +193,45 @@ def word(surface: Surface, vectors: Sequence[Sequence[int]],
     )
 
 
+def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> tuple[Matrix, ...]:
+    """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass.
+
+    T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one row update.  Integral
+    entries of J are read as ints and the others stay Fractions, so it is
+    exact for any form.  Rows with g_i = 0 keep their previous Fraction tuples.
+    """
+    n = space.dim
+    form = [[(j, x.numerator if x.denominator == 1 else x) for j, x in enumerate(row) if x]
+            for row in space.form.entries]
+    phi = [[int(i == j) for j in range(n)] for i in range(n)]
+    products = [Matrix.identity(n)]
+    for c in cycles:
+        g = c.homology_class
+        r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
+        for row, phi_i in zip(form, phi):
+            if wi := sum(f * g[j] for j, f in row):
+                r = [a + wi * b for a, b in zip(r, phi_i)]
+        rows = list(products[-1].entries)
+        for i, gi in enumerate(g):
+            if gi:
+                s = c.chirality * gi
+                phi[i] = [a - s * b for a, b in zip(phi[i], r)]
+                rows[i] = tuple(map(Fraction, phi[i]))
+        products.append(Matrix(tuple(rows), n))
+    return tuple(products)
+
+
 def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
     """Homology action of the twist along `cycle`.
 
     Right-handed: x -> x - Q(x, gamma) gamma, i.e. Id - gamma (J gamma)^T.
     Left-handed is the inverse, Id + gamma (J gamma)^T; the two compose to
-    the identity because Q(gamma, gamma) = 0.
+    the identity because Q(gamma, gamma) = 0.  It is the one-step sweep.
     """
-    g = cycle.vector()
+    g = cycle.homology_class
     if len(g) != space.dim:
         raise InputError(f"cycle of length {len(g)} in dimension {space.dim}")
-    w = space.form.apply(g)  # Q(x, g) = x . (J g)
-    n = space.dim
-    chi = Fraction(cycle.chirality)
-    return Matrix(
-        tuple(
-            tuple(
-                (Fraction(1) if i == j else Fraction(0)) - chi * g[i] * w[j]
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-        n,
-    )
+    return prefix_actions(space, (cycle,))[1]
 
 
 def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:

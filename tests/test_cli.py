@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,20 @@ def test_power_command(capsys):
     payload = json.loads(out)
     assert payload["signature"] == -24
     assert [c["sigma"] for c in payload["corrections"]] == [4, 4, 0, 4, 4, 0, 4, 4, 0]
+
+
+def test_power_streams_its_correction_terms(capsys):
+    # S_m's entries grow with m; holding all 999 of them peaks above 3 MB,
+    # holding one at a time stays near the size of the JSON output
+    tracemalloc.start()
+    try:
+        code = main(["power", str(DATA_DIR / "positive_g1.json"), "--n", "1000", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["corrections"]) == 999
+    assert peak < 2_000_000
 
 
 def test_power_rejects_bad_fold(capsys):
@@ -221,10 +236,13 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         # a 4300-digit genus: its dimension must not be formatted
         ('{"genus": ' + "9" * 4300 + ', "boundary": 0, "cycles": [{"vector": [1, 0]}]}',
          "genus and boundary give a fiber dimension above 1000"),
+        # documents are UTF-8: a stray byte or a byte order mark is not JSON
+        (b'{"name": "\xff", "genus": 1, "boundary": 0, "cycles": []}', "invalid JSON"),
+        (b'\xef\xbb\xbf{"genus": 1, "boundary": 0, "cycles": []}', "invalid JSON"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, _, err = run(capsys, "signature", str(f))
         assert code == 2, text[:80]
         assert needle in err, (text[:80], err)
@@ -237,10 +255,11 @@ def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
         ('{"dimension": 2}', "missing field 'matrices'"),
         (DEEP_ARRAY, "invalid JSON"),
         ('{"dimension": 2, "matrices": ' + DEEP_ARRAY + "}", "invalid JSON"),
+        (b'{"dimension": 0, "matrices": [[], [], []], "\xff": 0}', "invalid JSON"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         for command in ("meyer", "maslov"):
             code, _, err = run(capsys, command, str(f))
             assert code == 2, (command, text[:80])

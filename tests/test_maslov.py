@@ -48,9 +48,15 @@ def test_normalization():
 
 
 def test_wall_space_of_normalization_triple():
-    w = wall_space(A_LINE, DIAG, B_LINE)
-    assert w.representatives == ((1, 1),)
-    assert w.form_matrix == Matrix.from_rows([[-1]])
+    # the second triple has B ∩ (C + A) = 0, so W is empty
+    for triple, reps, form, index in [
+        ((A_LINE, DIAG, B_LINE), ((1, 1),), Matrix.from_rows([[-1]]), -1),
+        ((A_LINE, B_LINE, A_LINE), (), Matrix.zeros(0, 0), 0),
+    ]:
+        w = wall_space(*triple)
+        assert w.representatives == reps
+        assert w.form_matrix == form
+        assert maslov_index(*triple) == index
 
 
 def test_repeated_argument_vanishes():

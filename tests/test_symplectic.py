@@ -1,6 +1,7 @@
 """Symplectic spaces, transvections, words, Lagrangians."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,18 @@ def test_non_standard_form_inverse_and_defect():
         assert defect == fiber_sum_defect(std, a, b)
         defects.add(defect)
     assert len(defects) > 1
+    # transvections on 2J and (3/7)J against Id - c g (J g)^T written out
+    for genus in (1, 2, 3):
+        for scale in (2, Fraction(3, 7)):
+            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
+            n = space.dim
+            for chi in (1, -1):
+                for _ in range(4):
+                    g = tuple(rng.randint(-3, 3) for _ in range(n))
+                    jg = [sum(space.form.at(i, j) * g[j] for j in range(n)) for i in range(n)]
+                    dense = Matrix.from_rows(
+                        [[int(i == j) - chi * g[i] * jg[j] for j in range(n)] for i in range(n)])
+                    assert transvection(space, VanishingCycle(g, chi)) == dense, (scale, g, chi)
 
 
 def test_effective_dimension_table():
