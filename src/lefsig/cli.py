@@ -22,7 +22,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -32,7 +31,7 @@ from .engine import signature
 from .errors import InputError, InternalConsistencyError
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
-from .ratlinalg import Matrix, Vector, as_rational
+from .ratlinalg import Matrix, Rational, Vector, as_rational
 from .symplectic import (
     Lagrangian,
     MonodromyWord,
@@ -166,7 +165,7 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     return dim, out
 
 
-def _entry(x: Any, idx: int) -> Fraction:
+def _entry(x: Any, idx: int) -> Rational:
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"matrix {idx}: entries must be integers or 'p/q' strings")
     if isinstance(x, (int, str)):
@@ -177,7 +176,7 @@ def _entry(x: Any, idx: int) -> Fraction:
     raise InputError(f"matrix {idx}: bad entry {x!r}")
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Rational) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

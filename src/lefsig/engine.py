@@ -25,7 +25,6 @@ every input and the tests enforce that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .maslov import fiber_sum_defect
@@ -79,7 +78,7 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     if res.particular is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
     q = space.pairing(gamma, res.particular)
-    sigma = sign(Fraction(1) + cycle.chirality * q)
+    sigma = sign(1 + cycle.chirality * q)
     return StepRecord(k, cycle, True, sigma, res.particular, phi_k)
 
 

@@ -1,12 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Everything is built on fractions.Fraction, so solves, kernels and signatures
-are exact and a sign is never lost to rounding.  Matrices are immutable
-tuples of tuples and all operations return new values.  Dimensions in this
-package stay tiny (a few dozen at the very most), so the implementation
-favours clarity over asymptotic cleverness: plain Gaussian elimination with
-a deterministic first-nonzero pivot rule, which also keeps every witness
-vector reproducible between runs.
+Entries are ints or Fractions, never floats or bools, so solves, kernels and
+signatures are exact and a sign is never lost to rounding; integer data stays
+int until a pivot is inverted.  Matrices are immutable tuples of tuples.
+Dimensions reach the fiber ceiling of 1000, yet the code favours clarity
+over asymptotic cleverness: plain Gaussian elimination with a deterministic
+first-nonzero pivot rule, which also keeps every witness reproducible.
 
 Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
 reads off the particular solutions and the kernel, and `solve_linear`,
@@ -24,12 +23,14 @@ from typing import Iterable, Literal, Sequence, Union
 
 from .errors import InputError
 
-Scalar = Union[int, str, Fraction]
-Vector = tuple[Fraction, ...]
+Rational = Union[int, Fraction]  # the entry type: never a float or a bool
+Scalar = Union[Rational, str]
+Vector = tuple[Rational, ...]
+_EXACT = {int, Fraction}  # the types of Rational, which Matrix checks per row
 
 
-def as_rational(x: Scalar) -> Fraction:
-    """Coerce an int, a Fraction, or a string like '3/4' to an exact Fraction.
+def as_rational(x: Scalar) -> Rational:
+    """Exact rational of an int (kept an int), a Fraction, or a string like '3/4'.
 
     Floats are rejected on purpose: admitting one would silently poison
     every exactness guarantee downstream.
@@ -37,7 +38,7 @@ def as_rational(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)  # a bool becomes 0 or 1
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -50,9 +51,9 @@ def as_vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(as_rational(x) for x in entries)
 
 
-def vec_dot(u: Vector, v: Vector) -> Fraction:
+def vec_dot(u: Vector, v: Vector) -> Rational:
     # skipping zero terms matters: forms and echelon bases are mostly zeros
-    total = Fraction(0)
+    total = 0
     for a, b in zip(u, v, strict=True):
         if a and b:
             total += a * b
@@ -63,19 +64,22 @@ def vec_dot(u: Vector, v: Vector) -> Fraction:
 class Matrix:
     """Immutable rational matrix.  `cols` is explicit so 0-row shapes survive.
 
-    Entries must be Fractions; `from_rows` coerces ints and 'p/q' strings."""
+    Entries must be ints or Fractions; `from_rows` also takes 'p/q' strings.
+    Rows are stored as tuples, so equal matrices compare and hash equal."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Rational, ...], ...]
     cols: int
 
     def __post_init__(self) -> None:
-        for row in self.entries:
+        entries = tuple(map(tuple, self.entries))
+        for row in entries:
             if len(row) != self.cols:
                 raise InputError(
                     f"ragged matrix: row of length {len(row)}, expected {self.cols}"
                 )
-            if not all(isinstance(x, Fraction) for x in row):
-                raise InputError("matrix entries must be Fractions; use Matrix.from_rows")
+            if not _EXACT.issuperset(map(type, row)):
+                raise InputError("matrix entries must be ints or Fractions; use Matrix.from_rows")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -101,17 +105,11 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
+        return Matrix(tuple((0,) * cols for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
@@ -120,7 +118,7 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> Rational:
         return self.entries[i][j]
 
     def column(self, j: int) -> Vector:
@@ -169,11 +167,11 @@ class Matrix:
         return tuple(vec_dot(row, x) for row in self.entries)
 
     def block_diag(self, other: "Matrix") -> "Matrix":
-        top = tuple(row + (Fraction(0),) * other.cols for row in self.entries)
-        bot = tuple((Fraction(0),) * self.cols + row for row in other.entries)
+        top = tuple(row + (0,) * other.cols for row in self.entries)
+        bot = tuple((0,) * self.cols + row for row in other.entries)
         return Matrix(top + bot, self.cols + other.cols)
 
-    def to_lists(self) -> list[list[Fraction]]:
+    def to_lists(self) -> list[list[Rational]]:
         return [list(row) for row in self.entries]
 
     def _require_same_shape(self, other: "Matrix") -> None:
@@ -217,8 +215,8 @@ class SolveResult:
     kernel_basis: tuple[Vector, ...]
 
 
-def _rref(rows: list[list[Fraction]],
-          pivot_limit: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(rows: list[list[Rational]],
+          pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
     """In-place reduced row echelon form.  Returns (rows, pivot column list).
 
     `pivot_limit` restricts pivot columns to the first that many; trailing
@@ -237,7 +235,7 @@ def _rref(rows: list[list[Fraction]],
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1, rows[r][c])
         if inv != 1:
             rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(nrows):
@@ -267,15 +265,15 @@ def _solve(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]
         if any(reduced[r][col] != 0 for r in range(len(pivots), a.rows)):
             particulars.append(None)
             continue
-        particular = [Fraction(0)] * a.cols
+        particular = [0] * a.cols
         for r, c in enumerate(pivots):
             particular[c] = reduced[r][col]
         particulars.append(tuple(particular))
     pivot_set = set(pivots)
     kernel = []
     for f in (c for c in range(a.cols) if c not in pivot_set):
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
+        v = [0] * a.cols
+        v[f] = 1
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         kernel.append(tuple(v))
@@ -299,7 +297,7 @@ def solve_many(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]) -> list[Vector |
     return _solve(a, rhs_list)[0]
 
 
-def _swap_sym(m: list[list[Fraction]], i: int, j: int) -> None:
+def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
     for row in m:
         row[i], row[j] = row[j], row[i]
@@ -344,13 +342,13 @@ def signature_symmetric(s: Matrix) -> int:
         sig += 1 if p > 0 else -1
         for r in range(k + 1, n):
             if m[r][k] != 0:
-                f = m[r][k] / p
+                f = Fraction(m[r][k], p)
                 for c in range(k + 1, n):
                     m[r][c] -= f * m[k][c]
     return sig
 
 
-def sign(x: Fraction) -> int:
+def sign(x: Rational) -> int:
     if x > 0:
         return 1
     if x < 0:

@@ -14,13 +14,13 @@ rank-one sweep, `prefix_actions`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError
 from .ratlinalg import (
     Matrix,
+    Rational,
     Scalar,
     Vector,
     as_vector,
@@ -31,7 +31,7 @@ from .ratlinalg import (
 )
 
 # Largest fiber dimension 2h accepted.  Forms and prefix actions are dense
-# d x d Fraction matrices, so the ceiling is checked before any is allocated.
+# d x d matrices of exact rationals, checked against it before allocation.
 MAX_DIMENSION = 1000
 
 
@@ -58,11 +58,11 @@ class SymplecticSpace:
         if 2 * half_dim > MAX_DIMENSION:
             raise InputError(f"dimension above the ceiling of {MAX_DIMENSION}")
         n = 2 * half_dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(half_dim):
-            rows[2 * i][2 * i + 1] = Fraction(1)
-            rows[2 * i + 1][2 * i] = Fraction(-1)
-        return SymplecticSpace(Matrix(tuple(tuple(r) for r in rows), n))
+            rows[2 * i][2 * i + 1] = 1
+            rows[2 * i + 1][2 * i] = -1
+        return SymplecticSpace(Matrix(rows, n))
 
     @property
     def dim(self) -> int:
@@ -72,9 +72,12 @@ class SymplecticSpace:
     def half_dim(self) -> int:
         return self.form.rows // 2
 
-    def pairing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
+    def pairing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Rational:
         """Q(x, y) = x^T J y."""
-        return vec_dot(as_vector(x), self.form.apply(y))
+        u, v = as_vector(x), as_vector(y)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise InputError(f"pairing of lengths {len(u)} and {len(v)} in dimension {self.dim}")
+        return vec_dot(u, self.form.apply(v))
 
     @cached_property
     def _inverse_form(self) -> Matrix:
@@ -196,27 +199,24 @@ def word(surface: Surface, vectors: Sequence[Sequence[int]],
 def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> tuple[Matrix, ...]:
     """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass.
 
-    T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one row update.  Integral
-    entries of J are read as ints and the others stay Fractions, so it is
-    exact for any form.  Rows with g_i = 0 keep their previous Fraction tuples.
+    T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of the rows of the
+    previous product where g_i != 0; the other rows are shared with it.  On an
+    integer form every entry stays an int, and any other form stays exact.
     """
     n = space.dim
-    form = [[(j, x.numerator if x.denominator == 1 else x) for j, x in enumerate(row) if x]
-            for row in space.form.entries]
-    phi = [[int(i == j) for j in range(n)] for i in range(n)]
+    form = [[(j, x) for j, x in enumerate(row) if x] for row in space.form.entries]
     products = [Matrix.identity(n)]
     for c in cycles:
         g = c.homology_class
+        rows = list(products[-1].entries)
         r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
-        for row, phi_i in zip(form, phi):
+        for row, phi_i in zip(form, rows):
             if wi := sum(f * g[j] for j, f in row):
                 r = [a + wi * b for a, b in zip(r, phi_i)]
-        rows = list(products[-1].entries)
         for i, gi in enumerate(g):
             if gi:
                 s = c.chirality * gi
-                phi[i] = [a - s * b for a, b in zip(phi[i], r)]
-                rows[i] = tuple(map(Fraction, phi[i]))
+                rows[i] = tuple([a - s * b for a, b in zip(rows[i], r)])
         products.append(Matrix(tuple(rows), n))
     return tuple(products)
 
@@ -285,8 +285,8 @@ def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
     space = SymplecticSpace(a.space.form.block_diag(b.space.form))
-    pad_a = [tuple(v) + (Fraction(0),) * b.space.dim for v in a.basis]
-    pad_b = [(Fraction(0),) * a.space.dim + tuple(v) for v in b.basis]
+    pad_a = [tuple(v) + (0,) * b.space.dim for v in a.basis]
+    pad_b = [(0,) * a.space.dim + tuple(v) for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)
 
 

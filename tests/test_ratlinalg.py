@@ -1,5 +1,6 @@
 """Exact linear algebra: solves, kernels, signatures, powers, subspaces."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from lefsig.errors import InputError
 from lefsig.ratlinalg import (
     Matrix,
+    SolveResult,
     as_rational,
     as_vector,
     kernel_basis,
@@ -23,7 +25,7 @@ from .oracles import signature_via_charpoly
 
 
 def test_as_rational_accepts_ints_strings_fractions():
-    assert as_rational(3) == 3
+    assert as_rational(3) == 3 and type(as_rational(3)) is int
     assert as_rational("3/4") == Fraction(3, 4)
     assert as_rational(Fraction(-2, 6)) == Fraction(-1, 3)
 
@@ -211,14 +213,83 @@ def test_matrix_power_rejects_negative():
         matrix_power(Matrix.identity(2), -1)
 
 
-def test_matrix_requires_fraction_entries():
-    with pytest.raises(InputError, match="Matrix.from_rows"):
-        Matrix(((2, 0), (0, 2)), 2)
-    with pytest.raises(InputError, match="Matrix.from_rows"):
-        Matrix(((Fraction(1, 2), 0.5),), 2)
-    res = solve_linear(Matrix.from_rows([[2, 0], [0, 2]]), [1, 1])
+def test_matrix_requires_exact_entries():
+    for rows in (((2, 0), (0, 2)),
+                 ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))),
+                 ((Fraction(1, 2), 3), (0, Fraction(-4, 3)))):
+        assert Matrix(rows, 2) == Matrix.from_rows(rows)
+    for bad in (0.5, 2.0, True, False, "1", None):
+        with pytest.raises(InputError, match="Matrix.from_rows"):
+            Matrix(((Fraction(1, 2), bad),), 2)
+        with pytest.raises(InputError, match="Matrix.from_rows"):
+            Matrix(((1, 2), (bad, 3)), 2)
+    res = solve_linear(Matrix(((2, 0), (0, 2)), 2), [1, 1])
     assert res.particular == (Fraction(1, 2), Fraction(1, 2))
-    assert all(type(x) is Fraction for x in res.particular)
+
+
+def test_list_rows_are_stored_as_tuples():
+    m = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]], 2)
+    assert m.entries == ((0, 1), (-1, 0))
+    assert m == Matrix.from_rows([[0, 1], [-1, 0]])
+    assert hash(m) == hash(Matrix.from_rows([["0", "1"], ["-1", "0"]]))
+
+
+def _assert_exact(value) -> None:
+    """Every number inside `value` is an int or a Fraction: no float, no bool."""
+    if isinstance(value, Matrix):
+        value = value.entries
+    elif isinstance(value, SolveResult):
+        value = (value.particular, value.kernel_basis)
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            _assert_exact(v)
+    elif value is not None:
+        assert type(value) in (int, Fraction), value
+
+
+def _random_rows(rng: random.Random, n: int, m: int, zero_diagonal: bool) -> list[list[int]]:
+    # non-unit pivots come from entries such as 2, -3 and 6
+    rows = [[rng.choice((0, 0, 1, -1, 2, -3, 6, 7)) for _ in range(m)] for _ in range(n)]
+    if zero_diagonal:
+        for i in range(min(n, m)):
+            rows[i][i] = 0
+    return rows
+
+
+def _symmetric_pair(rng: random.Random, n: int, zero_diagonal: bool) -> tuple[list, list]:
+    """S symmetric with small entries, and P^T S P for a unimodular P with large ones."""
+    s = _random_rows(rng, n, n, zero_diagonal)
+    s = [[s[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    p = Matrix.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        step = [[int(r == c) for c in range(n)] for r in range(n)]
+        if i != j:
+            step[i][j] = rng.randint(-10**6, 10**6)
+        p = p @ Matrix(step, n)
+    return s, (p.transpose() @ Matrix(s, n) @ p).to_lists()
+
+
+def test_int_and_fraction_entries_agree_exactly():
+    rng = random.Random(2024)
+    for trial in range(80):
+        zero_diagonal = trial % 2 == 1
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        rect = _random_rows(rng, n, m, zero_diagonal)
+        square = _random_rows(rng, n, n, zero_diagonal)
+        small, big = _symmetric_pair(rng, n, zero_diagonal)
+        rhs = [rng.randint(-4, 4) for _ in range(n)]
+        results = []
+        for entry in (int, Fraction):
+            a, sq, s, t = (Matrix([[entry(x) for x in r] for r in rows], len(rows[0]))
+                           for rows in (rect, square, small, big))
+            got = (solve_linear(a, rhs), kernel_basis(a), span_basis(a.entries, m), rank(a),
+                   a.transpose() @ a, matrix_power(sq, 3),
+                   signature_symmetric(s), signature_symmetric(t))
+            _assert_exact(got)
+            assert got[-2] == got[-1] == signature_via_charpoly(s), big
+            results.append(got)
+        assert results[0] == results[1]
 
 
 def test_matmul_values_and_empty_shapes():

@@ -1,0 +1,37 @@
+"""Source checks: the package core does no floating-point arithmetic.
+
+Every entry in `lefsig` is an int or a Fraction.  A true division of two ints,
+a float literal or a `float(...)` call would bring a float in and lose
+exactness silently, so none may appear in `src/lefsig/*.py`; exact quotients
+are written `Fraction(a, b)`.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lefsig").glob("*.py"))
+
+
+def _float_sites(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, "float literal"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            yield node.lineno, "float() call"
+
+
+def test_no_floats_in_the_core():
+    assert len(SOURCES) > 5
+    found = [f"{p.name}:{line}: {what}" for p in SOURCES for line, what in _float_sites(p)]
+    assert found == []
+
+
+def test_float_sites_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("a = 1 / 2\nb = 3\nb /= 4\nc = 0.5\nd = float('1')\ne = 7 // 2\n")
+    assert [what for _, what in _float_sites(probe)] == [
+        "true division", "true division", "float literal", "float() call"]

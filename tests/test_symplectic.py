@@ -66,6 +66,21 @@ def test_pairing_is_determinant_in_the_plane():
     assert sp.pairing([1, 0], [0, 1]) == 1
     assert sp.pairing([0, 1], [1, 0]) == -1
     assert sp.pairing([2, 5], [1, 5]) == 5
+    for x, y in (([1], [1, 0]), ([1, 0], [1, 0, 0])):
+        with pytest.raises(InputError, match=f"lengths {len(x)} and {len(y)} in dimension 2"):
+            sp.pairing(x, y)
+
+
+def test_form_with_list_rows_is_the_standard_form():
+    space = SymplecticSpace(Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]], 2))
+    std = SymplecticSpace.standard(1)
+    assert space == std and hash(space.form) == hash(std.form)
+    ident = Matrix.identity(2)
+    assert is_symplectic(space, ident)
+    twist = transvection(space, VanishingCycle((1, 0)))
+    assert twist == transvection(std, VanishingCycle((1, 0)))
+    assert fiber_sum_defect(space, ident, ident) == fiber_sum_defect(std, ident, ident)
+    assert fiber_sum_defect(space, twist, twist) == fiber_sum_defect(std, twist, twist)
 
 
 def test_transvection_matches_known_twists():
