@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are ints or Fractions, never floats or bools, so solves, kernels and
-signatures are exact and a sign is never lost to rounding; integer data stays
-int until a pivot is inverted.  Matrices are immutable tuples of tuples.
-Dimensions reach the fiber ceiling of 1000, yet the code favours clarity
-over asymptotic cleverness: plain Gaussian elimination with a deterministic
-first-nonzero pivot rule, which also keeps every witness reproducible.
+signatures are exact and a sign is never lost to rounding.  Matrices are
+immutable tuples of tuples.  Both eliminations are fraction-free: they clear
+denominators, run on Python ints and bring in a Fraction only when a result
+is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
+every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
 Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
 reads off the particular solutions and the kernel, and `solve_linear`,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Literal, Sequence, Union
 
 from .errors import InputError
@@ -215,35 +216,53 @@ class SolveResult:
     kernel_basis: tuple[Vector, ...]
 
 
+def _integral(rows: Sequence[Sequence[Rational]]) -> list[list[int]]:
+    """`rows` times the positive lcm of all their denominators, as int lists."""
+    if all({int}.issuperset(map(type, row)) for row in rows):  # the common case
+        return [list(row) for row in rows]
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def _rref(rows: list[list[Rational]],
           pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
-    """In-place reduced row echelon form.  Returns (rows, pivot column list).
+    """Reduced row echelon form by fraction-free Gauss-Jordan: (rows, pivots).
 
+    Each row is first scaled by the lcm of its own denominators.  With the
+    first-nonzero pivot p in column c, a row with f != 0 there becomes
+    (p/g)*row - (f/g)*pivot_row, g = gcd(p, f), divided by its content; the
+    other rows are not touched.  Row scales keep spans and solutions, so the
+    pivots and zero pattern are those of Gauss-Jordan over Q.  Pivot rows are
+    divided by their pivots at the end; rows past the rank stay ints.
     `pivot_limit` restricts pivot columns to the first that many; trailing
     columns still get eliminated but never host a pivot (multi-rhs solves).
     """
+    rows = [_integral((row,))[0] for row in rows]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     if pivot_limit is None:
-        pivot_limit = ncols
+        pivot_limit = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(pivot_limit):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1, rows[r][c])
-        if inv != 1:
-            rows[r] = [x * inv if x else x for x in rows[r]]
+        top, p = rows[r], rows[r][c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+            if (f := rows[i][c]) and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y if y else a * x for x, y in zip(rows[i], top)]
+                content = gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
+    for r, c in enumerate(pivots):
+        if (p := rows[r][c]) != 1:
+            rows[r] = [Fraction(x, p) if x else 0 for x in rows[r]]
     return rows, pivots
 
 
@@ -306,29 +325,30 @@ def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
 def signature_symmetric(s: Matrix) -> int:
     """Signature of a symmetric rational matrix via congruence diagonalization.
 
-    Symmetric Gaussian steps E M E^T keep the matrix symmetric; when the whole
-    trailing diagonal vanishes, a symmetric row+column addition manufactures a
-    nonzero diagonal pivot (2*m[i][j]).  The signature is the count of positive
-    pivots minus negative ones; zero rows contribute nothing.  A step updates
-    only the live trailing block, to the Schur complement of its pivot.
+    Scaled by the positive lcm of its denominators, the matrix runs on ints.
+    Symmetric Gaussian steps E M E^T keep it symmetric; when the whole
+    trailing diagonal vanishes, a symmetric row+column addition manufactures
+    a nonzero diagonal pivot (2*m[i][j]).  A step updates only the live
+    trailing block, by Bareiss' rule (p*m[r][c] - m[r][k]*m[k][c]) // prev,
+    which keeps it prev times the Schur complement; swaps and manufactured
+    pivots are unimodular, so the divisions stay exact.  The k-th diagonal
+    pivot is p/prev: count +1 when p and prev have the same sign, else -1.
     """
     if not s.is_square():
         raise InputError("signature of a non-square matrix")
     if s != s.transpose():
         raise InputError("signature of a non-symmetric matrix")
-    m = s.to_lists()
+    m = _integral(s.entries)
     n = s.rows
-    sig = 0
+    sig, prev = 0, 1
     for k in range(n):
         if m[k][k] == 0:
             i = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
             if i is not None:
                 _swap_sym(m, k, i)
             else:
-                pos = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
-                    None,
-                )
+                pos = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
+                           None)
                 if pos is None:
                     break  # trailing block is identically zero
                 i, j = pos
@@ -339,21 +359,16 @@ def signature_symmetric(s: Matrix) -> int:
                 if i != k:
                     _swap_sym(m, k, i)
         p = m[k][k]
-        sig += 1 if p > 0 else -1
-        for r in range(k + 1, n):
-            if m[r][k] != 0:
-                f = Fraction(m[r][k], p)
-                for c in range(k + 1, n):
-                    m[r][c] -= f * m[k][c]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        top = m[k][k + 1:]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(p * x - row[k] * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
     return sig
 
 
 def sign(x: Rational) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,10 @@ class VanishingCycle:
     chirality: int = 1
 
     def __post_init__(self) -> None:
-        if self.chirality not in (1, -1):
-            raise InputError(f"chirality must be +1 or -1, got {self.chirality}")
-        if not all(isinstance(x, int) for x in self.homology_class):
-            raise InputError("homology class entries must be integers")
+        if type(self.chirality) is not int or self.chirality not in (1, -1):  # True, 1.0 pass `in`
+            raise InputError(f"chirality must be +1 or -1, got {self.chirality!r}")
+        if bad := [x for x in self.homology_class if type(x) is not int]:
+            raise InputError(f"homology_class entries must be integers, got {bad[0]!r}")
         object.__setattr__(self, "homology_class", tuple(self.homology_class))
 
     @property

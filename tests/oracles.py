@@ -11,6 +11,11 @@ library once did it: intersections by a kernel, a recombination and a
 canonicalization, and the radical complement by a greedy scan over the
 standard coordinate vectors.
 
+The exact eliminations are kept here in their Fraction form, as the library
+once ran them: Gauss-Jordan that inverts each pivot, and a congruence that
+subtracts Fraction multiples of the pivot row.  The library's fraction-free
+kernels must agree with them exactly.
+
 Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
 transvection out as a full matrix and multiplying it in, with no call into
 the package.
@@ -53,6 +58,77 @@ def signature_via_charpoly(s: Matrix) -> int:
     pos = _variations(p)
     neg = _variations([c if k % 2 == 0 else -c for k, c in enumerate(p)])
     return pos - neg
+
+
+def fraction_rref(rows, pivot_limit=None):
+    """Gauss-Jordan over Fractions with the first-nonzero pivot rule.
+    Returns (rows, pivot column list); `pivot_limit` as in `ratlinalg._rref`."""
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if pivot_limit is None:
+        pivot_limit = ncols
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1, rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _swap_sym(m, i: int, j: int) -> None:
+    m[i], m[j] = m[j], m[i]
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def fraction_signature_symmetric(s: Matrix) -> int:
+    """Signature by congruence over Fractions: each step takes the Schur
+    complement of its diagonal pivot and counts the pivot's sign; a vanishing
+    trailing diagonal gets a manufactured pivot by a row+column addition."""
+    assert s == s.transpose()
+    m = s.to_lists()
+    n = s.rows
+    sig = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if i is not None:
+                _swap_sym(m, k, i)
+            else:
+                pos = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
+                    None,
+                )
+                if pos is None:
+                    break
+                i, j = pos
+                for c in range(k, n):
+                    m[i][c] += m[j][c]
+                for r in range(k, n):
+                    m[r][i] += m[r][j]
+                if i != k:
+                    _swap_sym(m, k, i)
+        p = m[k][k]
+        sig += 1 if p > 0 else -1
+        for r in range(k + 1, n):
+            if m[r][k] != 0:
+                f = Fraction(m[r][k], p)
+                for c in range(k + 1, n):
+                    m[r][c] -= f * m[k][c]
+    return sig
 
 
 def reference_intersect_spans(u, v, dim: int) -> tuple:

@@ -1,0 +1,150 @@
+"""The fraction-free kernels against their Fraction oracles.
+
+`ratlinalg._rref` runs Gauss-Jordan on ints with content removal and
+`signature_symmetric` a Bareiss congruence; `oracles.fraction_rref` and
+`oracles.fraction_signature_symmetric` are the Fraction eliminations they
+replaced.  Every solve, span, rank and signature must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+
+from lefsig import ratlinalg
+from lefsig.ratlinalg import (
+    Matrix,
+    kernel_basis,
+    rank,
+    signature_symmetric,
+    solve_linear,
+    solve_many,
+    span_basis,
+)
+from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
+
+from .oracles import fraction_rref, fraction_signature_symmetric, signature_via_charpoly
+
+BIG = 10**30
+
+
+def _entry(rng: random.Random, kind: str):
+    if rng.random() < 0.45:
+        return 0
+    if kind == "int":
+        return rng.choice((1, -1, 2, -3, 6, 7))
+    if kind == "frac":
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+    return rng.choice((1, -1)) * (BIG + rng.randint(-50, 50))  # "big"
+
+
+def _dependent(rng: random.Random, rows: list[list], cols: int) -> list[list]:
+    """The rows plus a few rational combinations of them, spread among them."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+        combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(cols)]
+        rows.insert(rng.randint(0, len(rows)), combo)
+    return rows
+
+
+def _random_matrix(rng: random.Random) -> Matrix:
+    n, m = rng.randint(0, 6), rng.randint(0, 6)
+    kind = rng.choice(("int", "frac", "big"))
+    rows = _dependent(rng, [[_entry(rng, kind) for _ in range(m)] for _ in range(n)], m)
+    return Matrix(rows, m)
+
+
+def _step_matrices(rng: random.Random) -> list[Matrix]:
+    """Id - Phi_k of a word on a few handles of a genus-4 fiber: block diagonal
+    up to the order of the handles, with zero blocks on the untouched ones."""
+    space = SymplecticSpace.standard(4)
+    handles = rng.sample(range(4), rng.randint(1, 2))
+    cycles = []
+    for _ in range(rng.randint(2, 7)):
+        g = [0] * 8
+        for h in handles:
+            g[2 * h], g[2 * h + 1] = rng.randint(-2, 2), rng.randint(-2, 2)
+        cycles.append(VanishingCycle(tuple(g), rng.choice((1, -1))))
+    return [Matrix([[int(i == j) - x for j, x in enumerate(row)]
+                    for i, row in enumerate(phi.entries)], 8)
+            for phi in prefix_actions(space, cycles)[1:]]
+
+
+def _rhs(rng: random.Random, a: Matrix) -> list:
+    """A random b, and one in the column space of A so some solves succeed."""
+    free = [_entry(rng, "frac") for _ in range(a.rows)]
+    inside = a.apply([rng.randint(-3, 3) for _ in range(a.cols)])
+    return [free, list(inside)]
+
+
+def _views(a: Matrix, rhs: list) -> tuple:
+    return (
+        [solve_linear(a, b) for b in rhs],
+        solve_many(a, rhs),
+        kernel_basis(a),
+        span_basis(a.entries, a.cols),
+        span_basis(a.transpose().entries, a.rows),
+        rank(a),
+    )
+
+
+def _assert_rref_matches(rows: list[list], pivot_limit: int | None) -> None:
+    got, pivots = ratlinalg._rref([list(r) for r in rows], pivot_limit)
+    want, want_pivots = fraction_rref(rows, pivot_limit)
+    assert pivots == want_pivots
+    assert got[:len(pivots)] == want[:len(pivots)]
+    assert [[x != 0 for x in r] for r in got] == [[x != 0 for x in r] for r in want]
+
+
+def test_integer_kernel_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(1968)
+    cases = [Matrix.zeros(0, 0), Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(2, 2)]
+    cases += [_random_matrix(rng) for _ in range(300)]
+    for _ in range(6):
+        cases += _step_matrices(rng)
+    for a in cases:
+        rhs = _rhs(rng, a)
+        got = _views(a, rhs)
+        with monkeypatch.context() as patched:
+            patched.setattr(ratlinalg, "_rref", fraction_rref)
+            want = _views(a, rhs)
+        assert got == want, a
+        aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a.entries)]
+        _assert_rref_matches(aug, a.cols)
+        _assert_rref_matches(aug, rng.randint(0, a.cols))
+        _assert_rref_matches(a.to_lists(), None)
+
+
+def _random_symmetric(rng: random.Random, n: int) -> Matrix:
+    kind = rng.choice(("int", "frac", "big"))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = _entry(rng, kind)
+    if rng.random() < 0.6:
+        for i in range(n):
+            m[i][i] = 0
+    if rng.random() < 0.2:  # negative definite: every pivot is negative
+        a = Matrix([[_entry(rng, "int") or 1 for _ in range(n)] for _ in range(n)], n)
+        return -(a.transpose() @ a + Matrix.identity(n))
+    return Matrix(m, n)
+
+
+# each needs a manufactured pivot after one or more eliminations
+MANUFACTURED = [
+    [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+    [[-2, 2, 2], [2, -2, 3], [2, 3, -2]],
+    [[1, 1, 1, 0], [1, 1, 1, 2], [1, 1, 1, -1], [0, 2, -1, 0]],
+    [[3, 0, 3, 3], [0, 0, 1, 0], [3, 1, 3, 3], [3, 0, 3, 0]],
+    [[-1, 0, 0], [0, 0, Fraction(1, 2)], [0, Fraction(1, 2), 0]],
+    [[Fraction(-1, 3), 1, 0], [1, -3, 1], [0, 1, 0]],
+]
+
+
+def test_bareiss_congruence_matches_oracles():
+    rng = random.Random(1968)
+    cases = [Matrix(rows, len(rows)) for rows in MANUFACTURED]
+    cases += [_random_symmetric(rng, rng.randint(0, 8)) for _ in range(300)]
+    for s in cases:
+        sig = signature_via_charpoly(s)
+        for t, want in ((s, sig), (-s, -sig), (s.scale(Fraction(-5, 3)), -sig)):
+            assert signature_symmetric(t) == fraction_signature_symmetric(t) == want, t

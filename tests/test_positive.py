@@ -32,6 +32,17 @@ def test_generate_genus_one():
     assert signature(w).total == 1
 
 
+def test_padded_block_matches_genus_one():
+    # Id - Phi_k at genus 40 is Id - Phi_k at genus 1 beside a zero block
+    small = signature(generate(PositiveFamilySpec(1, 0, 4)))
+    padded = signature(generate(PositiveFamilySpec(40, 0, 4)))
+    assert padded.total == small.total == 4
+    assert [s.sigma for s in padded.steps] == [s.sigma for s in small.steps]
+    assert [s.witness for s in padded.steps] == [
+        None if s.witness is None else s.witness + (0,) * 78 for s in small.steps
+    ]
+
+
 def test_generate_pads_to_higher_genus():
     w = generate(PositiveFamilySpec(3, 0, 2))
     assert len(w) == 6

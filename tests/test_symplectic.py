@@ -270,6 +270,17 @@ def test_surface_validation():
         VanishingCycle((1, 0), chirality=2)
 
 
+@pytest.mark.parametrize("vector, chirality, field", [
+    ((True, False), 1, "homology_class"),
+    ((1, 0.0), 1, "homology_class"),
+    ((1, 0), True, "chirality"),
+    ((1, 0), -1.0, "chirality"),
+])
+def test_vanishing_cycle_rejects_bools_and_floats(vector, chirality, field):
+    with pytest.raises(InputError, match=field):
+        VanishingCycle(vector, chirality)
+
+
 def test_doubled_space_form():
     sp = SymplecticSpace.standard(1)
     d = sp.doubled()
