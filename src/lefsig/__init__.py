@@ -32,7 +32,6 @@ from .symplectic import (
     VanishingCycle,
     direct_sum_lagrangian,
     effective_dimension,
-    graph_lagrangians,
     is_symplectic,
     map_lagrangian,
     transvection,
@@ -63,7 +62,6 @@ __all__ = [
     "effective_dimension",
     "fiber_sum_defect",
     "generate",
-    "graph_lagrangians",
     "is_symplectic",
     "local_sigma",
     "local_sigma_via_maslov",

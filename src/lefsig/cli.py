@@ -293,8 +293,8 @@ def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
             inv_ok = False
     yield "symplectic invariance", "symplectic invariance", inv_ok
 
-    doubled = (direct_sum_lagrangian(lag, lag) for lag in lags)
-    yield "direct-sum additivity", "additivity", maslov_index(*doubled) == 2 * tau
+    summed = (direct_sum_lagrangian(lag, lag) for lag in lags)
+    yield "direct-sum additivity", "additivity", maslov_index(*summed) == 2 * tau
 
 
 def cmd_maslov(args: argparse.Namespace) -> int:

@@ -17,9 +17,10 @@ which does not depend on the choice of x.  The total is
 a right twist along a separating curve adds a -1-framed handle (count -1),
 a left one adds a +1-framed handle (count +1).
 
-Every step equals a Wall non-additivity defect of graph Lagrangians, which
-`local_sigma_via_maslov` recomputes independently; the two routes agree on
-every input and the tests enforce that.
+Every step equals a Wall non-additivity defect, the signature of Meyer's
+form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
+which `local_sigma_via_maslov` recomputes independently; the two routes agree
+on every input and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:
 
     Splitting the fibration before cycle k leaves the single twist along
     gamma_k on one side and the length-(k-1) prefix on the other; the gluing
-    defect is c_k * sigma_k.  Returns sigma_k for direct comparison with
+    defect, the signature of Meyer's form on V for (T_k, Phi_{k-1}), is
+    c_k * sigma_k.  Returns sigma_k for direct comparison with
     `local_sigma`.
     """
     if not 1 <= k <= len(word):

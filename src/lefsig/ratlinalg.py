@@ -7,9 +7,9 @@ denominators, run on Python ints and bring in a Fraction only when a result
 is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
-Every solve is one reduction: `_solve` eliminates [A | b_1 ... b_m] once and
-reads off the particular solutions and the kernel, and `solve_linear`,
-`solve_many` and `kernel_basis` are views of it.  The kernel of a matrix with
+Every solve is one reduction: `_solve` eliminates [A | b] once and reads off
+the particular solution and the kernel, and `solve_linear` and `kernel_basis`
+are views of it.  The kernel of a matrix with
 its columns reversed, each vector read right to left, is already the RREF
 basis of the original kernel, so it never needs a second reduction.  The
 congruence in `signature_symmetric` updates only the live trailing block.
@@ -235,7 +235,8 @@ def _rref(rows: list[list[Rational]],
     pivots and zero pattern are those of Gauss-Jordan over Q.  Pivot rows are
     divided by their pivots at the end; rows past the rank stay ints.
     `pivot_limit` restricts pivot columns to the first that many; trailing
-    columns still get eliminated but never host a pivot (multi-rhs solves).
+    columns (a solve's right-hand side) still get eliminated but never host
+    a pivot.
     """
     rows = [_integral((row,))[0] for row in rows]
     nrows = len(rows)
@@ -266,28 +267,23 @@ def _rref(rows: list[list[Rational]],
     return rows, pivots
 
 
-def _solve(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]
-           ) -> tuple[list[Vector | None], tuple[Vector, ...]]:
-    """One elimination of [A | b_1 ... b_m] with pivots limited to A's columns.
-
-    Returns one particular solution per b (free variables zero, None when
-    that b is inconsistent) and one kernel vector of A per free column.
+def _solve(a: Matrix, b: Sequence[Scalar] | None = None
+           ) -> tuple[Vector | None, tuple[Vector, ...]]:
+    """One elimination of [A | b] (of A alone without b), pivots limited to A's
+    columns.  Returns the particular solution (free variables zero; None when
+    b is inconsistent or absent) and one kernel vector of A per free column.
     """
-    columns = [as_vector(b) for b in rhs_list]
-    for b in columns:
-        if len(b) != a.rows:
-            raise InputError(f"rhs of length {len(b)} against {a.rows}x{a.cols}")
-    aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(a.entries)]
+    rhs = [] if b is None else [as_vector(b)]
+    if rhs and len(rhs[0]) != a.rows:
+        raise InputError(f"rhs of length {len(rhs[0])} against {a.rows}x{a.cols}")
+    aug = [list(row) + [x[i] for x in rhs] for i, row in enumerate(a.entries)]
     reduced, pivots = _rref(aug, pivot_limit=a.cols)
-    particulars: list[Vector | None] = []
-    for col in range(a.cols, a.cols + len(columns)):
-        if any(reduced[r][col] != 0 for r in range(len(pivots), a.rows)):
-            particulars.append(None)
-            continue
-        particular = [0] * a.cols
+    particular = None
+    if rhs and all(reduced[r][a.cols] == 0 for r in range(len(pivots), a.rows)):
+        x = [0] * a.cols
         for r, c in enumerate(pivots):
-            particular[c] = reduced[r][col]
-        particulars.append(tuple(particular))
+            x[c] = reduced[r][a.cols]
+        particular = tuple(x)
     pivot_set = set(pivots)
     kernel = []
     for f in (c for c in range(a.cols) if c not in pivot_set):
@@ -296,24 +292,15 @@ def _solve(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         kernel.append(tuple(v))
-    return particulars, tuple(kernel)
+    return particular, tuple(kernel)
 
 
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
     """Solve A x = b exactly, reporting the full affine solution set."""
-    (particular,), kernel = _solve(a, [b])
+    particular, kernel = _solve(a, b)
     if particular is None:
         return SolveResult("inconsistent", None, ())
     return SolveResult("affine" if kernel else "unique", particular, kernel)
-
-
-def solve_many(a: Matrix, rhs_list: Sequence[Sequence[Scalar]]) -> list[Vector | None]:
-    """Particular solutions of A x = b for several b, one elimination for all.
-
-    Each result matches solve_linear(a, b).particular exactly; None marks an
-    inconsistent right-hand side.
-    """
-    return _solve(a, rhs_list)[0]
 
 
 def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
@@ -396,4 +383,4 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column."""
-    return _solve(a, [])[1]
+    return _solve(a)[1]

@@ -25,7 +25,6 @@ from .ratlinalg import (
     Vector,
     as_vector,
     rank,
-    solve_many,
     span_basis,
     vec_dot,
 )
@@ -78,20 +77,6 @@ class SymplecticSpace:
         if len(u) != self.dim or len(v) != self.dim:
             raise InputError(f"pairing of lengths {len(u)} and {len(v)} in dimension {self.dim}")
         return vec_dot(u, self.form.apply(v))
-
-    @cached_property
-    def _inverse_form(self) -> Matrix:
-        """J^{-1}; it is -J only for forms with J^2 = -Id, such as the standard one."""
-        return Matrix.from_columns(solve_many(self.form, Matrix.identity(self.dim).entries),
-                                   rows=self.dim)
-
-    @cached_property
-    def _doubled(self) -> "SymplecticSpace":
-        return SymplecticSpace(self.form.block_diag(-self.form))
-
-    def doubled(self) -> "SymplecticSpace":
-        """(V + V, Q + -Q): the ambient space of graph Lagrangians, built once."""
-        return self._doubled
 
 
 @dataclass(frozen=True)
@@ -288,30 +273,3 @@ def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
     pad_a = [tuple(v) + (0,) * b.space.dim for v in a.basis]
     pad_b = [(0,) * a.space.dim + tuple(v) for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)
-
-
-def unchecked_graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
-    """Graph {(x, Mx)} in the doubled space, for an M the caller has checked.
-
-    Rows [I | M^T] span the graph and are already its canonical echelon
-    basis; it is Lagrangian exactly when M is symplectic, so the usual
-    `span` re-validation would only repeat that check.
-    """
-    ident = Matrix.identity(m.rows).entries
-    return Lagrangian(doubled, tuple(e + r for e, r in zip(ident, m.transpose().entries)))
-
-
-def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
-    """M^{-1} = J^{-1} M^T J, which M^T J M = J gives for any form J."""
-    return space._inverse_form @ m.transpose() @ space.form
-
-
-def graph_lagrangians(space: SymplecticSpace, m: Matrix) -> tuple[Lagrangian, Lagrangian]:
-    """Graph {(x, Mx)} and conjugate graph {(Mx, x)} = graph of M^{-1} inside
-    the doubled space.  Both are Lagrangian for (V + V, Q + -Q) exactly when
-    M is symplectic.
-    """
-    if not is_symplectic(space, m):
-        raise InputError("graph Lagrangians need a symplectic matrix")
-    doubled = space.doubled()
-    return unchecked_graph(doubled, m), unchecked_graph(doubled, symplectic_inverse(space, m))

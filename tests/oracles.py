@@ -16,6 +16,11 @@ once ran them: Gauss-Jordan that inverts each pivot, and a congruence that
 subtracts Fraction multiples of the pivot row.  The library's fraction-free
 kernels must agree with them exactly.
 
+The fiber-sum defect is rebuilt as the library once computed it: Wall's index
+tau(graph A, diagonal, graph B^{-1}) of graph Lagrangians in the doubled
+space (V + V, Q + -Q), each graph validated by `Lagrangian.span`.  The
+library evaluates Meyer's form on V instead and must agree exactly.
+
 Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
 transvection out as a full matrix and multiplying it in, with no call into
 the package.
@@ -25,8 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from lefsig.maslov import maslov_index
 from lefsig.ratlinalg import Matrix, as_vector, kernel_basis, solve_linear, span_basis
-from lefsig.symplectic import Lagrangian
+from lefsig.symplectic import Lagrangian, SymplecticSpace
 
 
 def charpoly(m: Matrix) -> list[Fraction]:
@@ -197,3 +203,38 @@ def dense_prefix_actions(vectors, chiralities, dim: int) -> list[list[list[int]]
                for i in range(dim)]
         actions.append(phi)
     return actions
+
+
+def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
+    """M^{-1} = J^{-1} M^T J, which M^T J M = J gives for any form J; J^{-1}
+    is solved column by column."""
+    ident = Matrix.identity(space.dim).entries
+    inverse_form = Matrix.from_columns([solve_linear(space.form, e).particular for e in ident],
+                                       rows=space.dim)
+    return inverse_form @ m.transpose() @ space.form
+
+
+def doubled_space(space: SymplecticSpace) -> SymplecticSpace:
+    """(V + V, Q + -Q), the ambient space of graph Lagrangians."""
+    return SymplecticSpace(space.form.block_diag(-space.form))
+
+
+def graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
+    """Graph {(x, Mx)} of M in the doubled space, spanned by the rows [I | M^T]
+    and validated by `Lagrangian.span`: it is Lagrangian exactly when M is
+    symplectic."""
+    ident = Matrix.identity(m.rows).entries
+    return Lagrangian.span(doubled, [e + r for e, r in zip(ident, m.transpose().entries)])
+
+
+def graph_triple(space: SymplecticSpace, a: Matrix, b: Matrix) -> tuple[Lagrangian, ...]:
+    """(graph A, diagonal, graph B^{-1}) in the doubled space."""
+    doubled = doubled_space(space)
+    return (graph(doubled, a), graph(doubled, Matrix.identity(space.dim)),
+            graph(doubled, symplectic_inverse(space, b)))
+
+
+def reference_fiber_sum_defect(space: SymplecticSpace, a: Matrix, b: Matrix) -> int:
+    """The gluing defect as Wall's index of graph Lagrangians,
+    tau(graph A, diagonal, graph B^{-1}), with A the later piece's monodromy."""
+    return maslov_index(*graph_triple(space, a, b))

@@ -16,7 +16,6 @@ from lefsig.ratlinalg import (
     rank,
     signature_symmetric,
     solve_linear,
-    solve_many,
     span_basis,
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
@@ -79,7 +78,6 @@ def _rhs(rng: random.Random, a: Matrix) -> list:
 def _views(a: Matrix, rhs: list) -> tuple:
     return (
         [solve_linear(a, b) for b in rhs],
-        solve_many(a, rhs),
         kernel_basis(a),
         span_basis(a.entries, a.cols),
         span_basis(a.transpose().entries, a.rows),

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,13 +19,8 @@ from lefsig import (
     wall_space,
 )
 from lefsig.ratlinalg import span_basis
-from lefsig.symplectic import (
-    direct_sum_lagrangian,
-    symplectic_inverse,
-    transvection,
-    unchecked_graph,
-    word_action,
-)
+from lefsig import maslov
+from lefsig.symplectic import direct_sum_lagrangian, transvection, word_action
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -34,7 +30,13 @@ from .fixtures import (
     random_symplectic,
     random_word,
 )
-from .oracles import reference_intersect_spans, reference_wall_space
+from .oracles import (
+    graph_triple,
+    reference_fiber_sum_defect,
+    reference_intersect_spans,
+    reference_wall_space,
+    symplectic_inverse,
+)
 
 PLANE = SymplecticSpace.standard(1)
 A_LINE = Lagrangian.span(PLANE, [(1, 0)])
@@ -203,16 +205,11 @@ def test_rederived_rules_match_reference():
     graph_triples = 0
     for _ in range(12):
         w = random_word(rng, rng.randint(1, 3), 5, chiral_only=False)
-        space = w.space
-        doubled = space.doubled()
         for k, cycle in enumerate(w.cycles, start=1):
             if cycle.is_null_homologous:
                 continue
-            triples.append((
-                unchecked_graph(doubled, transvection(space, cycle)),
-                unchecked_graph(doubled, Matrix.identity(space.dim)),
-                unchecked_graph(doubled, symplectic_inverse(space, word_action(w, k - 1))),
-            ))
+            triples.append(graph_triple(w.space, transvection(w.space, cycle),
+                                        word_action(w, k - 1)))
             graph_triples += 1
     assert graph_triples >= 30
 
@@ -254,20 +251,28 @@ def test_wall_space_self_checks_fire():
     assert seen == reachable
 
 
-def test_doubled_space_is_built_once(monkeypatch):
-    space = SymplecticSpace.standard(2)
+def test_meyer_form_matches_graph_triple_oracle():
+    """Meyer's form on V against Wall's index of graph Lagrangians in the
+    doubled space, on J, 2J and (3/7)J, identity factors included."""
     rng = random.Random(1973)
-    pairs = [(random_symplectic(rng, space), random_symplectic(rng, space)) for _ in range(4)]
-    built = []
-    post_init = SymplecticSpace.__post_init__
+    for scale in (1, 2, Fraction(3, 7)):
+        for _ in range(40):
+            genus = rng.randint(0, 4)
+            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
 
-    def counting_post_init(self):
-        built.append(self.dim)
-        post_init(self)
+            def factor():
+                if genus == 0 or rng.random() < 0.15:
+                    return Matrix.identity(space.dim)
+                return random_symplectic(rng, space)
 
-    monkeypatch.setattr(SymplecticSpace, "__post_init__", counting_post_init)
-    for m1, m2 in pairs:
-        fiber_sum_defect(space, m1, m2)
-    assert built == [8]
-    assert space.doubled() is space.doubled()
-    assert built == [8]
+            a, b = factor(), factor()
+            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+
+
+def test_meyer_form_self_check_fires(monkeypatch):
+    """A domain that is not the kernel of [(Id - A) | (B - Id)] gives an
+    asymmetric form, and the runtime check says so."""
+    space = SymplecticSpace.standard(2)
+    monkeypatch.setattr(maslov, "kernel_basis", lambda m: Matrix.identity(m.cols).entries)
+    with pytest.raises(InternalConsistencyError, match="Meyer's form"):
+        fiber_sum_defect(space, MATSUMOTO_PHI, DELTA_STAR)

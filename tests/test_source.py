@@ -1,13 +1,19 @@
-"""Source checks: the package core does no floating-point arithmetic.
+"""Source checks: the package core does no floating-point arithmetic, and the
+public API is exactly the pinned list.
 
 Every entry in `lefsig` is an int or a Fraction.  A true division of two ints,
 a float literal or a `float(...)` call would bring a float in and lose
 exactness silently, so none may appear in `src/lefsig/*.py`; exact quotients
 are written `Fraction(a, b)`.
+
+`lefsig.__all__` is pinned so that a name deleted from a module cannot linger
+as a stale export, and a new public name is a deliberate edit here.
 """
 
 import ast
 from pathlib import Path
+
+import lefsig
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lefsig").glob("*.py"))
 
@@ -35,3 +41,21 @@ def test_float_sites_are_found(tmp_path):
     probe.write_text("a = 1 / 2\nb = 3\nb /= 4\nc = 0.5\nd = float('1')\ne = 7 // 2\n")
     assert [what for _, what in _float_sites(probe)] == [
         "true division", "true division", "float literal", "float() call"]
+
+
+PUBLIC_API = [
+    "BLOCK_VECTORS", "CorrectionTerm", "InputError", "InternalConsistencyError",
+    "Lagrangian", "LefsigError", "Matrix", "MonodromyWord", "PositiveFamilySpec",
+    "SignatureTrace", "SolveResult", "StepRecord", "Surface", "SymplecticSpace",
+    "VanishingCycle", "WallSpace", "correction_sigma", "cover_signature",
+    "direct_sum_lagrangian", "effective_dimension", "fiber_sum_defect", "generate",
+    "is_symplectic", "local_sigma", "local_sigma_via_maslov", "map_lagrangian",
+    "maslov_index", "matrix_power", "meyer_cocycle", "shortcut_dual_preserved",
+    "signature", "signature_symmetric", "signature_zero_certificate", "solve_linear",
+    "transvection", "wall_space", "word", "word_action",
+]
+
+
+def test_public_api_is_pinned_and_resolves():
+    assert sorted(lefsig.__all__) == PUBLIC_API
+    assert [name for name in PUBLIC_API if not hasattr(lefsig, name)] == []

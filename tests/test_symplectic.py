@@ -16,7 +16,6 @@ from lefsig import (
     VanishingCycle,
     effective_dimension,
     fiber_sum_defect,
-    graph_lagrangians,
     is_symplectic,
     map_lagrangian,
     signature,
@@ -24,7 +23,7 @@ from lefsig import (
     word,
     word_action,
 )
-from lefsig.symplectic import MAX_DIMENSION, symplectic_inverse
+from lefsig.symplectic import MAX_DIMENSION
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -38,7 +37,7 @@ from .fixtures import (
     positive_word,
     random_symplectic,
 )
-from .oracles import dense_prefix_actions
+from .oracles import dense_prefix_actions, doubled_space, graph, symplectic_inverse
 
 
 def test_standard_form_squares_to_minus_identity():
@@ -177,17 +176,17 @@ def test_non_standard_form_inverse_and_defect():
     plane = SymplecticSpace(Matrix.from_rows([[0, 2], [-2, 0]]))
     ident = Matrix.identity(2)
     assert symplectic_inverse(plane, ident) == ident
-    # scaling the form by 2 scales Psi by 2, so graphs stay Lagrangian and
-    # every defect keeps its value
+    # scaling the form by 2 scales Meyer's form by 2 and keeps graphs
+    # Lagrangian, so every defect keeps its value
     std = SymplecticSpace.standard(2)
     scaled = SymplecticSpace(std.form.scale(2))
-    doubled = scaled.doubled()
+    doubled = doubled_space(scaled)
     rng = random.Random(5)
     defects = set()
     for _ in range(12):
         a, b = random_symplectic(rng, std), random_symplectic(rng, std)
         assert symplectic_inverse(scaled, a) @ a == Matrix.identity(4)
-        for lag in graph_lagrangians(scaled, a):
+        for lag in (graph(doubled, a), graph(doubled, symplectic_inverse(scaled, a))):
             assert all(doubled.pairing(u, v) == 0 for u in lag.basis for v in lag.basis)
         defect = fiber_sum_defect(scaled, a, b)
         assert defect == fiber_sum_defect(std, a, b)
@@ -230,16 +229,16 @@ def test_zero_dimensional_word_allows_only_empty_cycles():
 def test_graph_lagrangian_basis():
     sp = SymplecticSpace.standard(1)
     m = Matrix.from_rows([[1, 1], [0, 1]])
-    graph, conj = graph_lagrangians(sp, m)
-    doubled = sp.doubled()
-    assert graph == Lagrangian.span(doubled, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    doubled = doubled_space(sp)
+    assert graph(doubled, m) == Lagrangian.span(doubled, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    conj = graph(doubled, symplectic_inverse(sp, m))
     assert conj == Lagrangian.span(doubled, [(1, 0, 1, 0), (1, 1, 0, 1)])
 
 
 def test_graph_rejects_non_symplectic():
-    sp = SymplecticSpace.standard(1)
-    with pytest.raises(InputError):
-        graph_lagrangians(sp, Matrix.from_rows([[2, 0], [0, 2]]))
+    doubled = doubled_space(SymplecticSpace.standard(1))
+    with pytest.raises(InputError, match="isotropic"):
+        graph(doubled, Matrix.from_rows([[2, 0], [0, 2]]))
 
 
 def test_lagrangian_span_validates():
@@ -279,11 +278,3 @@ def test_surface_validation():
 def test_vanishing_cycle_rejects_bools_and_floats(vector, chirality, field):
     with pytest.raises(InputError, match=field):
         VanishingCycle(vector, chirality)
-
-
-def test_doubled_space_form():
-    sp = SymplecticSpace.standard(1)
-    d = sp.doubled()
-    assert d.dim == 4
-    assert d.pairing([1, 0, 0, 0], [0, 1, 0, 0]) == 1
-    assert d.pairing([0, 0, 1, 0], [0, 0, 0, 1]) == -1  # second summand carries -Q
