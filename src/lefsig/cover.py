@@ -12,11 +12,12 @@ where correction(m) is the signature of the symmetric integer matrix
 S_m represents a pairing that descends to the quotient by the fixed space of
 phi^{m+1}; fixed vectors land in the radical of S_m (checked in the tests),
 so the ambient signature already is the quotient signature.  The generator
-`correction_sums` yields S_1, S_2, ... with two matrix products per term,
-P <- P phi and X = P^T J: because J^T = -J for every symplectic form,
-J P = -X^T and the new summand is X + X^T: S_m is symmetric by construction,
-and `signature_symmetric` checks it once.  `correction_terms` streams the
-terms, so a caller that keeps only the signatures holds one S_m at a time.
+`correction_sums` yields S_1, S_2, ... with one matrix product per term,
+X_m = phi^T X_{m-1} from X_0 = J, so X_m = (phi^m)^T J: because J^T = -J for
+every symplectic form, J phi^m = -X_m^T and the new summand is X_m + X_m^T.
+S_m is symmetric by construction, and `signature_symmetric` checks it once.
+`correction_terms` streams the terms, so a caller that keeps only the
+signatures holds one S_m at a time.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ class CorrectionTerm:
 
 
 def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
-    """Yield S_1, S_2, ... forever: P <- P phi, S <- S + (P^T J - J P); phi is not checked."""
-    j = space.form
+    """Yield S_1, S_2, ... forever: X <- phi^T X from X = J, S <- S + X + X^T; phi unchecked."""
+    phi_t = phi.transpose()
     total = Matrix.zeros(space.dim, space.dim)
-    p = Matrix.identity(space.dim)
+    x = space.form
     while True:
-        p = p @ phi
-        x = p.transpose() @ j
+        x = phi_t @ x
         total = total + (x + x.transpose())
         yield total
 

@@ -10,7 +10,10 @@ if no solution exists the step contributes nothing, otherwise
 
     sigma_k = sign(1 + c_k * Q([gamma_k], x)),
 
-which does not depend on the choice of x.  The total is
+which does not depend on the choice of x.  The step runs on ints: one
+elimination of [Id - Phi_k | gamma_k] gives x = n / delta, delta > 0 the lcm
+of its denominators, and since delta > 0,
+sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).  The total is
 
     signature = - sum_k c_k * sigma_k  -  sum over null-homologous k of c_k:
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .maslov import fiber_sum_defect
-from .ratlinalg import Matrix, Vector, sign, solve_linear
+from .ratlinalg import Matrix, Vector, clear_denominators, particular_solution, sign, solve_linear
 from .symplectic import (
     MonodromyWord,
     VanishingCycle,
@@ -72,15 +75,16 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     phi_k = word_action(word, k)
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
-    gamma = cycle.vector()
-    step = Matrix(tuple(tuple(int(i == j) - x for j, x in enumerate(row))
-                        for i, row in enumerate(phi_k.entries)), space.dim)  # Id - Phi_k
-    res = solve_linear(step, gamma)
-    if res.particular is None:
+    gamma = cycle.homology_class
+    rows = [[-x for x in row] + [g] for row, g in zip(phi_k.entries, gamma)]
+    for i, row in enumerate(rows):
+        row[i] += 1  # [Id - Phi_k | gamma_k]
+    witness = particular_solution(rows, space.dim)
+    if witness is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
-    q = space.pairing(gamma, res.particular)
-    sigma = sign(1 + cycle.chirality * q)
-    return StepRecord(k, cycle, True, sigma, res.particular, phi_k)
+    delta, numerators = clear_denominators(witness)
+    sigma = sign(delta + cycle.chirality * space.pairing(gamma, numerators))
+    return StepRecord(k, cycle, True, sigma, witness, phi_k)
 
 
 def signature(word: MonodromyWord) -> SignatureTrace:

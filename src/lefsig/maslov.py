@@ -59,6 +59,7 @@ from .errors import InputError, InternalConsistencyError
 from .ratlinalg import (
     Matrix,
     Vector,
+    clear_denominators,
     kernel_basis,
     rank,
     signature_symmetric,
@@ -153,11 +154,13 @@ def fiber_sum_defect(space: SymplecticSpace, phi_minus: Matrix, phi_plus: Matrix
     for name, m in (("phi_minus", phi_minus), ("phi_plus", phi_plus)):
         if not is_symplectic(space, m):
             raise InputError(f"{name} is not symplectic for this space")
-    # rows (x, y) of ker[(Id - A) | (B - Id)]; F = Q(A x1 + y1, (Id - B) y2)
+    # rows (x, y) of ker[(Id - A) | (B - Id)], made primitive int rows by positive
+    # scales (a congruence, which keeps the signature); F = Q(A x1 + y1, (Id - B) y2)
     d = space.dim
     ident = Matrix.identity(d)
     stacked = zip((ident - phi_minus).entries, (phi_plus - ident).entries)
-    kernel = kernel_basis(Matrix(tuple(r + s for r, s in stacked), 2 * d))
+    kernel = [clear_denominators(v)[1]
+              for v in kernel_basis(Matrix(tuple(r + s for r, s in stacked), 2 * d))]
     x = Matrix(tuple(v[:d] for v in kernel), d)
     y = Matrix(tuple(v[d:] for v in kernel), d)
     form = (x @ phi_minus.transpose() + y) @ space.form @ ((ident - phi_plus) @ y.transpose())

@@ -7,12 +7,13 @@ denominators, run on Python ints and bring in a Fraction only when a result
 is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
-Every solve is one reduction: `_solve` eliminates [A | b] once and reads off
-the particular solution and the kernel, and `solve_linear` and `kernel_basis`
-are views of it.  The kernel of a matrix with
-its columns reversed, each vector read right to left, is already the RREF
-basis of the original kernel, so it never needs a second reduction.  The
-congruence in `signature_symmetric` updates only the live trailing block.
+Every solve is one reduction, `_int_rref`, and `_particular` and `_kernel`
+read the particular solution and the kernel off it: `solve_linear`,
+`kernel_basis` and `particular_solution` (int rows, the engine's step) are
+views of it.  The kernel of a matrix with its columns reversed, each vector
+read right to left, is already the RREF basis of the original kernel, so it
+never needs a second reduction.  The congruence in `signature_symmetric`
+updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -216,29 +217,33 @@ class SolveResult:
     kernel_basis: tuple[Vector, ...]
 
 
-def _integral(rows: Sequence[Sequence[Rational]]) -> list[list[int]]:
-    """`rows` times the positive lcm of all their denominators, as int lists."""
-    if all({int}.issuperset(map(type, row)) for row in rows):  # the common case
-        return [list(row) for row in rows]
-    scale = lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(delta, delta * v) with delta > 0 the lcm of the denominators of v."""
+    if {int}.issuperset(map(type, v)):  # the common case
+        return 1, list(v)
+    delta = lcm(*(x.denominator for x in v))
+    return delta, [x.numerator * (delta // x.denominator) for x in v]
 
 
 def _rref(rows: list[list[Rational]],
           pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
-    """Reduced row echelon form by fraction-free Gauss-Jordan: (rows, pivots).
+    """(rows, pivots) of `_int_rref` on the rows, each scaled by its own denominators' lcm."""
+    return _int_rref([clear_denominators(row)[1] for row in rows], pivot_limit)
 
-    Each row is first scaled by the lcm of its own denominators.  With the
-    first-nonzero pivot p in column c, a row with f != 0 there becomes
-    (p/g)*row - (f/g)*pivot_row, g = gcd(p, f), divided by its content; the
-    other rows are not touched.  Row scales keep spans and solutions, so the
-    pivots and zero pattern are those of Gauss-Jordan over Q.  Pivot rows are
-    divided by their pivots at the end; rows past the rank stay ints.
-    `pivot_limit` restricts pivot columns to the first that many; trailing
-    columns (a solve's right-hand side) still get eliminated but never host
-    a pivot.
+
+def _int_rref(rows: list[list[int]],
+              pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
+    """Reduced row echelon form of int rows by fraction-free Gauss-Jordan.
+
+    The rows are reduced in place.  With the first-nonzero pivot p in column
+    c, a row with f != 0 there becomes (p/g)*row - (f/g)*pivot_row,
+    g = gcd(p, f), divided by its content; the other rows are not touched.
+    Row scales keep spans and solutions, so the pivots and zero pattern are
+    those of Gauss-Jordan over Q.  Pivot rows are divided by their pivots at
+    the end; rows past the rank stay ints.  `pivot_limit` restricts pivot
+    columns to the first that many; trailing columns (a solve's right-hand
+    side) still get eliminated but never host a pivot.
     """
-    rows = [_integral((row,))[0] for row in rows]
     nrows = len(rows)
     if pivot_limit is None:
         pivot_limit = len(rows[0]) if nrows else 0
@@ -267,39 +272,45 @@ def _rref(rows: list[list[Rational]],
     return rows, pivots
 
 
-def _solve(a: Matrix, b: Sequence[Scalar] | None = None
-           ) -> tuple[Vector | None, tuple[Vector, ...]]:
-    """One elimination of [A | b] (of A alone without b), pivots limited to A's
-    columns.  Returns the particular solution (free variables zero; None when
-    b is inconsistent or absent) and one kernel vector of A per free column.
-    """
-    rhs = [] if b is None else [as_vector(b)]
-    if rhs and len(rhs[0]) != a.rows:
-        raise InputError(f"rhs of length {len(rhs[0])} against {a.rows}x{a.cols}")
-    aug = [list(row) + [x[i] for x in rhs] for i, row in enumerate(a.entries)]
-    reduced, pivots = _rref(aug, pivot_limit=a.cols)
-    particular = None
-    if rhs and all(reduced[r][a.cols] == 0 for r in range(len(pivots), a.rows)):
-        x = [0] * a.cols
-        for r, c in enumerate(pivots):
-            x[c] = reduced[r][a.cols]
-        particular = tuple(x)
-    pivot_set = set(pivots)
+def _particular(reduced: list[list[Rational]], pivots: list[int], cols: int) -> Vector | None:
+    """Solution, free variables zero, of the reduced [A | b] with `cols` columns
+    in A; None when b is inconsistent."""
+    if any(row[cols] for row in reduced[len(pivots):]):
+        return None
+    x: list[Rational] = [0] * cols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][cols]
+    return tuple(x)
+
+
+def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tuple[Vector, ...]:
+    """One kernel vector of A per free column of the reduced A or [A | b]."""
     kernel = []
-    for f in (c for c in range(a.cols) if c not in pivot_set):
-        v = [0] * a.cols
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
         v[f] = 1
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         kernel.append(tuple(v))
-    return particular, tuple(kernel)
+    return tuple(kernel)
+
+
+def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
+    """`_particular` of one `_int_rref` of the int rows [A | b], reduced in place."""
+    return _particular(*_int_rref(rows, pivot_limit=cols), cols)
 
 
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
-    """Solve A x = b exactly, reporting the full affine solution set."""
-    particular, kernel = _solve(a, b)
+    """Solve A x = b exactly, reporting the full affine solution set, from one
+    elimination of [A | b] with pivots limited to A's columns."""
+    rhs = as_vector(b)
+    if len(rhs) != a.rows:
+        raise InputError(f"rhs of length {len(rhs)} against {a.rows}x{a.cols}")
+    reduced, pivots = _rref([list(row) + [x] for row, x in zip(a.entries, rhs)], a.cols)
+    particular = _particular(reduced, pivots, a.cols)
     if particular is None:
         return SolveResult("inconsistent", None, ())
+    kernel = _kernel(reduced, pivots, a.cols)
     return SolveResult("affine" if kernel else "unique", particular, kernel)
 
 
@@ -325,8 +336,9 @@ def signature_symmetric(s: Matrix) -> int:
         raise InputError("signature of a non-square matrix")
     if s != s.transpose():
         raise InputError("signature of a non-symmetric matrix")
-    m = _integral(s.entries)
     n = s.rows
+    flat = clear_denominators([x for row in s.entries for x in row])[1]
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sig, prev = 0, 1
     for k in range(n):
         if m[k][k] == 0:
@@ -383,4 +395,4 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column."""
-    return _solve(a)[1]
+    return _kernel(*_rref(a.to_lists()), a.cols)

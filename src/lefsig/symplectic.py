@@ -26,7 +26,6 @@ from .ratlinalg import (
     as_vector,
     rank,
     span_basis,
-    vec_dot,
 )
 
 # Largest fiber dimension 2h accepted.  Forms and prefix actions are dense
@@ -71,12 +70,16 @@ class SymplecticSpace:
     def half_dim(self) -> int:
         return self.form.rows // 2
 
-    def pairing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Rational:
-        """Q(x, y) = x^T J y."""
-        u, v = as_vector(x), as_vector(y)
-        if len(u) != self.dim or len(v) != self.dim:
-            raise InputError(f"pairing of lengths {len(u)} and {len(v)} in dimension {self.dim}")
-        return vec_dot(u, self.form.apply(v))
+    @cached_property
+    def _form_pattern(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+        """Row i of J as its pairs (j, J_ij) with J_ij != 0, kept by this space."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.form.entries)
+
+    def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
+        """Q(x, y) = x^T J y, summed over the nonzero pattern of J."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
+        return sum(a * sum(f * y[j] for j, f in row) for a, row in zip(x, self._form_pattern) if a)
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,12 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
     integer form every entry stays an int, and any other form stays exact.
     """
     n = space.dim
-    form = [[(j, x) for j, x in enumerate(row) if x] for row in space.form.entries]
     products = [Matrix.identity(n)]
     for c in cycles:
         g = c.homology_class
         rows = list(products[-1].entries)
         r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
-        for row, phi_i in zip(form, rows):
+        for row, phi_i in zip(space._form_pattern, rows):
             if wi := sum(f * g[j] for j, f in row):
                 r = [a + wi * b for a, b in zip(r, phi_i)]
         for i, gi in enumerate(g):
@@ -252,10 +254,8 @@ class Lagrangian:
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        images = [space.form.apply(v) for v in basis]
-        for i, u in enumerate(basis):
-            if any(vec_dot(u, jv) != 0 for jv in images[i:]):
-                raise InputError("spanning set is not isotropic")
+        if any(space.pairing(u, v) for i, u in enumerate(basis) for v in basis[i + 1:]):
+            raise InputError("spanning set is not isotropic")
         return Lagrangian(space, basis)
 
     @property
