@@ -10,7 +10,7 @@ from .engine import (
     signature,
 )
 from .errors import InputError, InternalConsistencyError, LefsigError
-from .maslov import WallSpace, fiber_sum_defect, maslov_index, meyer_cocycle, wall_space
+from .maslov import fiber_sum_defect, maslov_index, meyer_cocycle
 from .positive import (
     BLOCK_VECTORS,
     PositiveFamilySpec,
@@ -55,7 +55,6 @@ __all__ = [
     "Surface",
     "SymplecticSpace",
     "VanishingCycle",
-    "WallSpace",
     "correction_sigma",
     "cover_signature",
     "direct_sum_lagrangian",
@@ -75,7 +74,6 @@ __all__ = [
     "signature_zero_certificate",
     "solve_linear",
     "transvection",
-    "wall_space",
     "word",
     "word_action",
 ]

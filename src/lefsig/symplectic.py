@@ -24,6 +24,7 @@ from .ratlinalg import (
     Scalar,
     Vector,
     as_vector,
+    clear_denominators,
     rank,
     span_basis,
 )
@@ -254,22 +255,31 @@ class Lagrangian:
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        if any(space.pairing(u, v) for i, u in enumerate(basis) for v in basis[i + 1:]):
+        lag = Lagrangian(space, basis)
+        rows = lag.integral_basis
+        if any(space.pairing(u, v) for i, u in enumerate(rows) for v in rows[i + 1:]):
             raise InputError("spanning set is not isotropic")
-        return Lagrangian(space, basis)
+        return lag
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def integral_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Each basis row times the positive lcm of its denominators: primitive
+        int rows of the same span.  Positive row scales keep isotropy, and as a
+        congruence they keep the signature of any form evaluated on the rows."""
+        return tuple(tuple(clear_denominators(v)[1]) for v in self.basis)
+
 
 def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
     """Image of a Lagrangian under a symplectic map of its ambient space."""
-    return Lagrangian.span(lag.space, [m.apply(v) for v in lag.basis])
+    return Lagrangian.span(lag.space, [m.apply(v) for v in lag.integral_basis])
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
     space = SymplecticSpace(a.space.form.block_diag(b.space.form))
-    pad_a = [tuple(v) + (0,) * b.space.dim for v in a.basis]
-    pad_b = [(0,) * a.space.dim + tuple(v) for v in b.basis]
+    pad_a = [v + (0,) * b.space.dim for v in a.integral_basis]
+    pad_b = [(0,) * a.space.dim + v for v in b.integral_basis]
     return Lagrangian.span(space, pad_a + pad_b)

@@ -6,17 +6,19 @@ symmetric matrix all eigenvalues are real, so Descartes' rule of signs is
 exact: the number of positive eigenvalues equals the sign variations of
 p(t), the number of negative ones the variations of p(-t).
 
-The Wall space of a Lagrangian triple is rebuilt here the long way, as the
-library once did it: intersections by a kernel, a recombination and a
-canonicalization, and the radical complement by a greedy scan over the
-standard coordinate vectors.
+Wall's space W = B ∩ (C + A) / ((B ∩ C) + (B ∩ A)) of a Lagrangian triple
+and its form are built here the long way: intersections by a kernel, a
+recombination and a canonicalization, and the radical complement by a greedy
+scan over the standard coordinate vectors.  The library reads the index from
+Kashiwara's form on A + B + C instead and must equal the signature of this
+form.
 
 The exact eliminations are kept here in their Fraction form, as the library
 once ran them: Gauss-Jordan that inverts each pivot, and a congruence that
 subtracts Fraction multiples of the pivot row.  The library's fraction-free
 kernels must agree with them exactly.
 
-The fiber-sum defect is rebuilt as the library once computed it: Wall's index
+The fiber-sum defect is rebuilt as the library once computed it: the index
 tau(graph A, diagonal, graph B^{-1}) of graph Lagrangians in the doubled
 space (V + V, Q + -Q), each graph validated by `Lagrangian.span`.  The
 library evaluates Meyer's form on V instead and must agree exactly.

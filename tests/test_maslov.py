@@ -16,9 +16,8 @@ from lefsig import (
     maslov_index,
     map_lagrangian,
     meyer_cocycle,
-    wall_space,
+    signature_symmetric,
 )
-from lefsig.ratlinalg import span_basis
 from lefsig import maslov
 from lefsig.symplectic import direct_sum_lagrangian, transvection, word_action
 
@@ -55,9 +54,7 @@ def test_wall_space_of_normalization_triple():
         ((A_LINE, DIAG, B_LINE), ((1, 1),), Matrix.from_rows([[-1]]), -1),
         ((A_LINE, B_LINE, A_LINE), (), Matrix.zeros(0, 0), 0),
     ]:
-        w = wall_space(*triple)
-        assert w.representatives == reps
-        assert w.form_matrix == form
+        assert reference_wall_space(*triple) == (reps, form)
         assert maslov_index(*triple) == index
 
 
@@ -176,8 +173,8 @@ def test_defect_requires_symplectic_inputs():
 
 
 def test_rederived_rules_match_reference():
-    """The kernel-read Wall space agrees with the long-way reference: a
-    kernel-and-recombination intersection and the greedy complement."""
+    """Kashiwara's index equals the signature of Wall's form, built the long
+    way: a kernel-and-recombination intersection and the greedy complement."""
     rng = random.Random(1969)
 
     # Triples of sums of plane lines moved by one symplectic map: blocks where
@@ -200,7 +197,7 @@ def test_rederived_rules_match_reference():
         a, b, c = block_lagrangian(), block_lagrangian(), block_lagrangian()
         triples += [(a, b, c), (c, b, a), (a, b, a), (a, b, b)]
 
-    # The graph triples fiber_sum_defect builds at each step of a word:
+    # The graph triples of the oracle defect at each step of a word:
     # graph(T_k), the diagonal and graph(Phi_{k-1}^{-1}).
     graph_triples = 0
     for _ in range(12):
@@ -215,40 +212,64 @@ def test_rederived_rules_match_reference():
 
     both_nonzero = 0
     for x, y, z in triples:
-        w = wall_space(x, y, z)
-        assert (w.representatives, w.form_matrix) == reference_wall_space(x, y, z)
+        reps, form = reference_wall_space(x, y, z)
+        assert maslov_index(x, y, z) == signature_symmetric(form)
         dim = x.space.dim
         radical = (reference_intersect_spans(y.basis, x.basis, dim)
                    + reference_intersect_spans(y.basis, z.basis, dim))
-        both_nonzero += bool(w.representatives) and bool(radical)
+        both_nonzero += bool(reps) and bool(radical)
     assert both_nonzero >= 10
 
 
-def test_wall_space_self_checks_fire():
-    """On raw, non-isotropic bases the properties wall_space asserts fail,
-    and each reachable runtime check raises its own message."""
-    reachable = {
-        "Psi did not come out symmetric",
-        "(B∩C) + (B∩A) is not in the radical of Psi",
-        "induced form on W is singular",
-    }
-    seen = set()
-    rng = random.Random(3)
-    for _ in range(3000):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+def test_index_bound_self_check_fires(monkeypatch):
+    """A signature of Kashiwara's form past the half dimension means the form
+    was built wrong, and the runtime check raises instead of returning it."""
+    monkeypatch.setattr(maslov, "signature_symmetric", lambda m: -1)
+    assert maslov_index(A_LINE, A_LINE, A_LINE) == 1
+    monkeypatch.setattr(maslov, "signature_symmetric", lambda m: 2)
+    with pytest.raises(InternalConsistencyError, match="half dimension"):
+        maslov_index(A_LINE, DIAG, B_LINE)
 
-        def raw_lagrangian():
-            vectors = [[rng.randint(-2, 2) for _ in range(space.dim)]
-                       for _ in range(rng.randint(1, space.dim))]
-            return Lagrangian(space, span_basis(vectors, space.dim))
 
-        try:
-            wall_space(raw_lagrangian(), raw_lagrangian(), raw_lagrangian())
-        except InternalConsistencyError as exc:
-            seen.add(str(exc))
-        if seen == reachable:
-            break
-    assert seen == reachable
+def _lagrangians_with_repeats(rng, space, count):
+    """`count` random Lagrangians; after the first, each is an earlier one
+    with probability 0.15."""
+    lags = []
+    for _ in range(count):
+        lags.append(rng.choice(lags) if lags and rng.random() < 0.15
+                    else random_lagrangian(rng, space))
+    return lags
+
+
+def test_cocycle_identity():
+    """tau(A,B,C) - tau(A,B,D) + tau(A,C,D) - tau(B,C,D) = 0 on seeded
+    quadruples at genus 1-3, repeated Lagrangians included."""
+    rng = random.Random(1994)
+    repeats = 0
+    for _ in range(200):
+        space = SymplecticSpace.standard(rng.randint(1, 3))
+        a, b, c, d = quad = _lagrangians_with_repeats(rng, space, 4)
+        repeats += len(set(quad)) < 4
+        assert (maslov_index(a, b, c) - maslov_index(a, b, d)
+                + maslov_index(a, c, d) - maslov_index(b, c, d)) == 0
+    assert repeats >= 40
+
+
+def test_parity_law():
+    """tau = n + dim(A∩B) + dim(B∩C) + dim(C∩A) (mod 2), with the
+    intersections from the oracle, on seeded triples at genus 1-3."""
+    rng = random.Random(1980)
+    odd = meeting = 0
+    for _ in range(200):
+        space = SymplecticSpace.standard(rng.randint(1, 3))
+        a, b, c = _lagrangians_with_repeats(rng, space, 3)
+        meets = sum(len(reference_intersect_spans(x.basis, y.basis, space.dim))
+                    for x, y in ((a, b), (b, c), (c, a)))
+        tau = maslov_index(a, b, c)
+        assert (tau - space.half_dim - meets) % 2 == 0
+        odd += tau % 2
+        meeting += meets > 0
+    assert odd >= 30 and meeting >= 50
 
 
 def test_meyer_form_matches_graph_triple_oracle():

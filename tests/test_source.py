@@ -47,12 +47,12 @@ PUBLIC_API = [
     "BLOCK_VECTORS", "CorrectionTerm", "InputError", "InternalConsistencyError",
     "Lagrangian", "LefsigError", "Matrix", "MonodromyWord", "PositiveFamilySpec",
     "SignatureTrace", "SolveResult", "StepRecord", "Surface", "SymplecticSpace",
-    "VanishingCycle", "WallSpace", "correction_sigma", "cover_signature",
+    "VanishingCycle", "correction_sigma", "cover_signature",
     "direct_sum_lagrangian", "effective_dimension", "fiber_sum_defect", "generate",
     "is_symplectic", "local_sigma", "local_sigma_via_maslov", "map_lagrangian",
     "maslov_index", "matrix_power", "meyer_cocycle", "shortcut_dual_preserved",
     "signature", "signature_symmetric", "signature_zero_certificate", "solve_linear",
-    "transvection", "wall_space", "word", "word_action",
+    "transvection", "word", "word_action",
 ]
 
 
