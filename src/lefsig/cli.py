@@ -18,6 +18,7 @@ entries.  Exit codes: 0 success, 2 bad input, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -339,7 +340,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lefsig` argument parser, built on the first call and reused.
+
+    It holds only the fixed subcommand table, nothing derived from input, and
+    never grows, so in-process callers of `main` stop rebuilding it (about
+    1 ms, against 0.05 ms for `parse_args`).  Nothing builds it at import.
+    """
     parser = argparse.ArgumentParser(
         prog="lefsig",
         description="Exact signatures of Lefschetz fibrations over the disk.",

@@ -46,7 +46,8 @@ class StepRecord:
     """Everything the algorithm produced for one vanishing cycle.
 
     `witness` is the deterministic particular solution of the step solve
-    (None when the cycle is null-homologous or the solve is inconsistent);
+    (None when the cycle is null-homologous or the solve is inconsistent, so
+    a solvable step without a witness is a null-homologous one);
     `cumulative_action` is Phi_k.
     """
 
@@ -90,9 +91,13 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
 def signature(word: MonodromyWord) -> SignatureTrace:
     """Run the per-cycle algorithm over the whole word and total it up."""
     steps = tuple(local_sigma(word, k) for k in range(1, len(word) + 1))
-    nulls = sum(1 for c in word.cycles if c.is_null_homologous)
-    total = -sum(s.cycle.chirality * s.sigma for s in steps)
-    total -= sum(c.chirality for c in word.cycles if c.is_null_homologous)
+    nulls = total = 0
+    for s in steps:
+        if s.solvable and s.witness is None:  # null-homologous; its sigma is 0
+            nulls += 1
+            total -= s.cycle.chirality
+        else:
+            total -= s.cycle.chirality * s.sigma
     return SignatureTrace(word, steps, nulls, total)
 
 

@@ -2,7 +2,9 @@
 
 Entries are ints or Fractions, never floats or bools, so solves, kernels and
 signatures are exact and a sign is never lost to rounding.  Matrices are
-immutable tuples of tuples.  Both eliminations are fraction-free: they clear
+immutable tuples of tuples.  `Matrix(...)` checks every entry; the results
+of its own arithmetic are not checked again, because ints and Fractions are
+closed under +, - and *.  Both eliminations are fraction-free: they clear
 denominators, run on Python ints and bring in a Fraction only when a result
 is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
@@ -10,10 +12,12 @@ every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 Every solve is one reduction, `_int_rref`, and `_particular` and `_kernel`
 read the particular solution and the kernel off it: `solve_linear`,
 `kernel_basis` and `particular_solution` (int rows, the engine's step) are
-views of it.  The kernel of a matrix with its columns reversed, each vector
-read right to left, is already the RREF basis of the original kernel, so it
-never needs a second reduction.  The congruence in `signature_symmetric`
-updates only the live trailing block.
+views of it.  Pivot rows are divided by their pivots only when read out:
+`_rref` divides them for the RREF readers, and `particular_solution` divides
+only the right-hand column, x_c = b_r / p_r.  The kernel of a matrix with
+its columns reversed, each vector read right to left, is already the RREF
+basis of the original kernel, so it never needs a second reduction.  The
+congruence in `signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -83,6 +87,16 @@ class Matrix:
                 raise InputError("matrix entries must be ints or Fractions; use Matrix.from_rows")
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _exact(cls, entries: tuple[tuple[Rational, ...], ...], cols: int) -> "Matrix":
+        """A Matrix of tuple rows of length `cols` whose entries are already
+        known to be ints or Fractions, built without the checks: for results
+        of exact arithmetic on checked matrices, which cannot hold a float."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "cols", cols)
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
         data = tuple(tuple(as_rational(x) for x in row) for row in rows)
@@ -107,11 +121,11 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+        return Matrix._exact(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((0,) * cols for _ in range(rows)), cols)
+        return Matrix._exact(((0,) * cols,) * rows, cols)
 
     @property
     def rows(self) -> int:
@@ -127,37 +141,35 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            self.rows,
-        )
+        return Matrix._exact(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols,
+                             self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(
+        return Matrix._exact(
             tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
             self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(
+        return Matrix._exact(
             tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
             self.cols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in row) for row in self.entries), self.cols)
+        return Matrix._exact(tuple(tuple(-a for a in row) for row in self.entries), self.cols)
 
     def scale(self, c: Scalar) -> "Matrix":
         f = as_rational(c)
-        return Matrix(tuple(tuple(f * a for a in row) for row in self.entries), self.cols)
+        return Matrix._exact(tuple(tuple(f * a for a in row) for row in self.entries), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         columns = [other.column(j) for j in range(other.cols)]
-        return Matrix(
+        return Matrix._exact(
             tuple(tuple(vec_dot(row, col) for col in columns) for row in self.entries),
             other.cols,
         )
@@ -171,7 +183,7 @@ class Matrix:
     def block_diag(self, other: "Matrix") -> "Matrix":
         top = tuple(row + (0,) * other.cols for row in self.entries)
         bot = tuple((0,) * self.cols + row for row in other.entries)
-        return Matrix(top + bot, self.cols + other.cols)
+        return Matrix._exact(top + bot, self.cols + other.cols)
 
     def to_lists(self) -> list[list[Rational]]:
         return [list(row) for row in self.entries]
@@ -227,20 +239,27 @@ def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
 
 def _rref(rows: list[list[Rational]],
           pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
-    """(rows, pivots) of `_int_rref` on the rows, each scaled by its own denominators' lcm."""
-    return _int_rref([clear_denominators(row)[1] for row in rows], pivot_limit)
+    """Reduced row echelon form over Q: `_int_rref` of the rows, each scaled by
+    its own denominators' lcm, then each pivot row divided by its pivot.  Rows
+    past the rank stay ints."""
+    rows, pivots = _int_rref([clear_denominators(row)[1] for row in rows], pivot_limit)
+    for r, c in enumerate(pivots):
+        if (p := rows[r][c]) != 1:
+            rows[r] = [Fraction(x, p) if x else 0 for x in rows[r]]
+    return rows, pivots
 
 
 def _int_rref(rows: list[list[int]],
-              pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
+              pivot_limit: int | None = None) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of int rows by fraction-free Gauss-Jordan.
 
     The rows are reduced in place.  With the first-nonzero pivot p in column
     c, a row with f != 0 there becomes (p/g)*row - (f/g)*pivot_row,
     g = gcd(p, f), divided by its content; the other rows are not touched.
     Row scales keep spans and solutions, so the pivots and zero pattern are
-    those of Gauss-Jordan over Q.  Pivot rows are divided by their pivots at
-    the end; rows past the rank stay ints.  `pivot_limit` restricts pivot
+    those of Gauss-Jordan over Q.  The rows stay ints: a pivot row is its RREF
+    row times its pivot, and the readers divide (`_rref` whole rows,
+    `_particular` the right-hand column).  `pivot_limit` restricts pivot
     columns to the first that many; trailing columns (a solve's right-hand
     side) still get eliminated but never host a pivot.
     """
@@ -266,25 +285,26 @@ def _int_rref(rows: list[list[int]],
                 rows[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
-    for r, c in enumerate(pivots):
-        if (p := rows[r][c]) != 1:
-            rows[r] = [Fraction(x, p) if x else 0 for x in rows[r]]
     return rows, pivots
 
 
 def _particular(reduced: list[list[Rational]], pivots: list[int], cols: int) -> Vector | None:
     """Solution, free variables zero, of the reduced [A | b] with `cols` columns
-    in A; None when b is inconsistent."""
+    in A; None when b is inconsistent.  x_c = b_r / p_r for the pivot p_r in
+    column c: an int when p_r = 1 (so a divided RREF row reads b_r as it is),
+    0 when b_r = 0, else a Fraction."""
     if any(row[cols] for row in reduced[len(pivots):]):
         return None
     x: list[Rational] = [0] * cols
     for r, c in enumerate(pivots):
-        x[c] = reduced[r][cols]
+        row = reduced[r]
+        p, b = row[c], row[cols]
+        x[c] = b if p == 1 else Fraction(b, p) if b else 0
     return tuple(x)
 
 
 def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tuple[Vector, ...]:
-    """One kernel vector of A per free column of the reduced A or [A | b]."""
+    """One kernel vector of A per free column of the RREF of A or [A | b]."""
     kernel = []
     for f in sorted(set(range(cols)) - set(pivots)):
         v = [0] * cols

@@ -128,7 +128,7 @@ class VanishingCycle:
 
     @property
     def is_null_homologous(self) -> bool:
-        return all(x == 0 for x in self.homology_class)
+        return not any(self.homology_class)
 
     def vector(self) -> Vector:
         return as_vector(self.homology_class)
@@ -190,7 +190,8 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
 
     T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of the rows of the
     previous product where g_i != 0; the other rows are shared with it.  On an
-    integer form every entry stays an int, and any other form stays exact.
+    integer form every entry stays an int, and any other form stays exact, so
+    the products are built without re-checking their entries.
     """
     n = space.dim
     products = [Matrix.identity(n)]
@@ -205,7 +206,7 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
             if gi:
                 s = c.chirality * gi
                 rows[i] = tuple([a - s * b for a, b in zip(rows[i], r)])
-        products.append(Matrix(tuple(rows), n))
+        products.append(Matrix._exact(tuple(rows), n))
     return tuple(products)
 
 

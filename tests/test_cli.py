@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lefsig.cli import (
+    build_parser,
     main,
     parse_fibration_document,
     parse_matrix_document,
@@ -318,6 +319,35 @@ def test_internal_failure_exits_3(capsys, monkeypatch, tmp_path):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    """One process runs a usage error, --help, an input error and a JSON
+    signature in turn through the one parser; each prints what it prints
+    alone in a fresh `python -m lefsig.cli`."""
+    for name, value in (("COLUMNS", "80"), ("NO_COLOR", "1")):  # same help layout in both
+        monkeypatch.setenv(name, value)
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    matsumoto = str(DATA_DIR / "matsumoto.json")
+    commands = (
+        (["power", matsumoto], 2, "usage: lefsig power"),
+        (["--help"], 0, ""),
+        (["signature", str(empty)], 2, "error: document: missing field 'genus'"),
+        (["signature", matsumoto, "--json"], 0, ""),
+    )
+    for argv, want_code, want_err in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "lefsig.cli", *argv],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        assert code == want_code and captured.err.startswith(want_err), argv
+    assert build_parser() is build_parser()
 
 
 def test_module_execution():

@@ -20,6 +20,7 @@ from lefsig.ratlinalg import (
     solve_linear,
     span_basis,
 )
+from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
 from .oracles import signature_via_charpoly
 
@@ -290,6 +291,48 @@ def test_int_and_fraction_entries_agree_exactly():
             assert got[-2] == got[-1] == signature_via_charpoly(s), big
             results.append(got)
         assert results[0] == results[1]
+
+
+EXACT_ENTRIES = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+def exact_matrices(rows: int, cols: int):
+    row = st.tuples(*[EXACT_ENTRIES] * cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda r: Matrix(r, cols))
+
+
+def _assert_closed(m: Matrix) -> None:
+    """Tuple rows of length `cols`, and equal to itself rebuilt through the checks."""
+    assert type(m.entries) is tuple
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.entries)
+    assert m == Matrix(m.entries, m.cols)
+
+
+@st.composite
+def closure_cases(draw):
+    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(exact_matrices(n, m)), draw(exact_matrices(n, m))
+    c, s = draw(exact_matrices(m, k)), draw(exact_matrices(n, n))
+    genus = draw(st.integers(0, 2))
+    form = SymplecticSpace.standard(genus).form
+    if draw(st.booleans()):
+        form = form.scale(draw(st.fractions(1, 5, max_denominator=4)))
+    vector = st.tuples(*[st.integers(-2, 2)] * (2 * genus))
+    cycles = draw(st.lists(st.builds(VanishingCycle, vector, st.sampled_from((1, -1))),
+                           max_size=4))
+    return (a, b, c, s, draw(EXACT_ENTRIES), draw(st.integers(0, 3)),
+            SymplecticSpace(form), cycles)
+
+
+@given(closure_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_arithmetic_is_closed(case):
+    a, b, c, s, factor, power, space, cycles = case
+    results = [a + b, a - b, -a, a @ c, a.transpose(), a.scale(factor), a.block_diag(c),
+               matrix_power(s, power), Matrix.identity(a.rows), Matrix.zeros(a.rows, c.cols)]
+    results += prefix_actions(space, cycles)
+    for m in results:
+        _assert_closed(m)
 
 
 def test_matmul_values_and_empty_shapes():

@@ -6,6 +6,8 @@ takes Phi_k from `oracles.dense_prefix_actions`, reduces [Id - Phi_k | gamma_k]
 over Fractions with `oracles.fraction_rref`, and signs 1 + c * gamma^T J x
 with J written out densely.  The words mix left twists, null cycles, repeated
 cycles and cancelling pairs, so rank-deficient and inconsistent steps occur.
+The step's right-hand-column readout (`particular_solution`) must also equal
+the RREF readout of `solve_linear`, down to the type of each entry.
 """
 
 import random
@@ -14,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from lefsig import InputError, Matrix, SymplecticSpace, Surface, signature, word
+from lefsig.ratlinalg import particular_solution, solve_linear
 
 from .oracles import dense_prefix_actions, fraction_rref
 
@@ -84,12 +87,14 @@ def test_integer_step_matches_fraction_reference():
         for step, phi, (g, c) in zip(trace.steps, actions[1:], cycles, strict=True):
             want = _reference_step(phi, g, c, j_form)
             assert (step.solvable, step.sigma, step.witness) == want, (vectors, chiralities)
+            a = [[int(i == j) - phi[i][j] for j in range(dim)] for i in range(dim)]
+            assert repr(particular_solution([row + [x] for row, x in zip(a, g)], dim)) == repr(
+                solve_linear(Matrix(a, dim), g).particular), (vectors, chiralities)
             kinds["unsolvable"] += not step.solvable
             kinds["null"] += not any(g)
             kinds["left"] += c == -1
             if step.witness is not None:
-                kinds["deficient"] += len(fraction_rref(
-                    [[int(i == j) - phi[i][j] for j in range(dim)] for i in range(dim)])[1]) < dim
+                kinds["deficient"] += len(fraction_rref(a)[1]) < dim
     assert all(count > 0 for count in kinds.values()), kinds
 
 
