@@ -177,14 +177,8 @@ def _entry(x: Any, idx: int) -> Rational:
     raise InputError(f"matrix {idx}: bad entry {x!r}")
 
 
-def format_rational(x: Rational) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _format_witness(w: Vector | None) -> str:
-    if w is None:
-        return "-"
-    return "[" + ", ".join(format_rational(x) for x in w) + "]"
+    return "-" if w is None else "[" + ", ".join(map(str, w)) + "]"
 
 
 def _read(path: str) -> str:
@@ -211,8 +205,7 @@ def cmd_signature(args: argparse.Namespace) -> int:
                     "chirality": s.cycle.chirality,
                     "solvable": s.solvable,
                     "sigma": s.sigma,
-                    "witness": None if s.witness is None
-                    else [format_rational(x) for x in s.witness],
+                    "witness": None if s.witness is None else list(map(str, s.witness)),
                 }
                 for s in trace.steps
             ],

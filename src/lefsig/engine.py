@@ -29,10 +29,11 @@ on every input and the tests enforce that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputError
 from .maslov import fiber_sum_defect
-from .ratlinalg import Matrix, Vector, clear_denominators, particular_solution, sign, solve_linear
+from .ratlinalg import Matrix, Vector, clear_denominators, particular_solution, sign
 from .symplectic import (
     MonodromyWord,
     VanishingCycle,
@@ -67,6 +68,14 @@ class SignatureTrace:
     total: int
 
 
+def _step_rows(phi: Matrix, rhs: Sequence[int]) -> list[list[int]]:
+    """The int rows [Id - Phi | rhs]."""
+    rows = [[-x for x in row] + [b] for row, b in zip(phi.entries, rhs)]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    return rows
+
+
 def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     """Local contribution record of step k (1-indexed)."""
     if not 1 <= k <= len(word):
@@ -77,10 +86,7 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
     gamma = cycle.homology_class
-    rows = [[-x for x in row] + [g] for row, g in zip(phi_k.entries, gamma)]
-    for i, row in enumerate(rows):
-        row[i] += 1  # [Id - Phi_k | gamma_k]
-    witness = particular_solution(rows, space.dim)
+    witness = particular_solution(_step_rows(phi_k, gamma), space.dim)
     if witness is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
     delta, numerators = clear_denominators(witness)
@@ -127,8 +133,8 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
 
     Existence of y with Phi_{k-1} y = y and Q(gamma_k, y) = 1 forces
     sigma_k = 0, so a word passing this check at every step has signature
-    determined by its null-homologous count alone.  Linear feasibility:
-    stack (Phi_{k-1} - Id) y = 0 over Q(gamma_k, y) = 1.
+    determined by its null-homologous count alone.  Linear feasibility of
+    the int rows [Id - Phi_{k-1} | 0] over Q(gamma_k, y) = 1.
     """
     if not 1 <= k <= len(word):
         raise InputError(f"step {k} out of range 1..{len(word)}")
@@ -136,11 +142,8 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     if cycle.is_null_homologous:
         raise InputError("dual-preservation shortcut needs a non-null cycle")
     space = word.space
-    phi_prev = word_action(word, k - 1)
-    fixed = phi_prev - Matrix.identity(space.dim)
+    rows = _step_rows(word_action(word, k - 1), [0] * space.dim)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
-    pairing_row = tuple(-x for x in space.form.apply(cycle.vector()))
-    stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
-    rhs = [0] * space.dim + [1]
-    return solve_linear(stacked, rhs).status != "inconsistent"
+    rows.append([-x for x in space.form.apply(cycle.homology_class)] + [1])
+    return particular_solution(rows, space.dim) is not None
 

@@ -14,7 +14,7 @@ matrix is
     [[0, P, R^T], [P^T, 0, S], [R, S^T, 0]],  P = A J B^T, S = B J C^T, R = C J A^T,
 
 and tau(A, B, C) is minus the signature of K, computed by one exact
-congruence.  The bases are the canonical RREF rows, each scaled by the
+congruence.  The bases are the Lagrangians' own: RREF rows, each scaled by the
 positive lcm of its denominators to a primitive int row: a positive row
 scale is a congruence and keeps the signature.  Kashiwara's index agrees
 with Wall's, the signature of Psi(b1, b2) = Q(b1, c2) on
@@ -59,7 +59,7 @@ def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     space = _same_space(a, b, c)
     # basis rows tagged by summand; block (k, l) is Q between them, signed +1 from a
     # summand to the next one in the cycle A -> B -> C -> A, -1 back and 0 within
-    rows = [(k, v) for k, lag in enumerate((a, b, c)) for v in lag.integral_basis]
+    rows = [(k, v) for k, lag in enumerate((a, b, c)) for v in lag.basis]
     form = [[0] * len(rows) for _ in rows]
     for i, (k, u) in enumerate(rows):
         for j, (l, v) in enumerate(rows[:i]):

@@ -36,6 +36,9 @@ class PositiveFamilySpec:
     repetitions: int
 
     def __post_init__(self) -> None:
+        for name in ("genus", "boundary", "repetitions"):
+            if type(value := getattr(self, name)) is not int:  # a bool or a float is no count
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.genus < 1:
             raise InputError("positive family needs genus >= 1")
         if self.boundary < 0:

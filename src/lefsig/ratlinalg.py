@@ -12,12 +12,14 @@ every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 Every solve is one reduction, `_int_rref`, and `_particular` and `_kernel`
 read the particular solution and the kernel off it: `solve_linear`,
 `kernel_basis` and `particular_solution` (int rows, the engine's step) are
-views of it.  Pivot rows are divided by their pivots only when read out:
-`_rref` divides them for the RREF readers, and `particular_solution` divides
-only the right-hand column, x_c = b_r / p_r.  The kernel of a matrix with
-its columns reversed, each vector read right to left, is already the RREF
-basis of the original kernel, so it never needs a second reduction.  The
-congruence in `signature_symmetric` updates only the live trailing block.
+views of it.  A solve reduces [A | b] like any matrix: it is inconsistent
+exactly when b's column takes a pivot, and otherwise that column hosts none.
+Pivot rows are divided by their pivots only when read out: `_rref` divides
+them for the RREF readers, and `particular_solution` divides only the
+right-hand column, x_c = b_r / p_r.  The kernel of a matrix with its columns
+reversed, each vector read right to left, is already the RREF basis of the
+original kernel, so it never needs a second reduction.  The congruence in
+`signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def as_rational(x: Scalar) -> Rational:
 
 
 def as_vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(as_rational(x) for x in entries)
+    v = tuple(entries)
+    return v if _EXACT.issuperset(map(type, v)) else tuple(as_rational(x) for x in v)
 
 
 def vec_dot(u: Vector, v: Vector) -> Rational:
@@ -237,20 +240,18 @@ def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
     return delta, [x.numerator * (delta // x.denominator) for x in v]
 
 
-def _rref(rows: list[list[Rational]],
-          pivot_limit: int | None = None) -> tuple[list[list[Rational]], list[int]]:
+def _rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form over Q: `_int_rref` of the rows, each scaled by
     its own denominators' lcm, then each pivot row divided by its pivot.  Rows
     past the rank stay ints."""
-    rows, pivots = _int_rref([clear_denominators(row)[1] for row in rows], pivot_limit)
+    rows, pivots = _int_rref([clear_denominators(row)[1] for row in rows])
     for r, c in enumerate(pivots):
         if (p := rows[r][c]) != 1:
             rows[r] = [Fraction(x, p) if x else 0 for x in rows[r]]
     return rows, pivots
 
 
-def _int_rref(rows: list[list[int]],
-              pivot_limit: int | None = None) -> tuple[list[list[int]], list[int]]:
+def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of int rows by fraction-free Gauss-Jordan.
 
     The rows are reduced in place.  With the first-nonzero pivot p in column
@@ -259,16 +260,13 @@ def _int_rref(rows: list[list[int]],
     Row scales keep spans and solutions, so the pivots and zero pattern are
     those of Gauss-Jordan over Q.  The rows stay ints: a pivot row is its RREF
     row times its pivot, and the readers divide (`_rref` whole rows,
-    `_particular` the right-hand column).  `pivot_limit` restricts pivot
-    columns to the first that many; trailing columns (a solve's right-hand
-    side) still get eliminated but never host a pivot.
+    `_particular` the right-hand column).  Every column may host a pivot, a
+    solve's right-hand side too: it takes one exactly when it is inconsistent.
     """
     nrows = len(rows)
-    if pivot_limit is None:
-        pivot_limit = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(pivot_limit):
+    for c in range(len(rows[0]) if nrows else 0):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -290,10 +288,11 @@ def _int_rref(rows: list[list[int]],
 
 def _particular(reduced: list[list[Rational]], pivots: list[int], cols: int) -> Vector | None:
     """Solution, free variables zero, of the reduced [A | b] with `cols` columns
-    in A; None when b is inconsistent.  x_c = b_r / p_r for the pivot p_r in
-    column c: an int when p_r = 1 (so a divided RREF row reads b_r as it is),
-    0 when b_r = 0, else a Fraction."""
-    if any(row[cols] for row in reduced[len(pivots):]):
+    in A; None when b is inconsistent, that is when b's column (the last) took
+    a pivot.  x_c = b_r / p_r for the pivot p_r in column c: an int when
+    p_r = 1 (so a divided RREF row reads b_r as it is), 0 when b_r = 0, else a
+    Fraction."""
+    if pivots and pivots[-1] == cols:
         return None
     x: list[Rational] = [0] * cols
     for r, c in enumerate(pivots):
@@ -317,16 +316,16 @@ def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tupl
 
 def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
     """`_particular` of one `_int_rref` of the int rows [A | b], reduced in place."""
-    return _particular(*_int_rref(rows, pivot_limit=cols), cols)
+    return _particular(*_int_rref(rows), cols)
 
 
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
     """Solve A x = b exactly, reporting the full affine solution set, from one
-    elimination of [A | b] with pivots limited to A's columns."""
+    elimination of [A | b]."""
     rhs = as_vector(b)
     if len(rhs) != a.rows:
         raise InputError(f"rhs of length {len(rhs)} against {a.rows}x{a.cols}")
-    reduced, pivots = _rref([list(row) + [x] for row, x in zip(a.entries, rhs)], a.cols)
+    reduced, pivots = _rref([list(row) + [x] for row, x in zip(a.entries, rhs)])
     particular = _particular(reduced, pivots, a.cols)
     if particular is None:
         return SolveResult("inconsistent", None, ())

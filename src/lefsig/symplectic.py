@@ -91,6 +91,9 @@ class Surface:
     boundary: int
 
     def __post_init__(self) -> None:
+        for name in ("genus", "boundary"):
+            if type(value := getattr(self, name)) is not int:  # a bool or a float is no count
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.genus < 0 or self.boundary < 0:
             raise InputError("genus and boundary count must be nonnegative")
         if 2 * self.half_dim > MAX_DIMENSION:
@@ -244,43 +247,38 @@ def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Maximal isotropic subspace, stored as its canonical RREF basis."""
+    """Maximal isotropic subspace, stored as a canonical basis of primitive
+    int rows: each row of the RREF basis times the positive lcm of its
+    denominators, so every row has a positive pivot.  Equal subspaces get
+    equal bases.  Positive row scales keep isotropy, and as a congruence they
+    keep the signature of any form evaluated on the rows."""
 
     space: SymplecticSpace
-    basis: tuple[Vector, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":
-        basis = span_basis(vectors, space.dim)
+        basis = tuple(tuple(clear_denominators(v)[1]) for v in span_basis(vectors, space.dim))
         if len(basis) != space.half_dim:
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        lag = Lagrangian(space, basis)
-        rows = lag.integral_basis
-        if any(space.pairing(u, v) for i, u in enumerate(rows) for v in rows[i + 1:]):
+        if any(space.pairing(u, v) for i, u in enumerate(basis) for v in basis[i + 1:]):
             raise InputError("spanning set is not isotropic")
-        return lag
+        return Lagrangian(space, basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def integral_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Each basis row times the positive lcm of its denominators: primitive
-        int rows of the same span.  Positive row scales keep isotropy, and as a
-        congruence they keep the signature of any form evaluated on the rows."""
-        return tuple(tuple(clear_denominators(v)[1]) for v in self.basis)
-
 
 def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
     """Image of a Lagrangian under a symplectic map of its ambient space."""
-    return Lagrangian.span(lag.space, [m.apply(v) for v in lag.integral_basis])
+    return Lagrangian.span(lag.space, [m.apply(v) for v in lag.basis])
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
     space = SymplecticSpace(a.space.form.block_diag(b.space.form))
-    pad_a = [v + (0,) * b.space.dim for v in a.integral_basis]
-    pad_b = [(0,) * a.space.dim + v for v in b.integral_basis]
+    pad_a = [v + (0,) * b.space.dim for v in a.basis]
+    pad_b = [(0,) * a.space.dim + v for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)

@@ -26,6 +26,10 @@ library evaluates Meyer's form on V instead and must agree exactly.
 Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
 transvection out as a full matrix and multiplying it in, with no call into
 the package.
+
+The dual-preservation shortcut is kept as the library once ran it: a checked
+`Matrix` of (Phi_{k-1} - Id) stacked over the pairing row, solved by
+`solve_linear`.  The library asks one int elimination instead.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 from lefsig.maslov import maslov_index
 from lefsig.ratlinalg import Matrix, as_vector, kernel_basis, solve_linear, span_basis
-from lefsig.symplectic import Lagrangian, SymplecticSpace
+from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
 
 
 def charpoly(m: Matrix) -> list[Fraction]:
@@ -240,3 +244,14 @@ def reference_fiber_sum_defect(space: SymplecticSpace, a: Matrix, b: Matrix) -> 
     """The gluing defect as Wall's index of graph Lagrangians,
     tau(graph A, diagonal, graph B^{-1}), with A the later piece's monodromy."""
     return maslov_index(*graph_triple(space, a, b))
+
+
+def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
+    """Some y with Phi_{k-1} y = y and Q(gamma_k, y) = 1 exists, by a stacked
+    `Matrix` and `solve_linear`; gamma_k must not be null-homologous."""
+    space = word.space
+    fixed = word_action(word, k - 1) - Matrix.identity(space.dim)
+    # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
+    pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].vector()))
+    stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
+    return solve_linear(stacked, [0] * space.dim + [1]).status != "inconsistent"

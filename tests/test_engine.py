@@ -30,6 +30,7 @@ from .fixtures import (
     positive_word,
     random_word,
 )
+from .oracles import reference_shortcut_dual_preserved
 
 
 def mirror(w: MonodromyWord) -> MonodromyWord:
@@ -182,6 +183,35 @@ def test_shortcut_forces_zero_sigma():
                 assert local_sigma(w, k).sigma == 0
                 hits += 1
     assert hits > 5
+
+
+def test_shortcut_matches_stacked_reference():
+    """The int elimination of the shortcut against the stacked `solve_linear`
+    one, on every non-null step of random genus 1-4 words of both chiralities
+    with repeated and cancelling cycles."""
+    rng = random.Random(1907)
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        genus = rng.randint(1, 4)
+        cycles: list[tuple[list[int], int]] = []
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            if roll < 0.2 and cycles:
+                cycles.append(rng.choice(cycles))  # repeated
+            elif roll < 0.35 and cycles:
+                g, c = cycles[-1]
+                cycles.append((g, -c))  # cancelling
+            else:
+                g = [rng.randint(-2, 2) for _ in range(2 * genus)]
+                cycles.append((g, rng.choice((1, -1))))
+        w = word(Surface(genus, 0), [g for g, _ in cycles], [c for _, c in cycles])
+        for k in range(1, len(w) + 1):
+            if w.cycles[k - 1].is_null_homologous:
+                continue
+            got = shortcut_dual_preserved(w, k)
+            assert got == reference_shortcut_dual_preserved(w, k), (cycles, k)
+            outcomes[got] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_shortcut_rejects_null_cycle():

@@ -1,5 +1,6 @@
 """Symplectic spaces, transvections, words, Lagrangians."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from lefsig import (
     InputError,
     Lagrangian,
     Matrix,
+    PositiveFamilySpec,
     Surface,
     SymplecticSpace,
     VanishingCycle,
@@ -250,6 +252,22 @@ def test_lagrangian_span_validates():
     # redundant spanning vectors are fine
     lag = Lagrangian.span(sp, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)])
     assert lag.dim == 2
+    # one subspace from several spanning sets: one basis, one hash
+    u, v = (2, 1, 0, -3), (3, 0, 1, 5)  # Q(u, v) = 0 - 3 + 0 + 3 = 0
+    spellings = [
+        [u, v],
+        [v, u],
+        [tuple(Fraction(-5, 7) * x for x in u), tuple(Fraction(3, 2) * x for x in v)],
+        [[f"{x}/4" for x in u], [str(x) for x in v]],
+        [v, tuple(a + b for a, b in zip(u, v)), u, tuple(a - 2 * b for a, b in zip(u, v))],
+    ]
+    lags = [Lagrangian.span(sp, s) for s in spellings]
+    assert all(other == lags[0] and hash(other) == hash(lags[0]) for other in lags)
+    for other in lags + [lag]:
+        for row in other.basis:
+            assert all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1
+            assert next(x for x in row if x) > 0
 
 
 def test_map_lagrangian_stays_lagrangian():
@@ -278,3 +296,19 @@ def test_surface_validation():
 def test_vanishing_cycle_rejects_bools_and_floats(vector, chirality, field):
     with pytest.raises(InputError, match=field):
         VanishingCycle(vector, chirality)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Surface(1.5, 0), "genus"),
+    (lambda: Surface(True, 0), "genus"),
+    (lambda: Surface(1, 2.0), "boundary"),
+    (lambda: Surface(1, False), "boundary"),
+    (lambda: PositiveFamilySpec(1.5, 0, 1), "genus"),
+    (lambda: PositiveFamilySpec(True, 0, 1), "genus"),
+    (lambda: PositiveFamilySpec(1, True, 1), "boundary"),
+    (lambda: PositiveFamilySpec(1, 0, 2.5), "repetitions"),
+    (lambda: PositiveFamilySpec(1, 0, True), "repetitions"),
+])
+def test_surface_and_family_spec_reject_bools_and_floats(make, field):
+    with pytest.raises(InputError, match=field):
+        make()
