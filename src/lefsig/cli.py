@@ -13,6 +13,12 @@ Fibration documents are JSON objects {"genus": g, "boundary": b, "cycles":
 [{"vector": [..ints..], "chirality": +-1?}, ...], "name"?}; matrix documents
 are {"dimension": d, "matrices": [[[...]], ...]} with integer or "p/q" string
 entries.  Exit codes: 0 success, 2 bad input, 3 internal consistency failure.
+
+`signature --json` and `power --json` write their JSON directly, one f-string
+per step or correction term, byte for byte as the standard JSON encoder lays
+it out at indent 2: every value is an int, a bool, null or a witness string
+of `-0-9/`, so nothing needs escaping.  The golden transcript and the oracle
+payloads in tests/oracles.py pin the layout byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .cover import correction_terms
-from .engine import signature
+from .engine import StepRecord, signature
 from .errors import InputError, InternalConsistencyError
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
@@ -159,10 +165,10 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
                 raise InputError(
                     f"matrix {idx}: row has length {len(r)}, expected {dim}"
                 )
-            parsed.append([_entry(x, idx) for x in r])
+            parsed.append(tuple(_entry(x, idx) for x in r))
         if not parsed and dim > 0:
             raise InputError(f"matrix {idx}: no rows")
-        out.append(Matrix.from_rows(parsed, cols=dim))
+        out.append(Matrix(tuple(parsed), dim))
     return dim, out
 
 
@@ -191,37 +197,50 @@ def _read(path: str) -> str:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """Formatted JSON values as a list in the encoder's indent-2 layout, when the
+    line holding its opening bracket is indented by `pad`."""
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _step_json(s: StepRecord) -> str:
+    p = " " * 6
+    witness = "null" if s.witness is None else _json_list([f'"{x}"' for x in s.witness], p)
+    return (f'{{\n{p}"index": {s.index},\n'
+            f'{p}"vector": {_json_list(list(map(str, s.cycle.homology_class)), p)},\n'
+            f'{p}"chirality": {s.cycle.chirality},\n'
+            f'{p}"solvable": {"true" if s.solvable else "false"},\n'
+            f'{p}"sigma": {s.sigma},\n{p}"witness": {witness}\n    }}')
+
+
 def cmd_signature(args: argparse.Namespace) -> int:
     doc = parse_fibration_document(_read(args.file))
     trace = signature(doc.word)
-    if args.json:
-        payload: dict[str, Any] = {
-            "signature": trace.total,
-            "null_homologous_count": trace.null_homologous_count,
-            "steps": [
-                {
-                    "index": s.index,
-                    "vector": list(s.cycle.homology_class),
-                    "chirality": s.cycle.chirality,
-                    "solvable": s.solvable,
-                    "sigma": s.sigma,
-                    "witness": None if s.witness is None else list(map(str, s.witness)),
-                }
-                for s in trace.steps
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    if args.trace:
-        header = f"{'k':>3}  {'cycle':<24} {'chi':>3}  {'solvable':<8} {'sigma':>5}  witness"
-        print(header)
-        for s in trace.steps:
-            vec = "[" + ", ".join(str(x) for x in s.cycle.homology_class) + "]"
-            chi = "+1" if s.cycle.chirality == 1 else "-1"
-            print(
-                f"{s.index:>3}  {vec:<24} {chi:>3}  "
-                f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {_format_witness(s.witness)}"
-            )
+    # witnesses may pass CPython's int-to-str digit limit (4300 by default, none
+    # before 3.10.7): lift it while they are written, never while input is parsed
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            steps = _json_list([_step_json(s) for s in trace.steps], "  ")
+            print(f'{{\n  "signature": {trace.total},\n'
+                  f'  "null_homologous_count": {trace.null_homologous_count},\n'
+                  f'  "steps": {steps}\n}}')
+            return 0
+        if args.trace:
+            print(f"{'k':>3}  {'cycle':<24} {'chi':>3}  {'solvable':<8} {'sigma':>5}  witness")
+            for s in trace.steps:
+                vec = "[" + ", ".join(str(x) for x in s.cycle.homology_class) + "]"
+                chi = "+1" if s.cycle.chirality == 1 else "-1"
+                print(
+                    f"{s.index:>3}  {vec:<24} {chi:>3}  "
+                    f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {_format_witness(s.witness)}"
+                )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     print(f"signature: {trace.total}")
     return 0
 
@@ -234,13 +253,10 @@ def cmd_power(args: argparse.Namespace) -> int:
     sigmas = [t.sigma for t in correction_terms(doc.word.space, word_action(doc.word), args.n)]
     total = args.n * base - sum(sigmas)
     if args.json:
-        payload = {
-            "base_signature": base,
-            "fold": args.n,
-            "corrections": [{"power": m, "sigma": s} for m, s in enumerate(sigmas, start=1)],
-            "signature": total,
-        }
-        print(json.dumps(payload, indent=2))
+        terms = [f'{{\n      "power": {m},\n      "sigma": {s}\n    }}'
+                 for m, s in enumerate(sigmas, start=1)]
+        print(f'{{\n  "base_signature": {base},\n  "fold": {args.n},\n'
+              f'  "corrections": {_json_list(terms, "  ")},\n  "signature": {total}\n}}')
         return 0
     print(f"base signature: {base}")
     for m, s in enumerate(sigmas, start=1):

@@ -4,9 +4,11 @@ Entries are ints or Fractions, never floats or bools, so solves, kernels and
 signatures are exact and a sign is never lost to rounding.  Matrices are
 immutable tuples of tuples.  `Matrix(...)` checks every entry; the results
 of its own arithmetic are not checked again, because ints and Fractions are
-closed under +, - and *.  Both eliminations are fraction-free: they clear
-denominators, run on Python ints and bring in a Fraction only when a result
-is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
+closed under +, - and *.  A product of two all-int matrices sums each entry
+in C, `sum(map(mul, row, col))`; with a Fraction operand it goes through
+`vec_dot`, which skips zero terms.  Both eliminations are fraction-free: they
+clear denominators, run on Python ints and bring in a Fraction only when a
+result is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
 Every solve is one reduction, `_int_rref`, and `_particular` and `_kernel`
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Literal, Sequence, Union
 
 from .errors import InputError
@@ -172,10 +176,11 @@ class Matrix:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         columns = [other.column(j) for j in range(other.cols)]
-        return Matrix._exact(
-            tuple(tuple(vec_dot(row, col) for col in columns) for row in self.entries),
-            other.cols,
-        )
+        if {int}.issuperset(map(type, chain(*self.entries, *other.entries))):
+            rows = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.entries)
+        else:  # vec_dot skips zero terms, so an int zero times a Fraction stays an int
+            rows = tuple(tuple(vec_dot(row, col) for col in columns) for row in self.entries)
+        return Matrix._exact(rows, other.cols)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         x = as_vector(v)

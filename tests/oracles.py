@@ -30,6 +30,14 @@ the package.
 The dual-preservation shortcut is kept as the library once ran it: a checked
 `Matrix` of (Phi_{k-1} - Id) stacked over the pairing row, solved by
 `solve_linear`.  The library asks one int elimination instead.
+
+Every matrix product once went through `vec_dot`; the library now multiplies
+all-int operands by a C-level sum of products and must agree entry for entry,
+down to the type.
+
+The `signature --json` and `power --json` payloads are built here as the CLI
+once built them, for `json.dumps(payload, indent=2)`.  The CLI writes the same
+bytes directly.
 """
 
 from __future__ import annotations
@@ -37,7 +45,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lefsig.maslov import maslov_index
-from lefsig.ratlinalg import Matrix, as_vector, kernel_basis, solve_linear, span_basis
+from lefsig.engine import SignatureTrace
+from lefsig.ratlinalg import (
+    Matrix,
+    as_vector,
+    kernel_basis,
+    solve_linear,
+    span_basis,
+    vec_dot,
+)
 from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
 
 
@@ -255,3 +271,38 @@ def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].vector()))
     stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
     return solve_linear(stacked, [0] * space.dim + [1]).status != "inconsistent"
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> tuple[tuple, ...]:
+    """The entries of a @ b, each one `vec_dot` of a row and a column."""
+    columns = [b.column(j) for j in range(b.cols)]
+    return tuple(tuple(vec_dot(row, col) for col in columns) for row in a.entries)
+
+
+def signature_payload(trace: SignatureTrace) -> dict:
+    """The `signature --json` payload: witnesses as strings, null when absent."""
+    return {
+        "signature": trace.total,
+        "null_homologous_count": trace.null_homologous_count,
+        "steps": [
+            {
+                "index": s.index,
+                "vector": list(s.cycle.homology_class),
+                "chirality": s.cycle.chirality,
+                "solvable": s.solvable,
+                "sigma": s.sigma,
+                "witness": None if s.witness is None else list(map(str, s.witness)),
+            }
+            for s in trace.steps
+        ],
+    }
+
+
+def power_payload(base: int, fold: int, sigmas: list[int]) -> dict:
+    """The `power --json` payload: n * base minus the correction terms."""
+    return {
+        "base_signature": base,
+        "fold": fold,
+        "corrections": [{"power": m, "sigma": s} for m, s in enumerate(sigmas, start=1)],
+        "signature": fold * base - sum(sigmas),
+    }

@@ -22,7 +22,7 @@ from lefsig.ratlinalg import (
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
-from .oracles import signature_via_charpoly
+from .oracles import reference_matmul, signature_via_charpoly
 
 
 def test_as_rational_accepts_ints_strings_fractions():
@@ -344,6 +344,32 @@ def test_matmul_values_and_empty_shapes():
     empty = Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)
     assert (empty.rows, empty.cols) == (0, 3)
     assert Matrix.zeros(3, 2) @ Matrix.zeros(2, 0) == Matrix.zeros(3, 0)
+
+
+def _entry_types(rows) -> list[list[type]]:
+    return [[type(x) for x in row] for row in rows]
+
+
+def test_matmul_matches_the_vec_dot_reference():
+    """All-int operands take the C-level sum of products; any Fraction operand
+    keeps `vec_dot`, whose skipped zero terms leave an int zero an int."""
+    rng = random.Random(1616)
+    values = (0, 0, 0, 1, -1, 2, -3, 10**40, -(10**25))
+    for trial in range(300):
+        n, m, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = [[rng.choice(values) for _ in range(m)] for _ in range(n)]
+        b = [[rng.choice(values) for _ in range(k)] for _ in range(m)]
+        if trial % 3 and m:  # put a few Fractions into one operand, zeros among them
+            rows = a if trial % 3 == 1 else b
+            for _ in range(rng.randint(1, 3)):
+                row = rng.choice(rows) if rows else None
+                if row:
+                    row[rng.randrange(len(row))] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        left, right = Matrix(a, m), Matrix(b, k)
+        got, want = (left @ right).entries, reference_matmul(left, right)
+        assert got == want and _entry_types(got) == _entry_types(want)
+        if trial % 3 == 0:
+            assert {int}.issuperset(type(x) for row in got for x in row)
 
 
 def test_matmul_shape_mismatch():
