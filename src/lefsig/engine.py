@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .maslov import fiber_sum_defect
+from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, clear_denominators, particular_solution, sign
 from .symplectic import (
     MonodromyWord,
@@ -120,7 +120,7 @@ def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:
         raise InputError(f"step {k} out of range 1..{len(word)}")
     cycle = word.cycles[k - 1]
     space = word.space
-    defect = fiber_sum_defect(
+    defect = _meyer_defect(  # both factors are symplectic by construction
         space,
         transvection(space, cycle),
         word_action(word, k - 1),

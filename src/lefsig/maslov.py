@@ -14,9 +14,8 @@ matrix is
     [[0, P, R^T], [P^T, 0, S], [R, S^T, 0]],  P = A J B^T, S = B J C^T, R = C J A^T,
 
 and tau(A, B, C) is minus the signature of K, computed by one exact
-congruence.  The bases are the Lagrangians' own: RREF rows, each scaled by the
-positive lcm of its denominators to a primitive int row: a positive row
-scale is a congruence and keeps the signature.  Kashiwara's index agrees
+congruence.  P, S and R are `SymplecticSpace.gram` blocks of the Lagrangians'
+own bases, which are primitive int rows.  Kashiwara's index agrees
 with Wall's, the signature of Psi(b1, b2) = Q(b1, c2) on
 B ∩ (C + A) / ((B ∩ C) + (B ∩ A)), where c2 in C has b2 + c2 in A, up to
 one global sign (S. Cappell, R. Lee, E. Miller, "On the Maslov index",
@@ -37,13 +36,21 @@ Flächenbündeln", Math. Ann. 201 (1973)):
 on {(x, y) : (A^{-1} - Id) x + (B - Id) y = 0}.  Substituting x = A x' removes
 A^{-1}: the domain becomes the kernel of [(Id - A) | (B - Id)], and the form
 Q(A x1' + y1, (Id - B) y2).  It equals tau(graph A, diagonal, graph B^{-1})
-in (V + V, Q + -Q), which the tests hold it to.
+in (V + V, Q + -Q), which the tests hold it to.  The kernel rows (x, y) come
+off one int elimination (`ratlinalg._int_kernel`) scaled by positive lcms, a
+congruence; u = A x + y, w = (Id - B) y and F = gram(u, w) follow on ints,
+and F's symmetry is the one self-check.  Only `fiber_sum_defect` (and so
+`meyer_cocycle` and `lefsig meyer`) checks that A and B are symplectic; the
+second route passes a transvection and a prefix action, symplectic by
+construction, to `_meyer_defect` directly.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InputError, InternalConsistencyError
-from .ratlinalg import Matrix, clear_denominators, kernel_basis, signature_symmetric
+from .ratlinalg import Matrix, _int_kernel, clear_denominators, signature_symmetric
 from .symplectic import Lagrangian, SymplecticSpace, is_symplectic
 
 
@@ -57,16 +64,14 @@ def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     """Minus the signature of Kashiwara's form on A + B + C (module docstring).
     Zero for the zero-dimensional ambient space, whose form is 0 x 0."""
     space = _same_space(a, b, c)
-    # basis rows tagged by summand; block (k, l) is Q between them, signed +1 from a
-    # summand to the next one in the cycle A -> B -> C -> A, -1 back and 0 within
-    rows = [(k, v) for k, lag in enumerate((a, b, c)) for v in lag.basis]
-    form = [[0] * len(rows) for _ in rows]
-    for i, (k, u) in enumerate(rows):
-        for j, (l, v) in enumerate(rows[:i]):
-            if l != k:
-                form[i][j] = form[j][i] = (0, 1, -1)[(l - k) % 3] * space.pairing(u, v)
-    tau = -signature_symmetric(Matrix(form, len(rows)))
-    if abs(tau) > space.half_dim:
+    n = space.half_dim
+    p, s, r = (space.gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
+    pt, st, rt = (tuple(zip(*m)) for m in (p, s, r))
+    zero = ((0,) * n,) * n
+    form = [x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))
+            for x, y, z in zip(*blocks)]
+    tau = -signature_symmetric(Matrix(form, 3 * n))
+    if abs(tau) > n:
         raise InternalConsistencyError(f"Maslov index {tau} exceeds the half dimension")
     return tau
 
@@ -79,19 +84,23 @@ def fiber_sum_defect(space: SymplecticSpace, phi_minus: Matrix, phi_plus: Matrix
     for name, m in (("phi_minus", phi_minus), ("phi_plus", phi_plus)):
         if not is_symplectic(space, m):
             raise InputError(f"{name} is not symplectic for this space")
-    # rows (x, y) of ker[(Id - A) | (B - Id)], made primitive int rows by positive
-    # scales (a congruence, which keeps the signature); F = Q(A x1 + y1, (Id - B) y2)
+    return _meyer_defect(space, phi_minus, phi_plus)
+
+
+def _meyer_defect(space: SymplecticSpace, a: Matrix, b: Matrix) -> int:
+    """`fiber_sum_defect` without its checks, for A and B known to be symplectic."""
     d = space.dim
-    ident = Matrix.identity(d)
-    stacked = zip((ident - phi_minus).entries, (phi_plus - ident).entries)
-    kernel = [clear_denominators(v)[1]
-              for v in kernel_basis(Matrix(tuple(r + s for r, s in stacked), 2 * d))]
-    x = Matrix(tuple(v[:d] for v in kernel), d)
-    y = Matrix(tuple(v[d:] for v in kernel), d)
-    form = (x @ phi_minus.transpose() + y) @ space.form @ ((ident - phi_plus) @ y.transpose())
-    if form != form.transpose():
-        raise InternalConsistencyError("Meyer's form did not come out symmetric")
-    return signature_symmetric(form)
+    kernel = _int_kernel([clear_denominators([(i == j) - x for j, x in enumerate(ra)]
+                                             + [x - (i == j) for j, x in enumerate(rb)])[1]
+                          for i, (ra, rb) in enumerate(zip(a.entries, b.entries))], 2 * d)
+    xs, ys = [v[:d] for v in kernel], [v[d:] for v in kernel]
+    us = [[sum(map(mul, ra, x)) + yi for ra, yi in zip(a.entries, y)] for x, y in zip(xs, ys)]
+    ws = [[yi - sum(map(mul, rb, y)) for rb, yi in zip(b.entries, y)] for y in ys]
+    form = Matrix._exact(space.gram(us, ws), len(kernel))
+    try:
+        return signature_symmetric(form)
+    except InputError as exc:  # it checks symmetry; F is symmetric on the kernel only
+        raise InternalConsistencyError("Meyer's form did not come out symmetric") from exc
 
 
 def meyer_cocycle(space: SymplecticSpace, m1: Matrix, m2: Matrix) -> int:

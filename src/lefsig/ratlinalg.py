@@ -11,17 +11,16 @@ clear denominators, run on Python ints and bring in a Fraction only when a
 result is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
-Every solve is one reduction, `_int_rref`, and `_particular` and `_kernel`
-read the particular solution and the kernel off it: `solve_linear`,
-`kernel_basis` and `particular_solution` (int rows, the engine's step) are
-views of it.  A solve reduces [A | b] like any matrix: it is inconsistent
-exactly when b's column takes a pivot, and otherwise that column hosts none.
-Pivot rows are divided by their pivots only when read out: `_rref` divides
-them for the RREF readers, and `particular_solution` divides only the
-right-hand column, x_c = b_r / p_r.  The kernel of a matrix with its columns
-reversed, each vector read right to left, is already the RREF basis of the
-original kernel, so it never needs a second reduction.  The congruence in
-`signature_symmetric` updates only the live trailing block.
+Every solve is one reduction, `_int_rref`, and each reader takes what it
+needs off the int rows.  Only `solve_linear`'s readers divide rows: `_rref`
+divides each pivot row by its pivot, and `_particular` and `_kernel` read the
+RREF.  `particular_solution` (the engine's step) divides only the right-hand
+column, x_c = b_r / p_r; `_int_kernel` (Meyer's form) scales each kernel
+vector by a positive lcm, `rank` counts pivots, and `Lagrangian.span` divides
+each pivot row by its content.  A solve reduces [A | b] like any matrix: it
+is inconsistent exactly when b's column takes a pivot, and otherwise that
+column hosts none.  The congruence in `signature_symmetric` updates only the
+live trailing block.
 """
 
 from __future__ import annotations
@@ -264,9 +263,9 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     g = gcd(p, f), divided by its content; the other rows are not touched.
     Row scales keep spans and solutions, so the pivots and zero pattern are
     those of Gauss-Jordan over Q.  The rows stay ints: a pivot row is its RREF
-    row times its pivot, and the readers divide (`_rref` whole rows,
-    `_particular` the right-hand column).  Every column may host a pivot, a
-    solve's right-hand side too: it takes one exactly when it is inconsistent.
+    row times its pivot, and only `_rref` (whole rows) and `_particular` (the
+    right-hand column) divide by it.  Every column may host a pivot, a solve's
+    right-hand side too: it takes one exactly when it is inconsistent.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -317,6 +316,22 @@ def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tupl
             v[c] = -reduced[r][f]
         kernel.append(tuple(v))
     return tuple(kernel)
+
+
+def _int_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Kernel of the int rows, reduced in place, as int rows: `_kernel`'s vector
+    for free column f times L > 0, the lcm of |p_r| / gcd(p_r, a_rf) over the
+    pivot rows, which is that vector's denominators cleared."""
+    reduced, pivots = _int_rref(rows)
+    kernel = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        scale = lcm(*(abs(row[c]) // gcd(row[c], row[f]) for row, c in zip(reduced, pivots)))
+        v = [0] * cols
+        v[f] = scale
+        for row, c in zip(reduced, pivots):
+            v[c] = -(row[f] * scale // row[c])
+        kernel.append(v)
+    return kernel
 
 
 def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
@@ -394,29 +409,5 @@ def sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-# ---------------------------------------------------------------------------
-# Subspace arithmetic.  A subspace of Q^n is handled as a tuple of spanning
-# row vectors; `span_basis` canonicalizes to the RREF basis, so equal
-# subspaces get equal representations and every downstream choice (complement
-# representatives, witnesses) is deterministic.
-# ---------------------------------------------------------------------------
-
-
-def span_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> tuple[Vector, ...]:
-    """Canonical (RREF) basis of the span of the given vectors inside Q^dim."""
-    rows = [list(as_vector(v)) for v in vectors]
-    for r in rows:
-        if len(r) != dim:
-            raise InputError(f"vector of length {len(r)} in ambient dimension {dim}")
-    reduced, pivots = _rref(rows)
-    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
-
-
 def rank(a: Matrix) -> int:
-    _, pivots = _rref(a.to_lists())
-    return len(pivots)
-
-
-def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
-    """Basis of the right kernel of A, one vector per free column."""
-    return _kernel(*_rref(a.to_lists()), a.cols)
+    return len(_int_rref([clear_denominators(row)[1] for row in a.entries])[1])

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
@@ -23,10 +25,10 @@ from .ratlinalg import (
     Rational,
     Scalar,
     Vector,
+    _int_rref,
     as_vector,
     clear_denominators,
     rank,
-    span_basis,
 )
 
 # Largest fiber dimension 2h accepted.  Forms and prefix actions are dense
@@ -76,8 +78,15 @@ class SymplecticSpace:
         """Row i of J as its pairs (j, J_ij) with J_ij != 0, kept by this space."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.form.entries)
 
+    def gram(self, us: Sequence[Sequence[Rational]],
+             vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
+        """Rows (Q(u, v) for v in vs) for u in us.  Each J v is summed once over
+        the nonzero pattern of J; each entry is then one C-level sum of products."""
+        jvs = [[sum(f * v[j] for j, f in row) for row in self._form_pattern] for v in vs]
+        return tuple(tuple(sum(map(mul, u, jv)) for jv in jvs) for u in us)
+
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
-        """Q(x, y) = x^T J y, summed over the nonzero pattern of J."""
+        """Q(x, y) = x^T J y over J's pattern where x != 0 (a step's sparse gamma)."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
         return sum(a * sum(f * y[j] for j, f in row) for a, row in zip(x, self._form_pattern) if a)
@@ -251,19 +260,25 @@ class Lagrangian:
     int rows: each row of the RREF basis times the positive lcm of its
     denominators, so every row has a positive pivot.  Equal subspaces get
     equal bases.  Positive row scales keep isotropy, and as a congruence they
-    keep the signature of any form evaluated on the rows."""
+    keep the signature of any form evaluated on the rows.  `span` divides each
+    pivot row of `_int_rref` by its content, signed by its pivot: the one
+    primitive int row on that line with a positive pivot."""
 
     space: SymplecticSpace
     basis: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":
-        basis = tuple(tuple(clear_denominators(v)[1]) for v in span_basis(vectors, space.dim))
+        rows = [clear_denominators(as_vector(v))[1] for v in vectors]
+        if bad := [r for r in rows if len(r) != space.dim]:
+            raise InputError(f"vector of length {len(bad[0])} in ambient dimension {space.dim}")
+        basis = tuple(tuple(x // g for x in r) for r, g in
+                      ((r, gcd(*r) if r[c] > 0 else -gcd(*r)) for r, c in zip(*_int_rref(rows))))
         if len(basis) != space.half_dim:
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        if any(space.pairing(u, v) for i, u in enumerate(basis) for v in basis[i + 1:]):
+        if any(map(any, space.gram(basis, basis))):
             raise InputError("spanning set is not isotropic")
         return Lagrangian(space, basis)
 

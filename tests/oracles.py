@@ -35,6 +35,13 @@ Every matrix product once went through `vec_dot`; the library now multiplies
 all-int operands by a C-level sum of products and must agree entry for entry,
 down to the type.
 
+Subspaces are handled here as tuples of spanning rows: `span_basis`
+canonicalizes them to the RREF basis and `kernel_basis` gives the right
+kernel of a matrix, one vector per free column, both from the library's
+Fraction readout `ratlinalg._rref`, looked up through the module so that a
+patch of it applies.  The library reads Lagrangian bases, ranks and Meyer's
+kernel off the int elimination instead, with no division.
+
 The `signature --json` and `power --json` payloads are built here as the CLI
 once built them, for `json.dumps(payload, indent=2)`.  The CLI writes the same
 bytes directly.
@@ -44,17 +51,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from lefsig import ratlinalg
 from lefsig.maslov import maslov_index
 from lefsig.engine import SignatureTrace
-from lefsig.ratlinalg import (
-    Matrix,
-    as_vector,
-    kernel_basis,
-    solve_linear,
-    span_basis,
-    vec_dot,
-)
+from lefsig.errors import InputError
+from lefsig.ratlinalg import Matrix, Vector, as_vector, solve_linear, vec_dot
 from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
+
+
+def span_basis(vectors, dim: int) -> tuple[Vector, ...]:
+    """Canonical (RREF) basis of the span of the given vectors inside Q^dim."""
+    rows = [list(as_vector(v)) for v in vectors]
+    for r in rows:
+        if len(r) != dim:
+            raise InputError(f"vector of length {len(r)} in ambient dimension {dim}")
+    reduced, pivots = ratlinalg._rref(rows)
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
+    """Basis of the right kernel of A, one vector per free column."""
+    return ratlinalg._kernel(*ratlinalg._rref(a.to_lists()), a.cols)
 
 
 def charpoly(m: Matrix) -> list[Fraction]:

@@ -27,7 +27,7 @@ from lefsig import (
     word,
     word_action,
 )
-from lefsig.ratlinalg import kernel_basis, sign
+from lefsig.ratlinalg import sign
 from lefsig.symplectic import Lagrangian, direct_sum_lagrangian
 
 from .fixtures import (
@@ -42,7 +42,7 @@ from .fixtures import (
     random_symplectic,
     random_word,
 )
-from .oracles import signature_via_charpoly
+from .oracles import kernel_basis, signature_via_charpoly
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

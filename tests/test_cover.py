@@ -16,7 +16,6 @@ from lefsig import (
     word_action,
 )
 from lefsig.cover import correction_sums
-from lefsig.ratlinalg import kernel_basis
 
 from .fixtures import (
     CHAIN_CORRECTIONS,
@@ -29,6 +28,7 @@ from .fixtures import (
     random_symplectic,
     random_word,
 )
+from .oracles import kernel_basis
 
 SP2 = SymplecticSpace.standard(2)
 

@@ -12,15 +12,20 @@ from fractions import Fraction
 from lefsig import ratlinalg
 from lefsig.ratlinalg import (
     Matrix,
-    kernel_basis,
+    clear_denominators,
     rank,
     signature_symmetric,
     solve_linear,
-    span_basis,
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
-from .oracles import fraction_rref, fraction_signature_symmetric, signature_via_charpoly
+from .oracles import (
+    fraction_rref,
+    fraction_signature_symmetric,
+    kernel_basis,
+    signature_via_charpoly,
+    span_basis,
+)
 
 BIG = 10**30
 
@@ -106,6 +111,11 @@ def test_integer_kernel_matches_fraction_oracle(monkeypatch):
             patched.setattr(ratlinalg, "_rref", fraction_rref)
             want = _views(a, rhs)
         assert got == want, a
+        # the int readers: Meyer's kernel is the RREF kernel with each vector's
+        # denominators cleared, and rank counts the Fraction elimination's pivots
+        rows = [clear_denominators(row)[1] for row in a.entries]
+        assert ratlinalg._int_kernel(rows, a.cols) == [clear_denominators(v)[1] for v in want[1]]
+        assert got[-1] == len(fraction_rref(a.to_lists())[1])
         aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a.entries)]
         _assert_rref_matches(aug)
         limit = rng.randint(0, a.cols)  # a leading block of columns

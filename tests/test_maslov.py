@@ -13,13 +13,23 @@ from lefsig import (
     Matrix,
     SymplecticSpace,
     fiber_sum_defect,
+    is_symplectic,
+    local_sigma,
+    local_sigma_via_maslov,
     maslov_index,
     map_lagrangian,
     meyer_cocycle,
     signature_symmetric,
 )
-from lefsig import maslov
-from lefsig.symplectic import direct_sum_lagrangian, transvection, word_action
+import lefsig
+from lefsig import cover, engine, maslov, symplectic
+from lefsig.symplectic import (
+    VanishingCycle,
+    direct_sum_lagrangian,
+    prefix_actions,
+    transvection,
+    word_action,
+)
 
 from .fixtures import (
     BLOCK_ACTION,
@@ -272,6 +282,17 @@ def test_parity_law():
     assert odd >= 30 and meeting >= 50
 
 
+def _fixing_first_vector(rng: random.Random, space: SymplecticSpace) -> Matrix:
+    """A product of twists along cycles with no b_1 part; each twist fixes a_1."""
+    cycles = []
+    for _ in range(rng.randint(1, 4)):
+        g = [rng.randint(-2, 2) for _ in range(space.dim)]
+        g[1] = 0
+        g[0] = g[0] if any(g) else 1
+        cycles.append(VanishingCycle(tuple(g), rng.choice((1, -1))))
+    return prefix_actions(space, cycles)[-1]
+
+
 def test_meyer_form_matches_graph_triple_oracle():
     """Meyer's form on V against Wall's index of graph Lagrangians in the
     doubled space, on J, 2J and (3/7)J, identity factors included."""
@@ -288,12 +309,62 @@ def test_meyer_form_matches_graph_triple_oracle():
 
             a, b = factor(), factor()
             assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+    # Fraction entries: conjugates by diag(2, 1/2, ...), symplectic for every
+    # multiple of J.  Singular Id - A: products of twists along cycles with no
+    # b_1 part, which all fix a_1.
+    singular = 0
+    for scale in (1, Fraction(3, 7)):
+        for _ in range(15):
+            genus = rng.randint(1, 2)
+            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
+            halves = [Fraction(2) if i % 2 == 0 else Fraction(1, 2) for i in range(space.dim)]
+            diag = Matrix([[x if i == j else 0 for j in range(space.dim)]
+                           for i, x in enumerate(halves)], space.dim)
+            inverse = Matrix([[1 / x if i == j else 0 for j in range(space.dim)]
+                              for i, x in enumerate(halves)], space.dim)
+            a, b = (diag @ random_symplectic(rng, space) @ inverse for _ in range(2))
+            assert any(type(x) is Fraction for row in a.entries for x in row)
+            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+            a, b = (_fixing_first_vector(rng, space) for _ in range(2))
+            fixed = [row[0] for row in (Matrix.identity(space.dim) - a).entries]
+            singular += not any(fixed)
+            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+            assert fiber_sum_defect(space, b, diag @ a @ inverse) == \
+                reference_fiber_sum_defect(space, b, diag @ a @ inverse)
+    assert singular == 30
 
 
 def test_meyer_form_self_check_fires(monkeypatch):
     """A domain that is not the kernel of [(Id - A) | (B - Id)] gives an
     asymmetric form, and the runtime check says so."""
     space = SymplecticSpace.standard(2)
-    monkeypatch.setattr(maslov, "kernel_basis", lambda m: Matrix.identity(m.cols).entries)
+    monkeypatch.setattr(maslov, "_int_kernel",
+                        lambda rows, cols: [list(e) for e in Matrix.identity(cols).entries])
     with pytest.raises(InternalConsistencyError, match="Meyer's form"):
         fiber_sum_defect(space, MATSUMOTO_PHI, DELTA_STAR)
+
+
+def test_second_route_makes_no_symplectic_checks(monkeypatch):
+    """`local_sigma_via_maslov` glues a transvection to a prefix action, both
+    symplectic by construction, and checks neither; `fiber_sum_defect` and
+    `meyer_cocycle` still check both of their inputs."""
+    calls = []
+
+    def counting(space, m):
+        calls.append(m)
+        return is_symplectic(space, m)
+
+    for module in (lefsig, symplectic, maslov, engine, cover):
+        monkeypatch.setattr(module, "is_symplectic", counting, raising=False)
+    w = random_word(random.Random(1973), 3, 12, chiral_only=False)
+    routes = [(local_sigma(w, k).sigma, local_sigma_via_maslov(w, k))
+              for k in range(1, len(w) + 1)]
+    assert calls == []
+    assert all(direct == second for direct, second in routes)
+    bad, ident = Matrix.from_rows([[2, 0], [0, 2]]), Matrix.identity(2)
+    for checked in (fiber_sum_defect, meyer_cocycle):
+        with pytest.raises(InputError, match="phi_minus"):
+            checked(PLANE, bad, ident)
+        with pytest.raises(InputError, match="phi_plus"):
+            checked(PLANE, ident, bad)
+    assert len(calls) == 6

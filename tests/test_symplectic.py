@@ -25,6 +25,7 @@ from lefsig import (
     word,
     word_action,
 )
+from lefsig.ratlinalg import clear_denominators
 from lefsig.symplectic import MAX_DIMENSION
 
 from .fixtures import (
@@ -39,7 +40,13 @@ from .fixtures import (
     positive_word,
     random_symplectic,
 )
-from .oracles import dense_prefix_actions, doubled_space, graph, symplectic_inverse
+from .oracles import (
+    dense_prefix_actions,
+    doubled_space,
+    graph,
+    span_basis,
+    symplectic_inverse,
+)
 
 
 def test_standard_form_squares_to_minus_identity():
@@ -268,6 +275,26 @@ def test_lagrangian_span_validates():
             assert all(type(x) is int for x in row)
             assert math.gcd(*row) == 1
             assert next(x for x in row if x) > 0
+
+
+def test_lagrangian_basis_is_the_cleared_rref_basis():
+    """`Lagrangian.span` reads its basis off the int elimination; it must be
+    the RREF basis with each row's denominators cleared, as it was defined."""
+    rng = random.Random(1976)
+    negative_pivots = 0
+    for _ in range(200):
+        sp = SymplecticSpace.standard(rng.randint(1, 3))
+        m = random_symplectic(rng, sp)
+        scales = [rng.choice((1, -1, 3, Fraction(-2, 5))) for _ in range(sp.half_dim)]
+        vectors = [[c * x for x in m.column(2 * i)] for i, c in enumerate(scales)]
+        for _ in range(rng.randint(0, 2)):
+            coeffs = [rng.randint(-2, 2) for _ in vectors]
+            combo = [sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(sp.dim)]
+            vectors.insert(rng.randint(0, len(vectors)), combo)
+        negative_pivots += any(next((x for x in v if x), 0) < 0 for v in vectors)
+        want = tuple(tuple(clear_denominators(v)[1]) for v in span_basis(vectors, sp.dim))
+        assert Lagrangian.span(sp, vectors).basis == want
+    assert negative_pivots >= 40
 
 
 def test_map_lagrangian_stays_lagrangian():
