@@ -11,8 +11,8 @@ if no solution exists the step contributes nothing, otherwise
     sigma_k = sign(1 + c_k * Q([gamma_k], x)),
 
 which does not depend on the choice of x.  The step runs on ints: one
-elimination of [Id - Phi_k | gamma_k] gives x = n / delta, delta > 0 the lcm
-of its denominators, and since delta > 0,
+forward elimination of [Id - Phi_k | gamma_k] and one back-substitution give
+x = n / delta over a common denominator delta > 0, and since delta > 0,
 sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).  The total is
 
     signature = - sum_k c_k * sigma_k  -  sum over null-homologous k of c_k:
@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .maslov import _meyer_defect
-from .ratlinalg import Matrix, Vector, clear_denominators, particular_solution, sign
+from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
     MonodromyWord,
     VanishingCycle,
@@ -48,7 +48,8 @@ class StepRecord:
 
     `witness` is the deterministic particular solution of the step solve
     (None when the cycle is null-homologous or the solve is inconsistent, so
-    a solvable step without a witness is a null-homologous one);
+    a solvable step without a witness is a null-homologous one).  Each of its
+    entries is an int exactly when it is integral, else a Fraction.
     `cumulative_action` is Phi_k.
     """
 
@@ -86,12 +87,12 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
     gamma = cycle.homology_class
-    witness = particular_solution(_step_rows(phi_k, gamma), space.dim)
-    if witness is None:
+    solved = _int_solve(_step_rows(phi_k, gamma), space.dim)
+    if solved is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
-    delta, numerators = clear_denominators(witness)
+    delta, numerators = solved
     sigma = sign(delta + cycle.chirality * space.pairing(gamma, numerators))
-    return StepRecord(k, cycle, True, sigma, witness, phi_k)
+    return StepRecord(k, cycle, True, sigma, tuple(_divide(numerators, delta)), phi_k)
 
 
 def signature(word: MonodromyWord) -> SignatureTrace:
@@ -145,5 +146,5 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     rows = _step_rows(word_action(word, k - 1), [0] * space.dim)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
     rows.append([-x for x in space.form.apply(cycle.homology_class)] + [1])
-    return particular_solution(rows, space.dim) is not None
+    return _int_solve(rows, space.dim) is not None
 

@@ -11,16 +11,15 @@ clear denominators, run on Python ints and bring in a Fraction only when a
 result is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
 every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
-Every solve is one reduction, `_int_rref`, and each reader takes what it
-needs off the int rows.  Only `solve_linear`'s readers divide rows: `_rref`
-divides each pivot row by its pivot, and `_particular` and `_kernel` read the
-RREF.  `particular_solution` (the engine's step) divides only the right-hand
-column, x_c = b_r / p_r; `_int_kernel` (Meyer's form) scales each kernel
-vector by a positive lcm, `rank` counts pivots, and `Lagrangian.span` divides
-each pivot row by its content.  A solve reduces [A | b] like any matrix: it
-is inconsistent exactly when b's column takes a pivot, and otherwise that
-column hosts none.  The congruence in `signature_symmetric` updates only the
-live trailing block.
+Every elimination is one forward pass, `_int_echelon`, read three ways:
+`_int_solve` (the engine's step) back-substitutes x = n / D over one positive
+denominator D, `rank` counts pivots, and `_int_rref` clears each pivot column
+upwards for `_rref` (`solve_linear`), which divides pivot rows,
+`_int_kernel` (Meyer's form), which scales each kernel vector by a positive
+lcm, and `Lagrangian.span`, which divides each pivot row by its content.  A
+quotient read out is an int exactly when it is integral.  A solve is
+inconsistent exactly when b's column takes a pivot.  The congruence in
+`signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -244,6 +243,13 @@ def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
     return delta, [x.numerator * (delta // x.denominator) for x in v]
 
 
+def _divide(n: Sequence[int], d: int) -> list[Rational]:
+    """n / d entrywise, each an int exactly when it is integral."""
+    if d == 1:
+        return list(n)
+    return [x // d if not x % d else Fraction(x, d) for x in n]
+
+
 def _rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form over Q: `_int_rref` of the rows, each scaled by
     its own denominators' lcm, then each pivot row divided by its pivot.  Rows
@@ -251,59 +257,85 @@ def _rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     rows, pivots = _int_rref([clear_denominators(row)[1] for row in rows])
     for r, c in enumerate(pivots):
         if (p := rows[r][c]) != 1:
-            rows[r] = [Fraction(x, p) if x else 0 for x in rows[r]]
+            rows[r] = _divide(rows[r], p)
     return rows, pivots
 
 
-def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of int rows by fraction-free Gauss-Jordan.
+def _eliminate(row: list[int], top: Sequence[int], p: int, f: int) -> list[int]:
+    """(p/g)*row - (f/g)*top, g = gcd(p, f), divided by its content: for the
+    pivot p of `top` and the entry f of `row` in the pivot column."""
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    row = [a * x - b * y if y else a * x for x, y in zip(row, top)]
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
 
-    The rows are reduced in place.  With the first-nonzero pivot p in column
-    c, a row with f != 0 there becomes (p/g)*row - (f/g)*pivot_row,
-    g = gcd(p, f), divided by its content; the other rows are not touched.
-    Row scales keep spans and solutions, so the pivots and zero pattern are
-    those of Gauss-Jordan over Q.  The rows stay ints: a pivot row is its RREF
-    row times its pivot, and only `_rref` (whole rows) and `_particular` (the
-    right-hand column) divide by it.  Every column may host a pivot, a solve's
-    right-hand side too: it takes one exactly when it is inconsistent.
-    """
+
+def _int_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of int rows by fraction-free elimination, in place.
+
+    Each row below the first-nonzero pivot p in column c is `_eliminate`d
+    from column c on: to its left it is zero.  These rows are those that
+    Gauss-Jordan holds at that stage, so the pivot columns are the RREF's.
+    Every column may host a pivot, a solve's right-hand side too: it takes
+    one exactly when the solve is inconsistent."""
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(len(rows[0]) if nrows else 0):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, nrows):  # a plain loop: no generator per column
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top, p = rows[r], rows[r][c]
-        for i in range(nrows):
-            if (f := rows[i][c]) and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y if y else a * x for x, y in zip(rows[i], top)]
-                content = gcd(*row)
-                rows[i] = [x // content for x in row] if content > 1 else row
+        rows[r], rows[i] = rows[i], rows[r]
+        p, top, zeros = rows[r][c], rows[r][c + 1:], [0] * (c + 1)
+        for i in range(r + 1, nrows):
+            if f := rows[i][c]:
+                rows[i] = zeros + _eliminate(rows[i][c + 1:], top, p, f)
         pivots.append(c)
         r += 1
     return rows, pivots
 
 
-def _particular(reduced: list[list[Rational]], pivots: list[int], cols: int) -> Vector | None:
-    """Solution, free variables zero, of the reduced [A | b] with `cols` columns
-    in A; None when b is inconsistent, that is when b's column (the last) took
-    a pivot.  x_c = b_r / p_r for the pivot p_r in column c: an int when
-    p_r = 1 (so a divided RREF row reads b_r as it is), 0 when b_r = 0, else a
-    Fraction."""
+def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of int rows, in place, up to a scale per row:
+    `_int_echelon`, then each pivot column, bottom pivot first, `_eliminate`d
+    from the rows above.  `_rref` divides each pivot row by its pivot;
+    `_int_kernel` and `Lagrangian.span` read only what a row scale keeps."""
+    rows, pivots = _int_echelon(rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        bottom, c = rows[k], pivots[k]
+        for i in range(k):
+            if f := rows[i][c]:
+                rows[i] = _eliminate(rows[i], bottom, bottom[c], f)
+    return rows, pivots
+
+
+def _int_solve(rows: list[list[int]], cols: int) -> tuple[int, list[int]] | None:
+    """(D, n) with D > 0 and x = n / D the solution, free variables zero, of
+    the int rows [A | b] (`cols` columns in A), reduced in place by
+    `_int_echelon`; None when b's column takes a pivot.  Back-substitution,
+    bottom pivot first: pivot row r gives x_c = t / (D p) with
+    t = b_r D - sum_j a_rj n_j; for t / p = t' / q in lowest terms, q > 0,
+    D becomes D q, the numerators found so far are scaled by q and n_c = t'."""
+    reduced, pivots = _int_echelon(rows)
     if pivots and pivots[-1] == cols:
         return None
-    x: list[Rational] = [0] * cols
-    for r, c in enumerate(pivots):
-        row = reduced[r]
-        p, b = row[c], row[cols]
-        x[c] = b if p == 1 else Fraction(b, p) if b else 0
-    return tuple(x)
+    d, n = 1, [0] * cols
+    for r in range(len(pivots) - 1, -1, -1):
+        row, c = reduced[r], pivots[r]
+        if t := row[cols] * d - sum(map(mul, row[c + 1:cols], n[c + 1:])):
+            p = row[c]
+            g = gcd(t, p) if p > 0 else -gcd(t, p)
+            t, q = t // g, p // g
+            if q != 1:
+                d *= q
+                n[c + 1:] = [x * q for x in n[c + 1:]]
+            n[c] = t
+    return d, n
 
 
 def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tuple[Vector, ...]:
@@ -335,8 +367,10 @@ def _int_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
 
 
 def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
-    """`_particular` of one `_int_rref` of the int rows [A | b], reduced in place."""
-    return _particular(*_int_rref(rows), cols)
+    """`_int_solve` of the int rows [A | b], reduced in place, read out as
+    quotients n / D: each entry an int exactly when it is integral."""
+    solved = _int_solve(rows, cols)
+    return None if solved is None else tuple(_divide(solved[1], solved[0]))
 
 
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
@@ -346,11 +380,13 @@ def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
     if len(rhs) != a.rows:
         raise InputError(f"rhs of length {len(rhs)} against {a.rows}x{a.cols}")
     reduced, pivots = _rref([list(row) + [x] for row, x in zip(a.entries, rhs)])
-    particular = _particular(reduced, pivots, a.cols)
-    if particular is None:
+    if pivots and pivots[-1] == a.cols:  # b's column took a pivot
         return SolveResult("inconsistent", None, ())
+    particular = [0] * a.cols  # free variables zero
+    for row, c in zip(reduced, pivots):
+        particular[c] = row[a.cols]
     kernel = _kernel(reduced, pivots, a.cols)
-    return SolveResult("affine" if kernel else "unique", particular, kernel)
+    return SolveResult("affine" if kernel else "unique", tuple(particular), kernel)
 
 
 def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
@@ -410,4 +446,4 @@ def sign(x: Rational) -> int:
 
 
 def rank(a: Matrix) -> int:
-    return len(_int_rref([clear_denominators(row)[1] for row in a.entries])[1])
+    return len(_int_echelon([clear_denominators(row)[1] for row in a.entries])[1])

@@ -63,7 +63,10 @@ class SymplecticSpace:
         for i in range(half_dim):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = -1
-        return SymplecticSpace(Matrix(rows, n))
+        # skew, nondegenerate and int by construction: built without the checks
+        space = object.__new__(SymplecticSpace)
+        object.__setattr__(space, "form", Matrix._exact(tuple(map(tuple, rows)), n))
+        return space
 
     @property
     def dim(self) -> int:
@@ -262,10 +265,18 @@ class Lagrangian:
     equal bases.  Positive row scales keep isotropy, and as a congruence they
     keep the signature of any form evaluated on the rows.  `span` divides each
     pivot row of `_int_rref` by its content, signed by its pivot: the one
-    primitive int row on that line with a positive pivot."""
+    primitive int row on that line with a positive pivot.  The constructor
+    checks only the shape; isotropy, rank and the canonical form are `span`'s."""
 
     space: SymplecticSpace
     basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n, d = self.space.half_dim, self.space.dim
+        if type(self.basis) is not tuple or len(self.basis) != n or not all(
+                type(row) is tuple and len(row) == d and {int}.issuperset(map(type, row))
+                for row in self.basis):
+            raise InputError(f"basis must be a tuple of {n} tuples of {d} ints")
 
     @staticmethod
     def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":

@@ -20,11 +20,13 @@ from lefsig import (
     fiber_sum_defect,
     is_symplectic,
     map_lagrangian,
+    maslov_index,
     signature,
     transvection,
     word,
     word_action,
 )
+from lefsig import symplectic
 from lefsig.ratlinalg import clear_denominators
 from lefsig.symplectic import MAX_DIMENSION
 
@@ -67,6 +69,30 @@ def test_dimension_ceiling_is_checked_before_allocating():
     for half_dim in (half + 1, 10**20):
         with pytest.raises(InputError, match="dimension above"):
             SymplecticSpace.standard(half_dim)
+
+
+def test_standard_form_is_built_without_its_checks(monkeypatch):
+    """`standard` skips the checks its form passes by construction; the
+    constructor keeps them all."""
+    def no_rank(m):
+        raise AssertionError("rank called")
+
+    checked = [SymplecticSpace(Matrix(SymplecticSpace.standard(g).form.to_lists(), 2 * g))
+               for g in range(7)]
+    monkeypatch.setattr(symplectic, "rank", no_rank)
+    for g, want in enumerate(checked):
+        space = SymplecticSpace.standard(g)
+        assert space == want and hash(space) == hash(want)
+        assert space._form_pattern == want._form_pattern
+    monkeypatch.undo()
+    bad = {
+        "square of even size": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+        "skew-symmetric": [[0, 1], [1, 0]],
+        "nondegenerate": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    }
+    for message, rows in bad.items():
+        with pytest.raises(InputError, match=message):
+            SymplecticSpace(Matrix(rows, len(rows)))
 
 
 def test_pairing_is_determinant_in_the_plane():
@@ -275,6 +301,27 @@ def test_lagrangian_span_validates():
             assert all(type(x) is int for x in row)
             assert math.gcd(*row) == 1
             assert next(x for x in row if x) > 0
+
+
+def test_raw_lagrangian_checks_its_shape():
+    sp = SymplecticSpace.standard(2)
+    good = Lagrangian.span(sp, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert Lagrangian(sp, good.basis) == good
+    for basis in (
+        ((1, 0, 0, 0),),  # too few rows
+        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)),  # too many
+        ((1, 0, 0, 0), (0, 0, 1)),  # a short row
+        ((1, 0, 0, 0), (0, 0, 1.0, 0)),  # a float
+        ((1, 0, 0, 0), (0, 0, True, 0)),  # a bool
+        ((1, 0, 0, 0), (0, 0, Fraction(1), 0)),  # not an int
+        ((1, 0, 0, 0), [0, 0, 1, 0]),  # a list row
+        [(1, 0, 0, 0), (0, 0, 1, 0)],  # a list of rows
+    ):
+        with pytest.raises(InputError, match="basis must be a tuple of 2 tuples of 4 ints"):
+            Lagrangian(sp, basis)
+    # the one-row basis used to reach maslov_index and die on a ragged matrix
+    with pytest.raises(InputError, match="basis"):
+        maslov_index(Lagrangian(sp, ((1, 0, 0, 0),)), good, good)
 
 
 def test_lagrangian_basis_is_the_cleared_rref_basis():
