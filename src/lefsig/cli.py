@@ -26,13 +26,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
+import os
 import sys
-from dataclasses import dataclass
 from itertools import permutations
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
+from ._record import _Record, _setattr
 from .cover import correction_terms
 from .engine import StepRecord, signature
 from .errors import InputError, InternalConsistencyError
@@ -53,12 +52,17 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class FibrationDocument:
+class FibrationDocument(_Record):
     """A parsed fibration description: the word plus an optional label."""
 
-    word: MonodromyWord
-    name: str | None = None
+    _fields = ("word", "name")
+
+    def __init__(self, word: MonodromyWord, name: str | None = None) -> None:
+        _setattr(self, "word", word)
+        _setattr(self, "name", name)
+
+    def _key(self) -> tuple:
+        return self.word, self.name
 
 
 def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], what: str) -> None:
@@ -188,11 +192,11 @@ def _format_witness(w: Vector | None) -> str:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
+    if not os.path.isfile(path):
         raise InputError(f"no such file: {path}")
     try:  # RFC 8259 JSON is UTF-8, whatever the locale; a BOM stays an error
-        return p.read_bytes().decode("utf-8")
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
@@ -295,6 +299,8 @@ def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
             perm_ok = False
     yield "antisymmetry", "antisymmetry", perm_ok
 
+    import random  # here, not at the top: no other command needs it at start-up
+
     rng = random.Random(2024)
     inv_ok = True
     for _ in range(5):
@@ -340,7 +346,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     doc = FibrationDocument(word, name=f"positive block x{args.n}")
     text = serialize_fibration_document(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     # round-trip through the parser before certifying, as a self-check

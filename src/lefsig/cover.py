@@ -22,20 +22,27 @@ signatures holds one S_m at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
+from ._record import _Record, _setattr
 from .errors import InputError
 from .ratlinalg import Matrix, signature_symmetric
 from .symplectic import SymplecticSpace, is_symplectic
 
 
-@dataclass(frozen=True)
-class CorrectionTerm:
-    power: int
-    matrix: Matrix
-    sigma: int
+class CorrectionTerm(_Record):
+    """The m-th correction of the ladder: S_m and its signature."""
+
+    _fields = ("power", "matrix", "sigma")
+
+    def __init__(self, power: int, matrix: Matrix, sigma: int) -> None:
+        _setattr(self, "power", power)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "sigma", sigma)
+
+    def _key(self) -> tuple:
+        return self.power, self.matrix, self.sigma
 
 
 def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:

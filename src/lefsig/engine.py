@@ -28,9 +28,9 @@ on every input and the tests enforce that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import _Record, _setattr
 from .errors import InputError
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
@@ -42,8 +42,7 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Record):
     """Everything the algorithm produced for one vanishing cycle.
 
     `witness` is the deterministic particular solution of the step solve
@@ -53,20 +52,36 @@ class StepRecord:
     `cumulative_action` is Phi_k.
     """
 
-    index: int
-    cycle: VanishingCycle
-    solvable: bool
-    sigma: int
-    witness: Vector | None
-    cumulative_action: Matrix
+    _fields = ("index", "cycle", "solvable", "sigma", "witness", "cumulative_action")
+
+    def __init__(self, index: int, cycle: VanishingCycle, solvable: bool, sigma: int,
+                 witness: Vector | None, cumulative_action: Matrix) -> None:
+        _setattr(self, "index", index)
+        _setattr(self, "cycle", cycle)
+        _setattr(self, "solvable", solvable)
+        _setattr(self, "sigma", sigma)
+        _setattr(self, "witness", witness)
+        _setattr(self, "cumulative_action", cumulative_action)
+
+    def _key(self) -> tuple:
+        return (self.index, self.cycle, self.solvable, self.sigma, self.witness,
+                self.cumulative_action)
 
 
-@dataclass(frozen=True)
-class SignatureTrace:
-    word: MonodromyWord
-    steps: tuple[StepRecord, ...]
-    null_homologous_count: int
-    total: int
+class SignatureTrace(_Record):
+    """The step records of a word and their total (module docstring)."""
+
+    _fields = ("word", "steps", "null_homologous_count", "total")
+
+    def __init__(self, word: MonodromyWord, steps: tuple[StepRecord, ...],
+                 null_homologous_count: int, total: int) -> None:
+        _setattr(self, "word", word)
+        _setattr(self, "steps", steps)
+        _setattr(self, "null_homologous_count", null_homologous_count)
+        _setattr(self, "total", total)
+
+    def _key(self) -> tuple:
+        return self.word, self.steps, self.null_homologous_count, self.total
 
 
 def _step_rows(phi: Matrix, rhs: Sequence[int]) -> list[list[int]]:

@@ -15,9 +15,9 @@ of B vanish; the cover route then reproduces n * sigma(block) with no loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+from ._record import _Record, _setattr
 from .cover import correction_sums
 from .errors import InputError
 from .ratlinalg import Matrix
@@ -26,25 +26,29 @@ from .symplectic import MonodromyWord, Surface, SymplecticSpace, VanishingCycle
 BLOCK_VECTORS: tuple[tuple[int, int], ...] = ((1, 0), (2, 5), (1, 5))
 
 
-@dataclass(frozen=True)
-class PositiveFamilySpec:
+class PositiveFamilySpec(_Record):
     """Parameters of a positive-signature word: fiber genus >= 1, boundary
     components >= 0, and how many times to repeat the block."""
 
-    genus: int
-    boundary: int
-    repetitions: int
+    _fields = ("genus", "boundary", "repetitions")
 
-    def __post_init__(self) -> None:
-        for name in ("genus", "boundary", "repetitions"):
-            if type(value := getattr(self, name)) is not int:  # a bool or a float is no count
+    def __init__(self, genus: int, boundary: int, repetitions: int) -> None:
+        for name, value in (("genus", genus), ("boundary", boundary),
+                            ("repetitions", repetitions)):
+            if type(value) is not int:  # a bool or a float is no count
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.genus < 1:
+        if genus < 1:
             raise InputError("positive family needs genus >= 1")
-        if self.boundary < 0:
+        if boundary < 0:
             raise InputError("boundary count must be nonnegative")
-        if self.repetitions < 1:
+        if repetitions < 1:
             raise InputError("repetition count must be >= 1")
+        _setattr(self, "genus", genus)
+        _setattr(self, "boundary", boundary)
+        _setattr(self, "repetitions", repetitions)
+
+    def _key(self) -> tuple:
+        return self.genus, self.boundary, self.repetitions
 
 
 def generate(spec: PositiveFamilySpec) -> MonodromyWord:

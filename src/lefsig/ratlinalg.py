@@ -24,13 +24,13 @@ inconsistent exactly when b's column takes a pivot.  The congruence in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Literal, Sequence, Union
 
+from ._record import _Record, _setattr
 from .errors import InputError
 
 Rational = Union[int, Fraction]  # the entry type: never a float or a bool
@@ -71,26 +71,35 @@ def vec_dot(u: Vector, v: Vector) -> Rational:
     return total
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Record):
     """Immutable rational matrix.  `cols` is explicit so 0-row shapes survive.
 
     Entries must be ints or Fractions; `from_rows` also takes 'p/q' strings.
     Rows are stored as tuples, so equal matrices compare and hash equal."""
 
-    entries: tuple[tuple[Rational, ...], ...]
-    cols: int
+    _fields = ("entries", "cols")
 
-    def __post_init__(self) -> None:
-        entries = tuple(map(tuple, self.entries))
+    def __init__(self, entries: Sequence[Sequence[Rational]], cols: int) -> None:
+        entries = tuple(map(tuple, entries))
         for row in entries:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise InputError(
-                    f"ragged matrix: row of length {len(row)}, expected {self.cols}"
+                    f"ragged matrix: row of length {len(row)}, expected {cols}"
                 )
             if not _EXACT.issuperset(map(type, row)):
                 raise InputError("matrix entries must be ints or Fractions; use Matrix.from_rows")
-        object.__setattr__(self, "entries", entries)
+        _setattr(self, "entries", entries)
+        _setattr(self, "cols", cols)
+
+    # Written out rather than through `_key()`: matrices are the one record
+    # compared inside the algorithms (`is_symplectic`, the skew check).
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.cols == other.cols and self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.cols))
 
     @classmethod
     def _exact(cls, entries: tuple[tuple[Rational, ...], ...], cols: int) -> "Matrix":
@@ -98,8 +107,8 @@ class Matrix:
         known to be ints or Fractions, built without the checks: for results
         of exact arithmetic on checked matrices, which cannot hold a float."""
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "cols", cols)
+        _setattr(m, "entries", entries)
+        _setattr(m, "cols", cols)
         return m
 
     @staticmethod
@@ -221,8 +230,7 @@ def matrix_power(m: Matrix, k: int) -> Matrix:
 SolveStatus = Literal["unique", "affine", "inconsistent"]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exact linear solve A x = b.
 
     `particular` sets every free variable to zero; `kernel_basis` holds one
@@ -230,9 +238,16 @@ class SolveResult:
     pivot rule is first-nonzero, so results are bit-stable across runs.
     """
 
-    status: SolveStatus
-    particular: Vector | None
-    kernel_basis: tuple[Vector, ...]
+    _fields = ("status", "particular", "kernel_basis")
+
+    def __init__(self, status: SolveStatus, particular: Vector | None,
+                 kernel_basis: tuple[Vector, ...]) -> None:
+        _setattr(self, "status", status)
+        _setattr(self, "particular", particular)
+        _setattr(self, "kernel_basis", kernel_basis)
+
+    def _key(self) -> tuple:
+        return self.status, self.particular, self.kernel_basis
 
 
 def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:

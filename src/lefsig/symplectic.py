@@ -13,12 +13,12 @@ rank-one sweep, `prefix_actions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Sequence
 
+from ._record import _Record, _setattr
 from .errors import InputError
 from .ratlinalg import (
     Matrix,
@@ -36,20 +36,31 @@ from .ratlinalg import (
 MAX_DIMENSION = 1000
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(_Record):
     """Q^dim with a fixed nondegenerate skew form given by its Gram matrix."""
 
-    form: Matrix
+    _fields = ("form",)
 
-    def __post_init__(self) -> None:
-        f = self.form
-        if not f.is_square() or f.rows % 2 != 0:
+    def __init__(self, form: Matrix) -> None:
+        if not form.is_square() or form.rows % 2 != 0:
             raise InputError("symplectic form must be square of even size")
-        if f.transpose() != -f:
+        if form.transpose() != -form:
             raise InputError("symplectic form must be skew-symmetric")
-        if rank(f) != f.rows:
+        if rank(form) != form.rows:
             raise InputError("symplectic form must be nondegenerate")
+        _setattr(self, "form", form)
+
+    def _key(self) -> tuple:
+        return (self.form,)
+
+    @classmethod
+    def _unchecked(cls, form: Matrix) -> "SymplecticSpace":
+        """The space of a form known to be square of even size, skew and
+        nondegenerate, built without the checks: for `standard` and for block
+        sums of checked forms, which pass them by construction."""
+        space = object.__new__(cls)
+        _setattr(space, "form", form)
+        return space
 
     @staticmethod
     def standard(half_dim: int) -> "SymplecticSpace":
@@ -63,10 +74,7 @@ class SymplecticSpace:
         for i in range(half_dim):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = -1
-        # skew, nondegenerate and int by construction: built without the checks
-        space = object.__new__(SymplecticSpace)
-        object.__setattr__(space, "form", Matrix._exact(tuple(map(tuple, rows)), n))
-        return space
+        return SymplecticSpace._unchecked(Matrix._exact(tuple(map(tuple, rows)), n))
 
     @property
     def dim(self) -> int:
@@ -95,21 +103,24 @@ class SymplecticSpace:
         return sum(a * sum(f * y[j] for j, f in row) for a, row in zip(x, self._form_pattern) if a)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(_Record):
     """Orientable surface with genus g and b boundary components."""
 
-    genus: int
-    boundary: int
+    _fields = ("genus", "boundary")
 
-    def __post_init__(self) -> None:
-        for name in ("genus", "boundary"):
-            if type(value := getattr(self, name)) is not int:  # a bool or a float is no count
+    def __init__(self, genus: int, boundary: int) -> None:
+        for name, value in (("genus", genus), ("boundary", boundary)):
+            if type(value) is not int:  # a bool or a float is no count
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.genus < 0 or self.boundary < 0:
+        if genus < 0 or boundary < 0:
             raise InputError("genus and boundary count must be nonnegative")
+        _setattr(self, "genus", genus)
+        _setattr(self, "boundary", boundary)
         if 2 * self.half_dim > MAX_DIMENSION:
             raise InputError(f"genus and boundary give a fiber dimension above {MAX_DIMENSION}")
+
+    def _key(self) -> tuple:
+        return self.genus, self.boundary
 
     @property
     def half_dim(self) -> int:
@@ -127,19 +138,22 @@ def effective_dimension(surface: Surface) -> int:
     return 2 * surface.half_dim
 
 
-@dataclass(frozen=True)
-class VanishingCycle:
+class VanishingCycle(_Record):
     """Integer homology class of a vanishing cycle plus its twist handedness."""
 
-    homology_class: tuple[int, ...]
-    chirality: int = 1
+    _fields = ("homology_class", "chirality")
 
-    def __post_init__(self) -> None:
-        if type(self.chirality) is not int or self.chirality not in (1, -1):  # True, 1.0 pass `in`
-            raise InputError(f"chirality must be +1 or -1, got {self.chirality!r}")
-        if bad := [x for x in self.homology_class if type(x) is not int]:
+    def __init__(self, homology_class: Sequence[int], chirality: int = 1) -> None:
+        if type(chirality) is not int or chirality not in (1, -1):  # True, 1.0 pass `in`
+            raise InputError(f"chirality must be +1 or -1, got {chirality!r}")
+        homology_class = tuple(homology_class)  # before the check reads a one-shot iterator
+        if bad := [x for x in homology_class if type(x) is not int]:
             raise InputError(f"homology_class entries must be integers, got {bad[0]!r}")
-        object.__setattr__(self, "homology_class", tuple(self.homology_class))
+        _setattr(self, "homology_class", homology_class)
+        _setattr(self, "chirality", chirality)
+
+    def _key(self) -> tuple:
+        return self.homology_class, self.chirality
 
     @property
     def is_null_homologous(self) -> bool:
@@ -149,23 +163,26 @@ class VanishingCycle:
         return as_vector(self.homology_class)
 
 
-@dataclass(frozen=True)
-class MonodromyWord:
+class MonodromyWord(_Record):
     """Ordered vanishing cycles gamma_1 .. gamma_n; the total monodromy acts as
     the product of their transvections, rightmost factor first."""
 
-    surface: Surface
-    cycles: tuple[VanishingCycle, ...]
+    _fields = ("surface", "cycles")
 
-    def __post_init__(self) -> None:
-        dim = effective_dimension(self.surface)
-        for i, c in enumerate(self.cycles):
+    def __init__(self, surface: Surface, cycles: tuple[VanishingCycle, ...]) -> None:
+        dim = effective_dimension(surface)
+        for i, c in enumerate(cycles):
             if len(c.homology_class) != dim:
                 raise InputError(
                     f"cycle {i + 1}: vector has length {len(c.homology_class)}, "
-                    f"expected {dim} (genus {self.surface.genus}, "
-                    f"boundary {self.surface.boundary})"
+                    f"expected {dim} (genus {surface.genus}, "
+                    f"boundary {surface.boundary})"
                 )
+        _setattr(self, "surface", surface)
+        _setattr(self, "cycles", cycles)
+
+    def _key(self) -> tuple:
+        return self.surface, self.cycles
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -257,8 +274,7 @@ def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
     return m.transpose() @ space.form @ m == space.form
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(_Record):
     """Maximal isotropic subspace, stored as a canonical basis of primitive
     int rows: each row of the RREF basis times the positive lcm of its
     denominators, so every row has a positive pivot.  Equal subspaces get
@@ -268,15 +284,19 @@ class Lagrangian:
     primitive int row on that line with a positive pivot.  The constructor
     checks only the shape; isotropy, rank and the canonical form are `span`'s."""
 
-    space: SymplecticSpace
-    basis: tuple[tuple[int, ...], ...]
+    _fields = ("space", "basis")
 
-    def __post_init__(self) -> None:
-        n, d = self.space.half_dim, self.space.dim
-        if type(self.basis) is not tuple or len(self.basis) != n or not all(
+    def __init__(self, space: SymplecticSpace, basis: tuple[tuple[int, ...], ...]) -> None:
+        n, d = space.half_dim, space.dim
+        if type(basis) is not tuple or len(basis) != n or not all(
                 type(row) is tuple and len(row) == d and {int}.issuperset(map(type, row))
-                for row in self.basis):
+                for row in basis):
             raise InputError(f"basis must be a tuple of {n} tuples of {d} ints")
+        _setattr(self, "space", space)
+        _setattr(self, "basis", basis)
+
+    def _key(self) -> tuple:
+        return self.space, self.basis
 
     @staticmethod
     def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":
@@ -304,7 +324,8 @@ def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
-    space = SymplecticSpace(a.space.form.block_diag(b.space.form))
+    # a block sum of two checked forms is skew and nondegenerate by construction
+    space = SymplecticSpace._unchecked(a.space.form.block_diag(b.space.form))
     pad_a = [v + (0,) * b.space.dim for v in a.basis]
     pad_b = [(0,) * a.space.dim + v for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)

@@ -16,6 +16,7 @@ from lefsig import (
     Surface,
     SymplecticSpace,
     VanishingCycle,
+    direct_sum_lagrangian,
     effective_dimension,
     fiber_sum_defect,
     is_symplectic,
@@ -40,6 +41,7 @@ from .fixtures import (
     TWIST_2_5,
     matsumoto_word,
     positive_word,
+    random_lagrangian,
     random_symplectic,
 )
 from .oracles import (
@@ -84,6 +86,37 @@ def test_standard_form_is_built_without_its_checks(monkeypatch):
         space = SymplecticSpace.standard(g)
         assert space == want and hash(space) == hash(want)
         assert space._form_pattern == want._form_pattern
+    monkeypatch.undo()
+    bad = {
+        "square of even size": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+        "skew-symmetric": [[0, 1], [1, 0]],
+        "nondegenerate": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    }
+    for message, rows in bad.items():
+        with pytest.raises(InputError, match=message):
+            SymplecticSpace(Matrix(rows, len(rows)))
+
+
+def test_direct_sum_space_is_built_without_its_checks(monkeypatch):
+    """`direct_sum_lagrangian` trusts the block sum of two checked forms, as
+    `standard` trusts its own; `SymplecticSpace(form)` keeps every check."""
+    def no_rank(m):
+        raise AssertionError("rank called")
+
+    rng = random.Random(31)
+    scaled = SymplecticSpace(Matrix([[0, Fraction(3, 7)], [Fraction(-3, 7), 0]], 2))
+    spaces = [SymplecticSpace.standard(1), SymplecticSpace.standard(2), scaled]
+    pairs = [(random_lagrangian(rng, a), random_lagrangian(rng, b))
+             for a in spaces for b in spaces for _ in range(3)]
+    checked = [SymplecticSpace(a.space.form.block_diag(b.space.form)) for a, b in pairs]
+    want = [Lagrangian.span(space, [v + (0,) * b.space.dim for v in a.basis]
+                            + [(0,) * a.space.dim + v for v in b.basis])
+            for (a, b), space in zip(pairs, checked)]
+    monkeypatch.setattr(symplectic, "rank", no_rank)
+    for (a, b), space, lag in zip(pairs, checked, want):
+        got = direct_sum_lagrangian(a, b)
+        assert got.space == space and hash(got.space) == hash(space)
+        assert got == lag and hash(got) == hash(lag)
     monkeypatch.undo()
     bad = {
         "square of even size": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
