@@ -21,8 +21,8 @@ import itertools
 
 import numpy as np
 
-from lefsig import Matrix, Surface, cover_signature, signature, word, word_action
-from lefsig.ratlinalg import solve_linear
+from lefsig import Surface, cover_signature, signature, word, word_action
+from lefsig.ratlinalg import particular_solution
 
 N = 4
 J = np.zeros((N, N), dtype=np.int64)
@@ -49,10 +49,9 @@ def normalize(v):
 
 
 def dual_preserved(gamma, phi_prev):
-    rows = [[int(x) for x in row] for row in (phi_prev - np.eye(N, dtype=np.int64))]
-    rows.append([int(x) for x in (J @ gamma)])
-    return solve_linear(Matrix.from_rows(rows, cols=N),
-                        [0] * N + [1]).status != "inconsistent"
+    rows = [[int(x) for x in row] + [0] for row in (phi_prev - np.eye(N, dtype=np.int64))]
+    rows.append([int(x) for x in (J @ gamma)] + [1])
+    return particular_solution(rows, N) is not None
 
 
 def search(radius):

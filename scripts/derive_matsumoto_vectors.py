@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from lefsig import Matrix, Surface, cover_signature, signature, word, word_action
-from lefsig.ratlinalg import solve_linear
+from lefsig.ratlinalg import particular_solution
 
 PHI = np.array([[0, 1, 0, -1], [-1, 0, 0, 0], [1, 0, 1, 1], [-1, 0, -1, 0]],
                dtype=np.int64)
@@ -47,10 +47,9 @@ def normalize(v):
 
 def dual_preserved(gamma, phi_prev):
     """Exact rational feasibility of (phi_prev - I) y = 0, Q(gamma, y) != 0."""
-    rows = [[int(x) for x in row] for row in (phi_prev - np.eye(N, dtype=np.int64))]
-    rows.append([int(x) for x in (J @ gamma)])
-    return solve_linear(Matrix.from_rows(rows, cols=N),
-                        [0] * N + [1]).status != "inconsistent"
+    rows = [[int(x) for x in row] + [0] for row in (phi_prev - np.eye(N, dtype=np.int64))]
+    rows.append([int(x) for x in (J @ gamma)] + [1])
+    return particular_solution(rows, N) is not None
 
 
 def search(radius):

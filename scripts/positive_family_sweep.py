@@ -12,13 +12,13 @@ import argparse
 from lefsig import (
     PositiveFamilySpec,
     SymplecticSpace,
-    correction_sigma,
     cover_signature,
     generate,
     signature,
     signature_zero_certificate,
     word_action,
 )
+from lefsig.cover import correction_terms
 
 
 def main():
@@ -45,7 +45,7 @@ def main():
                        for m in range(1, n)]
             cert = "all corrections certified zero" if all(members) else "NOT CERTIFIED"
         else:
-            sigs = [correction_sigma(space, phi, m).sigma for m in range(1, n)]
+            sigs = [term.sigma for term in correction_terms(space, phi, n)]
             cert = ("corrections zero by diagonalization" if not any(sigs)
                     else f"nonzero corrections {sigs}")
         print(f"{n:>3} {engine_total:>7} {cover_total:>6}  {cert}")

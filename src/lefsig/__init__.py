@@ -1,6 +1,6 @@
 """Exact signature computations for Lefschetz fibrations over the disk."""
 
-from .cover import CorrectionTerm, correction_sigma, cover_signature
+from .cover import CorrectionTerm, cover_signature
 from .engine import (
     SignatureTrace,
     StepRecord,
@@ -17,13 +17,7 @@ from .positive import (
     generate,
     signature_zero_certificate,
 )
-from .ratlinalg import (
-    Matrix,
-    SolveResult,
-    matrix_power,
-    signature_symmetric,
-    solve_linear,
-)
+from .ratlinalg import Matrix, matrix_power, signature_symmetric
 from .symplectic import (
     Lagrangian,
     MonodromyWord,
@@ -50,12 +44,10 @@ __all__ = [
     "MonodromyWord",
     "PositiveFamilySpec",
     "SignatureTrace",
-    "SolveResult",
     "StepRecord",
     "Surface",
     "SymplecticSpace",
     "VanishingCycle",
-    "correction_sigma",
     "cover_signature",
     "direct_sum_lagrangian",
     "effective_dimension",
@@ -72,7 +64,6 @@ __all__ = [
     "signature",
     "signature_symmetric",
     "signature_zero_certificate",
-    "solve_linear",
     "transvection",
     "word",
     "word_action",

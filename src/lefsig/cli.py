@@ -28,8 +28,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from itertools import permutations
-from typing import Any, Iterator, Sequence
 
 from ._record import _Record, _setattr
 from .cover import correction_terms
@@ -74,7 +74,7 @@ def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], what:
             raise InputError(f"{what}: unknown field {key!r}")
 
 
-def _as_int(value: Any, what: str) -> int:
+def _as_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what}: expected an integer, got {value!r}")
     return value
@@ -176,7 +176,7 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     return dim, out
 
 
-def _entry(x: Any, idx: int) -> Rational:
+def _entry(x: object, idx: int) -> Rational:
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"matrix {idx}: entries must be integers or 'p/q' strings")
     if isinstance(x, (int, str)):

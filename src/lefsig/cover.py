@@ -22,8 +22,7 @@ signatures holds one S_m at a time.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._record import _Record, _setattr
 from .errors import InputError
@@ -63,16 +62,6 @@ def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[Co
         raise InputError("monodromy matrix is not symplectic for this space")
     sums = zip(range(1, n), correction_sums(space, phi))
     return (CorrectionTerm(m, total, signature_symmetric(total)) for m, total in sums)
-
-
-def correction_sigma(space: SymplecticSpace, phi: Matrix, m: int) -> CorrectionTerm:
-    """Correction term for gluing the (m+1)-st sheet, m >= 1."""
-    if m < 1:
-        raise InputError("correction power must be >= 1")
-    if not is_symplectic(space, phi):
-        raise InputError("monodromy matrix is not symplectic for this space")
-    total = next(islice(correction_sums(space, phi), m - 1, None))
-    return CorrectionTerm(m, total, signature_symmetric(total))
 
 
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:

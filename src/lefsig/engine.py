@@ -28,7 +28,7 @@ on every input and the tests enforce that.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import _Record, _setattr
 from .errors import InputError

@@ -14,27 +14,26 @@ every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 Every elimination is one forward pass, `_int_echelon`, read three ways:
 `_int_solve` (the engine's step) back-substitutes x = n / D over one positive
 denominator D, `rank` counts pivots, and `_int_rref` clears each pivot column
-upwards for `_rref` (`solve_linear`), which divides pivot rows,
-`_int_kernel` (Meyer's form), which scales each kernel vector by a positive
-lcm, and `Lagrangian.span`, which divides each pivot row by its content.  A
-quotient read out is an int exactly when it is integral.  A solve is
-inconsistent exactly when b's column takes a pivot.  The congruence in
+upwards for `_int_kernel` (Meyer's form), which scales each kernel vector by
+a positive lcm, and `Lagrangian.span`, which divides each pivot row by its
+content.  A quotient read out is an int exactly when it is integral.  A solve
+is inconsistent exactly when b's column takes a pivot.  The congruence in
 `signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Literal, Sequence, Union
 
 from ._record import _Record, _setattr
 from .errors import InputError
 
-Rational = Union[int, Fraction]  # the entry type: never a float or a bool
-Scalar = Union[Rational, str]
+Rational = int | Fraction  # the entry type: never a float or a bool
+Scalar = Rational | str
 Vector = tuple[Rational, ...]
 _EXACT = {int, Fraction}  # the types of Rational, which Matrix checks per row
 
@@ -119,19 +118,6 @@ class Matrix(_Record):
                 raise InputError("cannot infer column count of an empty matrix")
             cols = len(data[0])
         return Matrix(data, cols)
-
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "Matrix":
-        cols = [as_vector(c) for c in columns]
-        if rows is None:
-            if not cols:
-                raise InputError("cannot infer row count of an empty matrix")
-            rows = len(cols[0])
-        for c in cols:
-            if len(c) != rows:
-                raise InputError("column length mismatch")
-        data = tuple(tuple(c[i] for c in cols) for i in range(rows))
-        return Matrix(data, len(cols))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -227,29 +213,6 @@ def matrix_power(m: Matrix, k: int) -> Matrix:
     return result
 
 
-SolveStatus = Literal["unique", "affine", "inconsistent"]
-
-
-class SolveResult(_Record):
-    """Outcome of an exact linear solve A x = b.
-
-    `particular` sets every free variable to zero; `kernel_basis` holds one
-    vector per free column.  Both are None / empty when inconsistent.  The
-    pivot rule is first-nonzero, so results are bit-stable across runs.
-    """
-
-    _fields = ("status", "particular", "kernel_basis")
-
-    def __init__(self, status: SolveStatus, particular: Vector | None,
-                 kernel_basis: tuple[Vector, ...]) -> None:
-        _setattr(self, "status", status)
-        _setattr(self, "particular", particular)
-        _setattr(self, "kernel_basis", kernel_basis)
-
-    def _key(self) -> tuple:
-        return self.status, self.particular, self.kernel_basis
-
-
 def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
     """(delta, delta * v) with delta > 0 the lcm of the denominators of v."""
     if {int}.issuperset(map(type, v)):  # the common case
@@ -263,17 +226,6 @@ def _divide(n: Sequence[int], d: int) -> list[Rational]:
     if d == 1:
         return list(n)
     return [x // d if not x % d else Fraction(x, d) for x in n]
-
-
-def _rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
-    """Reduced row echelon form over Q: `_int_rref` of the rows, each scaled by
-    its own denominators' lcm, then each pivot row divided by its pivot.  Rows
-    past the rank stay ints."""
-    rows, pivots = _int_rref([clear_denominators(row)[1] for row in rows])
-    for r, c in enumerate(pivots):
-        if (p := rows[r][c]) != 1:
-            rows[r] = _divide(rows[r], p)
-    return rows, pivots
 
 
 def _eliminate(row: list[int], top: Sequence[int], p: int, f: int) -> list[int]:
@@ -318,8 +270,8 @@ def _int_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of int rows, in place, up to a scale per row:
     `_int_echelon`, then each pivot column, bottom pivot first, `_eliminate`d
-    from the rows above.  `_rref` divides each pivot row by its pivot;
-    `_int_kernel` and `Lagrangian.span` read only what a row scale keeps."""
+    from the rows above.  Its readers, `_int_kernel` and `Lagrangian.span`,
+    read only what a row scale keeps."""
     rows, pivots = _int_echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         bottom, c = rows[k], pivots[k]
@@ -353,22 +305,11 @@ def _int_solve(rows: list[list[int]], cols: int) -> tuple[int, list[int]] | None
     return d, n
 
 
-def _kernel(reduced: list[list[Rational]], pivots: list[int], cols: int) -> tuple[Vector, ...]:
-    """One kernel vector of A per free column of the RREF of A or [A | b]."""
-    kernel = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        v = [0] * cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        kernel.append(tuple(v))
-    return tuple(kernel)
-
-
 def _int_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
-    """Kernel of the int rows, reduced in place, as int rows: `_kernel`'s vector
-    for free column f times L > 0, the lcm of |p_r| / gcd(p_r, a_rf) over the
-    pivot rows, which is that vector's denominators cleared."""
+    """Kernel of the int rows, reduced in place, as int rows, one per free
+    column f: the RREF kernel vector (1 at f, -a_rf / p_r at each pivot
+    column) times L > 0, the lcm of |p_r| / gcd(p_r, a_rf) over the pivot
+    rows, which is that vector's denominators cleared."""
     reduced, pivots = _int_rref(rows)
     kernel = []
     for f in sorted(set(range(cols)) - set(pivots)):
@@ -386,22 +327,6 @@ def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
     quotients n / D: each entry an int exactly when it is integral."""
     solved = _int_solve(rows, cols)
     return None if solved is None else tuple(_divide(solved[1], solved[0]))
-
-
-def solve_linear(a: Matrix, b: Sequence[Scalar]) -> SolveResult:
-    """Solve A x = b exactly, reporting the full affine solution set, from one
-    elimination of [A | b]."""
-    rhs = as_vector(b)
-    if len(rhs) != a.rows:
-        raise InputError(f"rhs of length {len(rhs)} against {a.rows}x{a.cols}")
-    reduced, pivots = _rref([list(row) + [x] for row, x in zip(a.entries, rhs)])
-    if pivots and pivots[-1] == a.cols:  # b's column took a pivot
-        return SolveResult("inconsistent", None, ())
-    particular = [0] * a.cols  # free variables zero
-    for row, c in zip(reduced, pivots):
-        particular[c] = row[a.cols]
-    kernel = _kernel(reduced, pivots, a.cols)
-    return SolveResult("affine" if kernel else "unique", tuple(particular), kernel)
 
 
 def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:

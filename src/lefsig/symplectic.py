@@ -13,10 +13,10 @@ rank-one sweep, `prefix_actions`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Sequence
 
 from ._record import _Record, _setattr
 from .errors import InputError
@@ -169,7 +169,8 @@ class MonodromyWord(_Record):
 
     _fields = ("surface", "cycles")
 
-    def __init__(self, surface: Surface, cycles: tuple[VanishingCycle, ...]) -> None:
+    def __init__(self, surface: Surface, cycles: Iterable[VanishingCycle]) -> None:
+        cycles = tuple(cycles)  # a list would not hash; an iterator is read once
         dim = effective_dimension(surface)
         for i, c in enumerate(cycles):
             if len(c.homology_class) != dim:

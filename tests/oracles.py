@@ -28,19 +28,19 @@ transvection out as a full matrix and multiplying it in, with no call into
 the package.
 
 The dual-preservation shortcut is kept as the library once ran it: a checked
-`Matrix` of (Phi_{k-1} - Id) stacked over the pairing row, solved by
-`solve_linear`.  The library asks one int elimination instead.
+`Matrix` of (Phi_{k-1} - Id) stacked over the pairing row, solved over
+Fractions.  The library asks one int elimination instead.
 
 Every matrix product once went through `vec_dot`; the library now multiplies
 all-int operands by a C-level sum of products and must agree entry for entry,
 down to the type.
 
 Subspaces are handled here as tuples of spanning rows: `span_basis`
-canonicalizes them to the RREF basis and `kernel_basis` gives the right
-kernel of a matrix, one vector per free column, both from the library's
-Fraction readout `ratlinalg._rref`, looked up through the module so that a
-patch of it applies.  The library reads Lagrangian bases, ranks and Meyer's
-kernel off the int elimination instead, with no division.
+canonicalizes them to the RREF basis, `kernel_basis` gives the right kernel
+of a matrix, one vector per free column, and `fraction_solve` the solution
+with every free variable zero, all read off `fraction_rref`.  The library
+reads Lagrangian bases, ranks, Meyer's kernel and the step's solution off
+its int elimination instead, with no division.
 
 The `signature --json` and `power --json` payloads are built here as the CLI
 once built them, for `json.dumps(payload, indent=2)`.  The CLI writes the same
@@ -51,11 +51,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from lefsig import ratlinalg
 from lefsig.maslov import maslov_index
 from lefsig.engine import SignatureTrace
 from lefsig.errors import InputError
-from lefsig.ratlinalg import Matrix, Vector, as_vector, solve_linear, vec_dot
+from lefsig.ratlinalg import Matrix, Vector, as_vector, vec_dot
 from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
 
 
@@ -65,13 +64,33 @@ def span_basis(vectors, dim: int) -> tuple[Vector, ...]:
     for r in rows:
         if len(r) != dim:
             raise InputError(f"vector of length {len(r)} in ambient dimension {dim}")
-    reduced, pivots = ratlinalg._rref(rows)
+    reduced, pivots = fraction_rref(rows)
     return tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
 
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
-    """Basis of the right kernel of A, one vector per free column."""
-    return ratlinalg._kernel(*ratlinalg._rref(a.to_lists()), a.cols)
+    """Basis of the right kernel of A, one vector per free column f: 1 at f,
+    minus the RREF's column f at the pivot columns, 0 elsewhere."""
+    reduced, pivots = fraction_rref(a.to_lists())
+    kernel = []
+    for f in sorted(set(range(a.cols)) - set(pivots)):
+        v = [Fraction(int(j == f)) for j in range(a.cols)]
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        kernel.append(tuple(v))
+    return tuple(kernel)
+
+
+def fraction_solve(rows, cols: int) -> tuple[Fraction, ...] | None:
+    """The solution with every free variable zero of the rows [A | b], `cols`
+    columns in A, by `fraction_rref`; None when b's column takes a pivot."""
+    reduced, pivots = fraction_rref(rows)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[cols]
+    return tuple(x)
 
 
 def charpoly(m: Matrix) -> list[Fraction]:
@@ -105,17 +124,14 @@ def signature_via_charpoly(s: Matrix) -> int:
     return pos - neg
 
 
-def fraction_rref(rows, pivot_limit=None):
+def fraction_rref(rows):
     """Gauss-Jordan over Fractions with the first-nonzero pivot rule.
-    Returns (rows, pivot column list); `pivot_limit` as in `ratlinalg._rref`."""
+    Returns (rows, pivot column list)."""
     rows = [list(row) for row in rows]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if pivot_limit is None:
-        pivot_limit = ncols
     pivots = []
     r = 0
-    for c in range(pivot_limit):
+    for c in range(len(rows[0]) if nrows else 0):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
@@ -182,7 +198,7 @@ def reference_intersect_spans(u, v, dim: int) -> tuple:
     if not u or not v:
         return ()
     u = [as_vector(x) for x in u]
-    stacked = Matrix.from_columns(u + [tuple(-y for y in as_vector(w)) for w in v], rows=dim)
+    stacked = Matrix(u + [tuple(-y for y in as_vector(w)) for w in v], dim).transpose()
     meet = [
         tuple(sum((c * x[i] for c, x in zip(coeffs, u)), Fraction(0)) for i in range(dim))
         for coeffs in kernel_basis(stacked)
@@ -203,6 +219,11 @@ def greedy_complement(u_coords, k: int) -> list[int]:
     return chosen
 
 
+def _coordinates(columns, x) -> tuple[Fraction, ...] | None:
+    """`fraction_solve` of sum_i t_i columns_i = x."""
+    return fraction_solve([list(row) for row in zip(*columns, x)], len(columns))
+
+
 def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[tuple, Matrix]:
     """(representatives, form matrix) of the Wall space, computed the long way."""
     space = a.space
@@ -210,18 +231,16 @@ def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[t
     circle = reference_intersect_spans(b.basis, span_basis(c.basis + a.basis, dim), dim)
     if not circle:
         return (), Matrix.zeros(0, 0)
-    ac_columns = Matrix.from_columns(a.basis + c.basis, rows=dim)
     c_parts = []
     for d in circle:
-        sol = solve_linear(ac_columns, [-x for x in d]).particular
+        sol = _coordinates(a.basis + c.basis, [-x for x in d])
         coeffs = sol[len(a.basis):]
         c_parts.append(tuple(sum((t * y[i] for t, y in zip(coeffs, c.basis)), Fraction(0))
                              for i in range(dim)))
     psi = [[space.pairing(x, cp) for cp in c_parts] for x in circle]
     u = span_basis(reference_intersect_spans(b.basis, c.basis, dim)
                    + reference_intersect_spans(b.basis, a.basis, dim), dim)
-    circle_columns = Matrix.from_columns(circle, rows=dim)
-    u_coords = [solve_linear(circle_columns, x).particular for x in u]
+    u_coords = [_coordinates(circle, x) for x in u]
     chosen = greedy_complement(u_coords, len(circle))
     form = Matrix(tuple(tuple(psi[i][j] for j in chosen) for i in chosen), len(chosen))
     return tuple(circle[i] for i in chosen), form
@@ -248,8 +267,8 @@ def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
     """M^{-1} = J^{-1} M^T J, which M^T J M = J gives for any form J; J^{-1}
     is solved column by column."""
     ident = Matrix.identity(space.dim).entries
-    inverse_form = Matrix.from_columns([solve_linear(space.form, e).particular for e in ident],
-                                       rows=space.dim)
+    inverse_form = Matrix([_coordinates(space.form.transpose().entries, e) for e in ident],
+                          space.dim).transpose()
     return inverse_form @ m.transpose() @ space.form
 
 
@@ -281,13 +300,14 @@ def reference_fiber_sum_defect(space: SymplecticSpace, a: Matrix, b: Matrix) -> 
 
 def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     """Some y with Phi_{k-1} y = y and Q(gamma_k, y) = 1 exists, by a stacked
-    `Matrix` and `solve_linear`; gamma_k must not be null-homologous."""
+    `Matrix` and `fraction_solve`; gamma_k must not be null-homologous."""
     space = word.space
     fixed = word_action(word, k - 1) - Matrix.identity(space.dim)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
     pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].vector()))
     stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
-    return solve_linear(stacked, [0] * space.dim + [1]).status != "inconsistent"
+    rows = [list(row) + [int(i == space.dim)] for i, row in enumerate(stacked.entries)]
+    return fraction_solve(rows, space.dim) is not None
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> tuple[tuple, ...]:

@@ -14,7 +14,6 @@ from lefsig import (
     PositiveFamilySpec,
     Surface,
     SymplecticSpace,
-    correction_sigma,
     cover_signature,
     generate,
     local_sigma,
@@ -27,6 +26,7 @@ from lefsig import (
     word,
     word_action,
 )
+from lefsig.cover import correction_terms
 from lefsig.ratlinalg import sign
 from lefsig.symplectic import Lagrangian, direct_sum_lagrangian
 
@@ -63,9 +63,8 @@ def test_criterion_02_positive_family_with_certificates():
     )
     space = SymplecticSpace.standard(1)
     corrections_ok = True
-    for m in range(1, 20):
-        term = correction_sigma(space, BLOCK_ACTION, m)
-        total, member = signature_zero_certificate(BLOCK_ACTION, m)
+    for term in correction_terms(space, BLOCK_ACTION, 20):
+        total, member = signature_zero_certificate(BLOCK_ACTION, term.power)
         if term.sigma != 0 or not member or total != term.matrix:
             corrections_ok = False
     ok = totals_ok and corrections_ok
@@ -81,7 +80,7 @@ def test_criterion_03_matsumoto_cover_ladder():
 
 def test_criterion_04_separating_twists_vs_chain():
     space = SymplecticSpace.standard(2)
-    corr = correction_sigma(space, DELTA_STAR, 1).sigma
+    corr = next(correction_terms(space, DELTA_STAR, 2)).sigma
     pair = signature(delta_pair_word()).total
     chain4 = signature(chain_word(4)).total
     ok = corr == 1 and pair == -1 and chain4 == -7 and chain4 - pair == -6

@@ -8,14 +8,13 @@ from lefsig import (
     InputError,
     Matrix,
     SymplecticSpace,
-    correction_sigma,
     cover_signature,
     fiber_sum_defect,
     matrix_power,
     signature,
     word_action,
 )
-from lefsig.cover import correction_sums
+from lefsig.cover import correction_sums, correction_terms
 
 from .fixtures import (
     CHAIN_CORRECTIONS,
@@ -33,6 +32,12 @@ from .oracles import kernel_basis
 SP2 = SymplecticSpace.standard(2)
 
 
+def _term(space, phi, m):
+    """The m-th correction term, m >= 1: the last of the (m + 1)-fold cover."""
+    *_, term = correction_terms(space, phi, m + 1)
+    return term
+
+
 def test_correction_sums_match_power_sums():
     # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i) from matrix_power
     j = SP2.form
@@ -46,15 +51,16 @@ def test_correction_sums_match_power_sums():
 
 
 def test_first_matsumoto_correction_matrix():
-    term = correction_sigma(SP2, MATSUMOTO_PHI, 1)
+    term = next(correction_terms(SP2, MATSUMOTO_PHI, 2))
     assert term.matrix == MATSUMOTO_CORR_1
     assert term.sigma == 4
     assert term.power == 1
 
 
 def test_matsumoto_correction_sequence():
-    got = tuple(correction_sigma(SP2, MATSUMOTO_PHI, m).sigma for m in range(1, 10))
-    assert got == MATSUMOTO_CORRECTIONS
+    terms = list(correction_terms(SP2, MATSUMOTO_PHI, 10))
+    assert [t.power for t in terms] == list(range(1, 10))
+    assert tuple(t.sigma for t in terms) == MATSUMOTO_CORRECTIONS
 
 
 def test_matsumoto_cover_ladder():
@@ -65,12 +71,12 @@ def test_matsumoto_cover_ladder():
 
 
 def test_separating_twist_correction():
-    assert correction_sigma(SP2, DELTA_STAR, 1).sigma == 1
+    assert next(correction_terms(SP2, DELTA_STAR, 2)).sigma == 1
 
 
 def test_chain_corrections_and_covers():
     phi = word_action(chain_word())
-    got = tuple(correction_sigma(SP2, phi, m).sigma for m in range(1, 4))
+    got = tuple(t.sigma for t in correction_terms(SP2, phi, 4))
     assert got == CHAIN_CORRECTIONS
     assert cover_signature(0, phi, 2) == -3
     assert cover_signature(0, phi, 4) == -7
@@ -84,7 +90,7 @@ def test_single_fold_needs_no_corrections():
 def test_identity_monodromy_covers_additively():
     for n in (1, 2, 7):
         assert cover_signature(2, Matrix.identity(4), n) == 2 * n
-        assert correction_sigma(SP2, Matrix.identity(4), n).sigma == 0
+    assert [t.sigma for t in correction_terms(SP2, Matrix.identity(4), 8)] == [0] * 7
 
 
 def test_correction_matrix_always_symmetric():
@@ -93,8 +99,8 @@ def test_correction_matrix_always_symmetric():
         space = SymplecticSpace.standard(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 4)
-        term = correction_sigma(space, phi, m)
-        assert term.matrix == term.matrix.transpose()
+        for term in correction_terms(space, phi, m + 1):
+            assert term.matrix == term.matrix.transpose()
 
 
 def test_fixed_vectors_of_next_power_are_radical():
@@ -105,7 +111,8 @@ def test_fixed_vectors_of_next_power_are_radical():
         space = SymplecticSpace.standard(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 4)
-        term = correction_sigma(space, phi, m)
+        term = _term(space, phi, m)
+        assert term.power == m
         fixed = matrix_power(phi, m + 1) - Matrix.identity(space.dim)
         for v in kernel_basis(fixed):
             assert all(x == 0 for x in term.matrix.apply(v))
@@ -121,7 +128,7 @@ def test_correction_equals_gluing_defect():
         space = SymplecticSpace.standard(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 5)
-        assert correction_sigma(space, phi, m).sigma == fiber_sum_defect(
+        assert _term(space, phi, m).sigma == fiber_sum_defect(
             space, phi, matrix_power(phi, m))
 
 
@@ -135,13 +142,12 @@ def test_cover_matches_repeated_word():
 
 
 def test_input_validation():
-    with pytest.raises(InputError, match=">= 1"):
-        correction_sigma(SP2, MATSUMOTO_PHI, 0)
+    # phi is checked when the terms are set up, before the first one is asked for
     with pytest.raises(InputError, match="symplectic"):
-        correction_sigma(SP2, Matrix.identity(2), 1)
+        correction_terms(SP2, Matrix.identity(2), 2)
     with pytest.raises(InputError, match="symplectic"):
-        correction_sigma(SP2, Matrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0],
-                                                [0, 0, 2, 0], [0, 0, 0, 2]]), 1)
+        correction_terms(SP2, Matrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0],
+                                                [0, 0, 2, 0], [0, 0, 0, 2]]), 2)
     with pytest.raises(InputError, match=">= 1"):
         cover_signature(0, MATSUMOTO_PHI, 0)
     # phi is validated for every fold count, also when no correction is needed

@@ -188,7 +188,7 @@ def test_shortcut_forces_zero_sigma():
 
 
 def test_shortcut_matches_stacked_reference():
-    """The int elimination of the shortcut against the stacked `solve_linear`
+    """The int elimination of the shortcut against the stacked Fraction
     one, on every non-null step of random genus 1-4 words of both chiralities
     with repeated and cancelling cycles."""
     rng = random.Random(1907)

@@ -1,9 +1,10 @@
 """The fraction-free kernels against their Fraction oracles.
 
-`ratlinalg._rref` runs Gauss-Jordan on ints with content removal and
+`ratlinalg._int_rref` runs Gauss-Jordan on ints with content removal and
 `signature_symmetric` a Bareiss congruence; `oracles.fraction_rref` and
 `oracles.fraction_signature_symmetric` are the Fraction eliminations they
-replaced.  Every solve, span, rank and signature must agree exactly.
+replaced.  Every solve, kernel, reduced row, rank and signature must agree
+exactly.
 """
 
 import random
@@ -13,18 +14,18 @@ from lefsig import ratlinalg
 from lefsig.ratlinalg import (
     Matrix,
     clear_denominators,
+    particular_solution,
     rank,
     signature_symmetric,
-    solve_linear,
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
 from .oracles import (
     fraction_rref,
     fraction_signature_symmetric,
+    fraction_solve,
     kernel_basis,
     signature_via_charpoly,
-    span_basis,
 )
 
 BIG = 10**30
@@ -80,25 +81,18 @@ def _rhs(rng: random.Random, a: Matrix) -> list:
     return [free, list(inside)]
 
 
-def _views(a: Matrix, rhs: list) -> tuple:
-    return (
-        [solve_linear(a, b) for b in rhs],
-        kernel_basis(a),
-        span_basis(a.entries, a.cols),
-        span_basis(a.transpose().entries, a.rows),
-        rank(a),
-    )
-
-
 def _assert_rref_matches(rows: list[list]) -> None:
-    got, pivots = ratlinalg._rref([list(r) for r in rows])
+    """`_int_rref` of the rows, each with its denominators cleared, holds the
+    RREF's pivots, each RREF row up to a scale, and its zero pattern."""
+    got, pivots = ratlinalg._int_rref([clear_denominators(r)[1] for r in rows])
     want, want_pivots = fraction_rref(rows)
     assert pivots == want_pivots
-    assert got[:len(pivots)] == want[:len(pivots)]
+    assert [[Fraction(x, row[c]) for x in row] for row, c in zip(got, pivots)] \
+        == want[:len(pivots)]
     assert [[x != 0 for x in r] for r in got] == [[x != 0 for x in r] for r in want]
 
 
-def test_integer_kernel_matches_fraction_oracle(monkeypatch):
+def test_integer_kernel_matches_fraction_oracle():
     rng = random.Random(1968)
     cases = [Matrix.zeros(0, 0), Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(2, 2)]
     cases += [_random_matrix(rng) for _ in range(300)]
@@ -106,16 +100,18 @@ def test_integer_kernel_matches_fraction_oracle(monkeypatch):
         cases += _step_matrices(rng)
     for a in cases:
         rhs = _rhs(rng, a)
-        got = _views(a, rhs)
-        with monkeypatch.context() as patched:
-            patched.setattr(ratlinalg, "_rref", fraction_rref)
-            want = _views(a, rhs)
-        assert got == want, a
+        # the step's solve runs on each row of [A | b] with its denominators
+        # cleared, which leaves the solution as it is
+        for b in rhs:
+            system = [list(row) + [y] for row, y in zip(a.entries, b)]
+            cleared = [clear_denominators(row)[1] for row in system]
+            assert particular_solution(cleared, a.cols) == fraction_solve(system, a.cols), a
         # the int readers: Meyer's kernel is the RREF kernel with each vector's
         # denominators cleared, and rank counts the Fraction elimination's pivots
         rows = [clear_denominators(row)[1] for row in a.entries]
-        assert ratlinalg._int_kernel(rows, a.cols) == [clear_denominators(v)[1] for v in want[1]]
-        assert got[-1] == len(fraction_rref(a.to_lists())[1])
+        assert ratlinalg._int_kernel(rows, a.cols) == \
+            [clear_denominators(v)[1] for v in kernel_basis(a)], a
+        assert rank(a) == len(fraction_rref(a.to_lists())[1])
         aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a.entries)]
         _assert_rref_matches(aug)
         limit = rng.randint(0, a.cols)  # a leading block of columns

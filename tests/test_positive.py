@@ -9,12 +9,12 @@ from lefsig import (
     InputError,
     Matrix,
     PositiveFamilySpec,
-    correction_sigma,
     generate,
     signature,
     signature_zero_certificate,
     word_action,
 )
+from lefsig.cover import correction_terms
 from lefsig.symplectic import SymplecticSpace
 
 from .fixtures import BLOCK_ACTION, CERTIFICATE_N1, POSITIVE_VECTORS
@@ -80,11 +80,11 @@ def test_certificate_holds_through_n19():
 
 
 def test_certificate_matrix_is_the_correction_matrix():
-    space = SymplecticSpace.standard(1)
+    terms = list(correction_terms(SymplecticSpace.standard(1), BLOCK_ACTION, 10))
     for n in (1, 2, 5, 9):
         total, _ = signature_zero_certificate(BLOCK_ACTION, n)
-        term = correction_sigma(space, BLOCK_ACTION, n)
-        assert total == term.matrix
+        term = terms[n - 1]
+        assert term.power == n and total == term.matrix
         assert term.sigma == 0
 
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from lefsig.errors import InputError
 from lefsig.ratlinalg import (
     Matrix,
-    SolveResult,
+    _int_kernel,
     as_rational,
     as_vector,
     matrix_power,
+    particular_solution,
     rank,
     signature_symmetric,
-    solve_linear,
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
@@ -36,35 +36,30 @@ def test_as_rational_rejects_floats_and_garbage():
         as_rational("1.5.2")
 
 
+def _system(a: Matrix, b) -> list[list[int]]:
+    """The int rows [A | b]."""
+    return [list(row) + [y] for row, y in zip(a.entries, b)]
+
+
 def test_solve_unique():
-    a = Matrix.from_rows([[2, 0], [0, 3]])
-    res = solve_linear(a, [4, 9])
-    assert res.status == "unique"
-    assert res.particular == (Fraction(2), Fraction(3))
-    assert res.kernel_basis == ()
+    # the rows [A | b] of diag(2, 3) x = (4, 9)
+    assert particular_solution([[2, 0, 4], [0, 3, 9]], 2) == (2, 3)
+    assert _int_kernel([[2, 0], [0, 3]], 2) == []
 
 
 def test_solve_inconsistent():
-    a = Matrix.from_rows([[1, 1], [1, 1]])
-    res = solve_linear(a, [1, 2])
-    assert res.status == "inconsistent"
-    assert res.particular is None
+    assert particular_solution([[1, 1, 1], [1, 1, 2]], 2) is None
 
 
 def test_solve_affine_deterministic_witness():
     # free variable set to zero, pivot solved: the witness is reproducible
-    a = Matrix.from_rows([[0, -1], [0, 0]])
-    res = solve_linear(a, [1, 0])
-    assert res.status == "affine"
-    assert res.particular == (Fraction(0), Fraction(-1))
-    assert res.kernel_basis == ((Fraction(1), Fraction(0)),)
+    assert particular_solution([[0, -1, 1], [0, 0, 0]], 2) == (0, -1)
+    assert _int_kernel([[0, -1], [0, 0]], 2) == [[1, 0]]
 
 
 def test_solve_no_rows():
-    res = solve_linear(Matrix.zeros(0, 3), [])
-    assert res.status == "affine"
-    assert res.particular == (Fraction(0),) * 3
-    assert len(res.kernel_basis) == 3
+    assert particular_solution([], 3) == (0, 0, 0)
+    assert _int_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @st.composite
@@ -84,13 +79,14 @@ def matrices_and_solutions(draw):
 def test_solve_roundtrip(case):
     a, x = case
     b = a.apply(x)
-    res = solve_linear(a, b)
-    assert res.status != "inconsistent"
-    assert a.apply(res.particular) == b
-    for v in res.kernel_basis:
-        assert a.apply(v) == (Fraction(0),) * a.rows
+    particular = particular_solution(_system(a, b), a.cols)
+    assert particular is not None
+    assert a.apply(particular) == b
+    kernel = _int_kernel(a.to_lists(), a.cols)
+    for v in kernel:
+        assert a.apply(v) == (0,) * a.rows
     # kernel dimension + rank = number of columns
-    assert len(res.kernel_basis) + rank(a) == a.cols
+    assert len(kernel) + rank(a) == a.cols
 
 
 @given(matrices_and_solutions())
@@ -98,15 +94,15 @@ def test_solve_roundtrip(case):
 def test_inconsistent_really_means_it(case):
     a, x = case
     b = list(a.apply(x))
-    b[0] += 1  # may or may not stay consistent; trust only the reported status
-    res = solve_linear(a, b)
-    if res.status == "inconsistent":
+    b[0] += 1  # may or may not stay consistent; trust only the reported outcome
+    particular = particular_solution(_system(a, b), a.cols)
+    if particular is None:
         # b must then be outside the column span: appending it raises the rank
         augmented = Matrix(tuple(row + (v,) for row, v in zip(a.entries, as_vector(b))),
                            a.cols + 1)
         assert rank(augmented) > rank(a)
     else:
-        assert a.apply(res.particular) == tuple(b)
+        assert a.apply(particular) == tuple(b)
 
 
 def test_signature_examples():
@@ -222,8 +218,8 @@ def test_matrix_requires_exact_entries():
             Matrix(((Fraction(1, 2), bad),), 2)
         with pytest.raises(InputError, match="Matrix.from_rows"):
             Matrix(((1, 2), (bad, 3)), 2)
-    res = solve_linear(Matrix(((2, 0), (0, 2)), 2), [1, 1])
-    assert res.particular == (Fraction(1, 2), Fraction(1, 2))
+    assert particular_solution(_system(Matrix(((2, 0), (0, 2)), 2), [1, 1]), 2) \
+        == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_list_rows_are_stored_as_tuples():
@@ -237,8 +233,6 @@ def _assert_exact(value) -> None:
     """Every number inside `value` is an int or a Fraction: no float, no bool."""
     if isinstance(value, Matrix):
         value = value.entries
-    elif isinstance(value, SolveResult):
-        value = (value.particular, value.kernel_basis)
     if isinstance(value, (tuple, list)):
         for v in value:
             _assert_exact(v)
@@ -277,13 +271,11 @@ def test_int_and_fraction_entries_agree_exactly():
         rect = _random_rows(rng, n, m, zero_diagonal)
         square = _random_rows(rng, n, n, zero_diagonal)
         small, big = _symmetric_pair(rng, n, zero_diagonal)
-        rhs = [rng.randint(-4, 4) for _ in range(n)]
         results = []
         for entry in (int, Fraction):
             a, sq, s, t = (Matrix([[entry(x) for x in r] for r in rows], len(rows[0]))
                            for rows in (rect, square, small, big))
-            got = (solve_linear(a, rhs), kernel_basis(a), span_basis(a.entries, m), rank(a),
-                   a.transpose() @ a, matrix_power(sq, 3),
+            got = (rank(a), a.transpose() @ a, matrix_power(sq, 3),
                    signature_symmetric(s), signature_symmetric(t))
             _assert_exact(got)
             assert got[-2] == got[-1] == signature_via_charpoly(s), big
@@ -394,3 +386,4 @@ def test_kernel_basis_of_rank_one():
     assert len(ker) == 2
     for v in ker:
         assert a.apply(v) == (Fraction(0),)
+    assert _int_kernel([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]

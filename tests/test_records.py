@@ -26,7 +26,6 @@ from lefsig import (
     MonodromyWord,
     PositiveFamilySpec,
     SignatureTrace,
-    SolveResult,
     StepRecord,
     Surface,
     SymplecticSpace,
@@ -51,8 +50,6 @@ def _samples():
     m = Matrix([[1, Fraction(1, 2)], [0, -3]], 2)
     return [
         (Matrix, ("entries", "cols"), (m.entries, 2), ((), 2)),
-        (SolveResult, ("status", "particular", "kernel_basis"),
-         ("affine", (1, Fraction(1, 3)), ((0, 1),)), ("inconsistent", None, ())),
         (SymplecticSpace, ("form",), (std.form,), (scaled.form,)),
         (Surface, ("genus", "boundary"), (2, 1), (1, 2)),
         (VanishingCycle, ("homology_class", "chirality"), ((1, 0, 2, 0), -1), ((1, 0, 2, 0),)),
@@ -88,7 +85,7 @@ def test_every_record_is_sampled():
     def subclasses(cls):
         return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
     assert subclasses(_Record) == {sample[0] for sample in _samples()}
-    assert len(_samples()) == 12
+    assert len(_samples()) == 11
 
 
 @pytest.mark.parametrize("cls, names, args, other", _samples(),
@@ -139,9 +136,9 @@ def test_cached_properties_live_beside_the_fields():
 
 def test_cli_import_loads_no_unneeded_modules():
     """A bare `import lefsig.cli` (no `site`) leaves out what no job needs at
-    start-up: `dataclasses` and the `inspect` it imports, `pathlib`, and
-    `random`, which only `maslov --check-axioms` imports."""
-    unwanted = ("dataclasses", "inspect", "random", "pathlib")
+    start-up: `dataclasses` and the `inspect` it imports, `pathlib`,
+    `random`, which only `maslov --check-axioms` imports, and `typing`."""
+    unwanted = ("dataclasses", "inspect", "random", "pathlib", "typing")
     code = f"import sys, lefsig.cli; print(*[m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=subprocess_env())
@@ -153,3 +150,14 @@ def test_vanishing_cycle_reads_an_iterator_once():
     assert VanishingCycle(x for x in (1, 0)) == VanishingCycle((1, 0))
     with pytest.raises(InputError, match="integers, got 0.5"):
         VanishingCycle(x for x in (1, 0.5))
+
+
+def test_monodromy_word_keeps_its_cycles_as_a_tuple():
+    surface, cycles = Surface(1, 0), (VanishingCycle((1, 0)), VanishingCycle((0, 1), -1))
+    w = MonodromyWord(surface, cycles)
+    for given in (list(cycles), iter(cycles)):
+        other = MonodromyWord(surface, given)
+        assert other.cycles == cycles and other == w and hash(other) == hash(w)
+        assert len(other) == 2
+    with pytest.raises(InputError, match="cycle 2: vector has length 3"):
+        MonodromyWord(surface, (c for c in (cycles[0], VanishingCycle((1, 0, 0)))))

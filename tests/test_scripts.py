@@ -21,9 +21,13 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_positive_family_sweep():
-    lines = run_script("positive_family_sweep.py", "--max-n", "6")
-    assert lines[-1].split() == ["6", "6", "6", "all", "corrections", "certified", "zero"]
+@pytest.mark.parametrize("genus, verdict", [
+    ("1", "all corrections certified zero"),  # the 2x2 cone certificate
+    ("2", "corrections zero by diagonalization"),  # the correction signatures
+], ids=["genus-1", "genus-2"])
+def test_positive_family_sweep(genus, verdict):
+    lines = run_script("positive_family_sweep.py", "--max-n", "6", "--genus", genus)
+    assert lines[-1].split() == ["6", "6", "6", *verdict.split()]
 
 
 def test_derive_matsumoto_vectors():

@@ -46,13 +46,12 @@ def test_float_sites_are_found(tmp_path):
 PUBLIC_API = [
     "BLOCK_VECTORS", "CorrectionTerm", "InputError", "InternalConsistencyError",
     "Lagrangian", "LefsigError", "Matrix", "MonodromyWord", "PositiveFamilySpec",
-    "SignatureTrace", "SolveResult", "StepRecord", "Surface", "SymplecticSpace",
-    "VanishingCycle", "correction_sigma", "cover_signature",
-    "direct_sum_lagrangian", "effective_dimension", "fiber_sum_defect", "generate",
-    "is_symplectic", "local_sigma", "local_sigma_via_maslov", "map_lagrangian",
-    "maslov_index", "matrix_power", "meyer_cocycle", "shortcut_dual_preserved",
-    "signature", "signature_symmetric", "signature_zero_certificate", "solve_linear",
-    "transvection", "word", "word_action",
+    "SignatureTrace", "StepRecord", "Surface", "SymplecticSpace", "VanishingCycle",
+    "cover_signature", "direct_sum_lagrangian", "effective_dimension",
+    "fiber_sum_defect", "generate", "is_symplectic", "local_sigma",
+    "local_sigma_via_maslov", "map_lagrangian", "maslov_index", "matrix_power",
+    "meyer_cocycle", "shortcut_dual_preserved", "signature", "signature_symmetric",
+    "signature_zero_certificate", "transvection", "word", "word_action",
 ]
 
 

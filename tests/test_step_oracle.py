@@ -3,11 +3,12 @@
 `local_sigma` eliminates the int rows [Id - Phi_k | gamma_k] once and signs
 delta + c * Q(gamma_k, n) for the witness x = n / delta.  The reference here
 takes Phi_k from `oracles.dense_prefix_actions`, reduces [Id - Phi_k | gamma_k]
-over Fractions with `oracles.fraction_rref`, and signs 1 + c * gamma^T J x
+over Fractions with `oracles.fraction_solve`, and signs 1 + c * gamma^T J x
 with J written out densely.  The words mix left twists, null cycles, repeated
 cycles and cancelling pairs, so rank-deficient and inconsistent steps occur.
 The step's right-hand-column readout (`particular_solution`) must also equal
-the RREF readout of `solve_linear`, down to the type of each entry.
+the oracle's, down to the type of each entry: an int exactly where it is
+integral.
 """
 
 import random
@@ -16,9 +17,9 @@ from fractions import Fraction
 import pytest
 
 from lefsig import InputError, Matrix, SymplecticSpace, Surface, signature, word
-from lefsig.ratlinalg import particular_solution, solve_linear
+from lefsig.ratlinalg import particular_solution
 
-from .oracles import dense_prefix_actions, fraction_rref
+from .oracles import dense_prefix_actions, fraction_rref, fraction_solve
 
 
 def _standard_form(dim: int) -> list[list[int]]:
@@ -40,14 +41,16 @@ def _reference_step(phi, gamma, chirality, j_form):
         return True, 0, None
     rows = [[Fraction(int(i == j) - phi[i][j]) for j in range(dim)] + [Fraction(gamma[i])]
             for i in range(dim)]
-    reduced, pivots = fraction_rref(rows, pivot_limit=dim)
-    if any(row[dim] != 0 for row in reduced[len(pivots):]):
+    x = fraction_solve(rows, dim)
+    if x is None:
         return False, 0, None
-    x = [Fraction(0)] * dim
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][dim]
     value = 1 + chirality * _dense_pairing(j_form, gamma, x)
-    return True, (value > 0) - (value < 0), tuple(x)
+    return True, (value > 0) - (value < 0), x
+
+
+def _read_out(x):
+    """The oracle's Fractions with the library's type rule applied."""
+    return None if x is None else tuple(int(v) if v.denominator == 1 else v for v in x)
 
 
 def _random_cycles(rng: random.Random, genus: int) -> list[tuple[tuple[int, ...], int]]:
@@ -88,8 +91,9 @@ def test_integer_step_matches_fraction_reference():
             want = _reference_step(phi, g, c, j_form)
             assert (step.solvable, step.sigma, step.witness) == want, (vectors, chiralities)
             a = [[int(i == j) - phi[i][j] for j in range(dim)] for i in range(dim)]
-            assert repr(particular_solution([row + [x] for row, x in zip(a, g)], dim)) == repr(
-                solve_linear(Matrix(a, dim), g).particular), (vectors, chiralities)
+            system = [row + [x] for row, x in zip(a, g)]
+            assert repr(particular_solution([list(r) for r in system], dim)) == repr(
+                _read_out(fraction_solve(system, dim))), (vectors, chiralities)
             kinds["unsolvable"] += not step.solvable
             kinds["null"] += not any(g)
             kinds["left"] += c == -1
