@@ -5,12 +5,14 @@ is the target; the search looks for four integer vectors whose transvection
 product T4 T3 T2 T1 equals it.  Meet-in-the-middle over all vectors with
 entries in [-radius, radius]: hash T4 T3 products, scan T2 T1 pairs.
 
-Candidate tuples are sign-normalized (first nonzero entry positive; a
-transvection only sees the line through its vector), filtered down to
-tuples where every prefix action preserves a dual of the next vector
-(which pins every per-step sigma at zero, as for the actual vanishing
-cycles of this fibration), and the lexicographically first survivor is
-the frozen fixture.  Rerunning this script reproduces it bit for bit.
+A transvection only sees the line through its vector (T_v = T_-v), so the
+search runs over one sign-normalized vector per line (first nonzero entry
+positive): half the candidates, and every tuple it finds is already
+normalized.  Tuples are filtered down to those where every prefix action
+preserves a dual of the next vector (which pins every per-step sigma at
+zero, as for the actual vanishing cycles of this fibration), and the
+lexicographically first survivor is the frozen fixture.  Rerunning this
+script reproduces it bit for bit.
 
 Usage: python scripts/derive_matsumoto_vectors.py [--radius 1]
 """
@@ -18,72 +20,50 @@ Usage: python scripts/derive_matsumoto_vectors.py [--radius 1]
 import argparse
 import itertools
 
-import numpy as np
+from lefsig import (
+    Matrix,
+    Surface,
+    SymplecticSpace,
+    VanishingCycle,
+    cover_signature,
+    shortcut_dual_preserved,
+    signature,
+    transvection,
+    word,
+    word_action,
+)
 
-from lefsig import Matrix, Surface, cover_signature, signature, word, word_action
-from lefsig.ratlinalg import particular_solution
-
-PHI = np.array([[0, 1, 0, -1], [-1, 0, 0, 0], [1, 0, 1, 1], [-1, 0, -1, 0]],
-               dtype=np.int64)
-N = 4
-J = np.zeros((N, N), dtype=np.int64)
-for i in range(N // 2):
-    J[2 * i, 2 * i + 1] = 1
-    J[2 * i + 1, 2 * i] = -1
-
-
-def transvection(g):
-    return np.eye(N, dtype=np.int64) - np.outer(g, J @ g)
-
-
-def symplectic_inverse(m):
-    return -J @ m.T @ J
-
-
-def normalize(v):
-    first = next(x for x in v if x != 0)
-    return tuple(int(x) for x in (v if first > 0 else -v))
-
-
-def dual_preserved(gamma, phi_prev):
-    """Exact rational feasibility of (phi_prev - I) y = 0, Q(gamma, y) != 0."""
-    rows = [[int(x) for x in row] + [0] for row in (phi_prev - np.eye(N, dtype=np.int64))]
-    rows.append([int(x) for x in (J @ gamma)] + [1])
-    return particular_solution(rows, N) is not None
+SURFACE = Surface(2, 0)
+SPACE = SymplecticSpace.standard(SURFACE.half_dim)
+PHI = Matrix.from_rows([[0, 1, 0, -1], [-1, 0, 0, 0], [1, 0, 1, 1], [-1, 0, -1, 0]])
 
 
 def search(radius):
     entries = range(-radius, radius + 1)
-    vecs = [np.array(v, dtype=np.int64)
-            for v in itertools.product(entries, repeat=N)]
-    vecs = [v for v in vecs if v.any()]
-    tvs = [transvection(v) for v in vecs]
+    vecs = [v for v in itertools.product(entries, repeat=SPACE.dim) if any(v)]
     print(f"radius {radius}: {len(vecs)} candidate vectors")
+    lines = [v for v in vecs if next(x for x in v if x) > 0]
+    tvs = [transvection(SPACE, VanishingCycle(v)) for v in lines]
+    # (T2 T1)^-1 = T1^-1 T2^-1, each factor the left-handed twist
+    inverses = [transvection(SPACE, VanishingCycle(v, -1)) for v in lines]
 
     right = {}
     for i3, t3 in enumerate(tvs):
         for i4, t4 in enumerate(tvs):
-            right.setdefault((t4 @ t3).tobytes(), []).append((i3, i4))
+            right.setdefault(t4 @ t3, []).append((i3, i4))
 
     found = set()
-    for i1, t1 in enumerate(tvs):
-        for i2, t2 in enumerate(tvs):
-            need = PHI @ symplectic_inverse(t2 @ t1)
-            for i3, i4 in right.get(need.tobytes(), []):
-                found.add(tuple(normalize(vecs[i]) for i in (i1, i2, i3, i4)))
+    for i1, inv1 in enumerate(inverses):
+        phi_inv1 = PHI @ inv1
+        for i2, inv2 in enumerate(inverses):
+            for i3, i4 in right.get(phi_inv1 @ inv2, []):
+                found.add(tuple(lines[i] for i in (i1, i2, i3, i4)))
     print(f"tuples with transvection product equal to phi: {len(found)}")
 
     survivors = []
     for cand in sorted(found):
-        phi_prev = np.eye(N, dtype=np.int64)
-        ok = True
-        for v in cand:
-            arr = np.array(v, dtype=np.int64)
-            if not dual_preserved(arr, phi_prev):
-                ok = False
-                break
-            phi_prev = transvection(arr) @ phi_prev
-        if ok:
+        w = word(SURFACE, cand)
+        if all(shortcut_dual_preserved(w, k) for k in range(1, len(w) + 1)):
             survivors.append(cand)
     print(f"with a preserved dual at every step: {len(survivors)}")
     return survivors
@@ -101,9 +81,9 @@ def main():
     frozen = survivors[0]
     print(f"frozen (lex-first): {frozen}")
 
-    w = word(Surface(2, 0), [list(v) for v in frozen])
+    w = word(SURFACE, frozen)
     action = word_action(w)
-    assert action == Matrix.from_rows([[int(x) for x in row] for row in PHI])
+    assert action == PHI
     base = signature(w).total
     print(f"exact check: word signature {base}, per-step sigmas "
           f"{[s.sigma for s in signature(w).steps]}")

@@ -11,7 +11,6 @@ import argparse
 
 from lefsig import (
     PositiveFamilySpec,
-    SymplecticSpace,
     cover_signature,
     generate,
     signature,
@@ -30,7 +29,6 @@ def main():
     block = generate(PositiveFamilySpec(args.genus, 1, 1))
     base = signature(block).total
     phi = word_action(block)
-    space = SymplecticSpace.standard(block.surface.half_dim)
     print(f"block of {len(block)} cycles on genus {args.genus}, signature {base}")
     print(f"{'n':>3} {'engine':>7} {'cover':>6}  certificate")
     for n in range(1, args.max_n + 1):
@@ -41,11 +39,10 @@ def main():
         elif args.genus == 1:
             # cone certificate is a 2x2 statement; higher genus falls back
             # to the diagonalization route alone
-            members = [signature_zero_certificate(word_action(block), m)[1]
-                       for m in range(1, n)]
+            members = [signature_zero_certificate(phi, m)[1] for m in range(1, n)]
             cert = "all corrections certified zero" if all(members) else "NOT CERTIFIED"
         else:
-            sigs = [term.sigma for term in correction_terms(space, phi, n)]
+            sigs = [term.sigma for term in correction_terms(block.space, phi, n)]
             cert = ("corrections zero by diagonalization" if not any(sigs)
                     else f"nonzero corrections {sigs}")
         print(f"{n:>3} {engine_total:>7} {cover_total:>6}  {cert}")

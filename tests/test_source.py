@@ -1,21 +1,28 @@
-"""Source checks: the package core does no floating-point arithmetic, and the
-public API is exactly the pinned list.
+"""Source checks: the package core does no floating-point arithmetic, the
+scripts run on the standard library and `lefsig` alone, and the public API is
+exactly the pinned list.
 
 Every entry in `lefsig` is an int or a Fraction.  A true division of two ints,
 a float literal or a `float(...)` call would bring a float in and lose
 exactness silently, so none may appear in `src/lefsig/*.py`; exact quotients
 are written `Fraction(a, b)`.
 
+The scripts in `scripts/` are the package's own callers; an import of a
+third-party module there would make a dependency the package does not declare.
+
 `lefsig.__all__` is pinned so that a name deleted from a module cannot linger
 as a stale export, and a new public name is a deliberate edit here.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import lefsig
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lefsig").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lefsig").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _float_sites(path: Path):
@@ -41,6 +48,33 @@ def test_float_sites_are_found(tmp_path):
     probe.write_text("a = 1 / 2\nb = 3\nb /= 4\nc = 0.5\nd = float('1')\ne = 7 // 2\n")
     assert [what for _, what in _float_sites(probe)] == [
         "true division", "true division", "float literal", "float() call"]
+
+
+def _foreign_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for top in (m.partition(".")[0] for m in modules):
+            if top != "lefsig" and top not in sys.stdlib_module_names:
+                yield node.lineno, top
+
+
+def test_scripts_import_only_the_standard_library_and_lefsig():
+    assert len(SCRIPTS) >= 3
+    found = [f"{p.name}:{line}: {top}" for p in SCRIPTS for line, top in _foreign_imports(p)]
+    assert found == []
+
+
+def test_foreign_imports_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy\nfrom numpy import x\nimport os, numpy.linalg as la\n"
+                     "from itertools import chain\nimport lefsig.cover\nfrom lefsig import word\n")
+    assert list(_foreign_imports(probe)) == [(1, "numpy"), (2, "numpy"), (3, "numpy")]
 
 
 PUBLIC_API = [
