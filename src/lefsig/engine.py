@@ -13,7 +13,17 @@ if no solution exists the step contributes nothing, otherwise
 which does not depend on the choice of x.  The step runs on ints: one
 forward elimination of [Id - Phi_k | gamma_k] and one back-substitution give
 x = n / delta over a common denominator delta > 0, and since delta > 0,
-sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).  The total is
+sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).
+
+Only the rows I_k of [Id - Phi_k | gamma_k] are eliminated, I_k the pivot
+coordinates of an echelon basis of gamma_1 .. gamma_k (`MonodromyWord`
+keeps them beside its prefix actions).  Id - Phi_k = sum_{j<=k} c_j gamma_j
+r_j^T maps into S_k = span(gamma_1 .. gamma_k), and so does gamma_k;
+projection onto I_k is injective on S_k, so the rows I_k have the null space
+of the whole system, hence its RREF, its pivot columns, its solvability and
+its witness.  When S_k is the whole space, I_k is every row.  The dual
+check of `shortcut_dual_preserved` reads the rows I_{k-1} by the same
+argument.  The total is
 
     signature = - sum_k c_k * sigma_k  -  sum over null-homologous k of c_k:
 
@@ -23,7 +33,8 @@ a left one adds a +1-framed handle (count +1).
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
 which `local_sigma_via_maslov` recomputes independently; the two routes agree
-on every input and the tests enforce that.
+on every input and the tests enforce that.  That route works on all of V on
+purpose: it shares no row selection with the step solve.
 """
 
 from __future__ import annotations
@@ -84,12 +95,15 @@ class SignatureTrace(_Record):
         return self.word, self.steps, self.null_homologous_count, self.total
 
 
-def _step_rows(phi: Matrix, rhs: Sequence[int]) -> list[list[int]]:
-    """The int rows [Id - Phi | rhs]."""
-    rows = [[-x for x in row] + [b] for row, b in zip(phi.entries, rhs)]
-    for i, row in enumerate(rows):
+def _step_rows(phi: Matrix, rhs: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
+    """The int rows i in `rows` of [Id - Phi | rhs]."""
+    out = []
+    for i in rows:
+        row = [-x for x in phi.entries[i]]
         row[i] += 1
-    return rows
+        row.append(rhs[i])
+        out.append(row)
+    return out
 
 
 def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
@@ -102,7 +116,7 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
     gamma = cycle.homology_class
-    solved = _int_solve(_step_rows(phi_k, gamma), space.dim)
+    solved = _int_solve(_step_rows(phi_k, gamma, word._spanned_rows[k]), space.dim)
     if solved is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
     delta, numerators = solved
@@ -150,7 +164,8 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     Existence of y with Phi_{k-1} y = y and Q(gamma_k, y) = 1 forces
     sigma_k = 0, so a word passing this check at every step has signature
     determined by its null-homologous count alone.  Linear feasibility of
-    the int rows [Id - Phi_{k-1} | 0] over Q(gamma_k, y) = 1.
+    the int rows I_{k-1} of [Id - Phi_{k-1} | 0] over Q(gamma_k, y) = 1
+    (module docstring).
     """
     if not 1 <= k <= len(word):
         raise InputError(f"step {k} out of range 1..{len(word)}")
@@ -158,7 +173,7 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     if cycle.is_null_homologous:
         raise InputError("dual-preservation shortcut needs a non-null cycle")
     space = word.space
-    rows = _step_rows(word_action(word, k - 1), [0] * space.dim)
+    rows = _step_rows(word_action(word, k - 1), (0,) * space.dim, word._spanned_rows[k - 1])
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
     rows.append([-x for x in space.form.apply(cycle.homology_class)] + [1])
     return _int_solve(rows, space.dim) is not None

@@ -25,6 +25,7 @@ from .ratlinalg import (
     Rational,
     Scalar,
     Vector,
+    _eliminate,
     _int_rref,
     as_vector,
     clear_denominators,
@@ -196,6 +197,10 @@ class MonodromyWord(_Record):
     def _prefix_products(self) -> tuple[Matrix, ...]:
         return prefix_actions(self.space, self.cycles)
 
+    @cached_property
+    def _spanned_rows(self) -> tuple[tuple[int, ...], ...]:
+        return spanned_rows(self.space.dim, self.cycles)
+
     def repeated(self, n: int) -> "MonodromyWord":
         if n < 1:
             raise InputError("repetition count must be >= 1")
@@ -241,6 +246,35 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
                 rows[i] = tuple([a - s * b for a, b in zip(rows[i], r)])
         products.append(Matrix._exact(tuple(rows), n))
     return tuple(products)
+
+
+def spanned_rows(dim: int, cycles: Sequence[VanishingCycle]) -> tuple[tuple[int, ...], ...]:
+    """I_0 = (), I_1, ..., I_n: I_k the sorted pivot coordinates of an echelon
+    basis of gamma_1 .. gamma_k, on which projection is injective on their span.
+
+    Each cycle is `_eliminate`d against the kept basis rows, lowest pivot
+    first (a row is zero left of its pivot), which zeroes it at every pivot;
+    a nonzero remainder joins the basis with its first nonzero coordinate as
+    pivot.  Once I_k holds all dim coordinates the basis stops growing.  A
+    set that did not grow is shared with the previous prefix.
+    """
+    basis: dict[int, list[int]] = {}
+    spans: list[tuple[int, ...]] = [()]
+    for c in cycles:
+        pivots = spans[-1]
+        if len(pivots) < dim:
+            g = list(c.homology_class)
+            for p in pivots:
+                if f := g[p]:
+                    top = basis[p]
+                    g = _eliminate(g, top, top[p], f)
+            for p, x in enumerate(g):
+                if x:
+                    basis[p] = g
+                    pivots = tuple(sorted((*pivots, p)))
+                    break
+        spans.append(pivots)
+    return tuple(spans)
 
 
 def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:

@@ -30,7 +30,7 @@ from .fixtures import (
     positive_word,
     random_word,
 )
-from .oracles import reference_shortcut_dual_preserved
+from .oracles import fraction_solve, reference_shortcut_dual_preserved
 
 
 def mirror(w: MonodromyWord) -> MonodromyWord:
@@ -254,6 +254,81 @@ def test_cold_local_sigma_on_ten_thousand_cycles():
     short = local_sigma(matsumoto_word(10), 40)
     assert (step.sigma, step.witness, step.cumulative_action) == (
         short.sigma, short.witness, short.cumulative_action)
+
+
+def _low_span_cycles(rng: random.Random, dim: int) -> list[tuple[list[int], int]]:
+    """Dense cycles, each a combination of a few random vectors, so the word
+    spans a subspace of dimension at most 4; null, repeated, cancelling and
+    dependent (a combination of earlier cycles) cycles of both chiralities."""
+    basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+    cycles: list[tuple[list[int], int]] = []
+    for _ in range(rng.randint(2, 8)):
+        roll = rng.random()
+        if roll < 0.1:
+            g = [0] * dim
+        elif roll < 0.2 and cycles:
+            g = rng.choice(cycles)[0]
+        elif roll < 0.35 and cycles:
+            g, c = cycles[-1]
+            cycles.append((g, -c))
+            continue
+        elif roll < 0.5 and len(cycles) > 1:
+            (u, _), (v, _) = rng.sample(cycles, 2)
+            a, b = rng.choice((1, -1, 2)), rng.choice((1, -1))
+            g = [a * x + b * y for x, y in zip(u, v)]
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            g = [sum(t * v[i] for t, v in zip(coeffs, basis)) for i in range(dim)]
+        cycles.append((g, rng.choice((1, -1))))
+    return cycles
+
+
+def test_step_on_spanned_rows_matches_full_dimension_solve():
+    """Each step eliminates only the rows I_k of [Id - Phi_k | gamma_k], the
+    pivot coordinates of gamma_1 .. gamma_k; the Fraction solve of all d rows
+    must give the same solvability, sigma and witness on low-span words."""
+    rng = random.Random(2022)
+    kinds = {"unsolvable": 0, "null": 0, "left": 0, "restricted": 0}
+    for _ in range(24):
+        genus = rng.choice((8, 8, 12, 20, 40))
+        dim = 2 * genus
+        cycles = _low_span_cycles(rng, dim)
+        w = word(Surface(genus, 0), [g for g, _ in cycles], [c for _, c in cycles])
+        for step, (g, c) in zip(signature(w).steps, cycles, strict=True):
+            if not any(g):
+                assert (step.solvable, step.sigma, step.witness) == (True, 0, None)
+                kinds["null"] += 1
+                continue
+            phi = step.cumulative_action.entries
+            rows = [[Fraction(int(i == j) - phi[i][j]) for j in range(dim)] + [Fraction(g[i])]
+                    for i in range(dim)]
+            x = fraction_solve(rows, dim)
+            if x is None:
+                want = (False, 0, None)
+            else:
+                value = 1 + c * w.space.pairing(g, x)
+                want = (True, (value > 0) - (value < 0), x)
+            assert (step.solvable, step.sigma, step.witness) == want, (cycles, step.index)
+            kinds["unsolvable"] += x is None
+            kinds["left"] += c == -1
+            kinds["restricted"] += len(w._spanned_rows[step.index]) < dim
+    assert all(kinds.values()), kinds
+
+
+def test_genus_one_word_padded_to_genus_500():
+    """30 cycles on one handle of a genus-500 fiber step exactly as on the
+    torus: the same sigmas, and the witnesses padded with zeros."""
+    rng = random.Random(500)
+    vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(30)]
+    chiralities = [rng.choice((1, -1)) for _ in vectors]
+    torus = signature(word(Surface(1, 0), vectors, chiralities))
+    left, right = (0,) * 500, (0,) * 498
+    wide = signature(word(Surface(500, 0), [left + v + right for v in vectors], chiralities))
+    assert [s.sigma for s in wide.steps] == [s.sigma for s in torus.steps]
+    assert [s.solvable for s in wide.steps] == [s.solvable for s in torus.steps]
+    assert [s.witness for s in wide.steps] == [
+        None if s.witness is None else left + s.witness + right for s in torus.steps]
+    assert wide.total == torus.total
 
 
 def test_step_index_validation():
