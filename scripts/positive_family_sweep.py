@@ -32,6 +32,8 @@ def main():
     print(f"block of {len(block)} cycles on genus {args.genus}, signature {base}")
     print(f"{'n':>3} {'engine':>7} {'cover':>6}  certificate")
     certified = True  # every m < n so far; each m is certified once, at n = m + 1
+    sigs = []  # sigma(S_m) for every m < n so far, off one pass of the ladder
+    terms = correction_terms(block.space, phi, args.max_n)
     for n in range(1, args.max_n + 1):
         engine_total = signature(generate(PositiveFamilySpec(args.genus, 1, n))).total
         cover_total = cover_signature(base, phi, n)
@@ -43,7 +45,7 @@ def main():
             certified &= signature_zero_certificate(phi, n - 1)[1]
             cert = "all corrections certified zero" if certified else "NOT CERTIFIED"
         else:
-            sigs = [term.sigma for term in correction_terms(block.space, phi, n)]
+            sigs.append(next(terms).sigma)
             cert = ("corrections zero by diagonalization" if not any(sigs)
                     else f"nonzero corrections {sigs}")
         print(f"{n:>3} {engine_total:>7} {cover_total:>6}  {cert}")

@@ -17,7 +17,7 @@ from .positive import (
     generate,
     signature_zero_certificate,
 )
-from .ratlinalg import Matrix, matrix_power, signature_symmetric
+from .ratlinalg import Matrix, signature_symmetric
 from .symplectic import (
     Lagrangian,
     MonodromyWord,
@@ -58,7 +58,6 @@ __all__ = [
     "local_sigma_via_maslov",
     "map_lagrangian",
     "maslov_index",
-    "matrix_power",
     "meyer_cocycle",
     "shortcut_dual_preserved",
     "signature",

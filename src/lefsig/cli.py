@@ -276,18 +276,6 @@ def _triple_from_file(path: str) -> tuple[SymplecticSpace, Lagrangian, Lagrangia
     return space, lags[0], lags[1], lags[2]
 
 
-def _random_symplectic(space: SymplecticSpace, rng: random.Random) -> Matrix:
-    if space.dim == 0:
-        return Matrix.identity(0)
-    cycles = []
-    for _ in range(rng.randint(1, 4)):
-        vec = [rng.randint(-2, 2) for _ in range(space.dim)]
-        if all(x == 0 for x in vec):
-            vec[0] = 1
-        cycles.append(VanishingCycle(tuple(vec), rng.choice([1, -1])))
-    return prefix_actions(space, cycles)[-1]
-
-
 def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
                   tau: int) -> Iterator[tuple[str, str, bool]]:
     """Yield (label, failure name, ok) for each axiom, checking one at a time."""
@@ -304,7 +292,13 @@ def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
     rng = random.Random(2024)
     inv_ok = True
     for _ in range(5):
-        m = _random_symplectic(space, rng)
+        cycles = []  # a random product of transvections, the identity in dimension 0
+        for _ in range(rng.randint(1, 4) if space.dim else 0):
+            vec = [rng.randint(-2, 2) for _ in range(space.dim)]
+            if all(x == 0 for x in vec):
+                vec[0] = 1
+            cycles.append(VanishingCycle(tuple(vec), rng.choice([1, -1])))
+        m = prefix_actions(space, cycles)[-1]
         if maslov_index(*(map_lagrangian(m, lag) for lag in lags)) != tau:
             inv_ok = False
     yield "symplectic invariance", "symplectic invariance", inv_ok

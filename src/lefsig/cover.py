@@ -18,6 +18,12 @@ every symplectic form, J phi^m = -X_m^T and the new summand is X_m + X_m^T.
 S_m is symmetric by construction, and `signature_symmetric` checks it once.
 `correction_terms` streams the terms, so a caller that keeps only the
 signatures holds one S_m at a time.
+
+The ladder gives the terms and the certificate's S_m; the total comes from the
+partial fiber sum tree of w^n.  Wall non-additivity (Meyer 1973) splits it as
+sigma(w^(a+b)) = sigma(w^a) + sigma(w^b) - defect(phi^b, phi^a), so
+`cover_signature` squares and multiplies on (sigma(w^a), phi^a) pairs with
+O(log n) defects and products.  sigma(S_m) = defect(phi, phi^m) ties the two.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from collections.abc import Iterator
 
 from ._record import _Record, _setattr
 from .errors import InputError
+from .maslov import _meyer_defect
 from .ratlinalg import Matrix, signature_symmetric
 from .symplectic import SymplecticSpace, is_symplectic
 
@@ -65,10 +72,26 @@ def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[Co
 
 
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
-    """Signature of the n-fold cyclic cover branched over a regular fiber."""
+    """Signature of the n-fold cyclic cover branched over a regular fiber, on the tree."""
+    for name, value in (("base_sigma", base_sigma), ("n", n)):
+        if type(value) is not int:  # a bool or a float is no count
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise InputError("fold count must be >= 1")
     if not phi.is_square() or phi.rows % 2 != 0:
         raise InputError("monodromy matrix must be square of even size")
     space = SymplecticSpace.standard(phi.rows // 2)
-    return n * base_sigma - sum(t.sigma for t in correction_terms(space, phi, n))
+    if not is_symplectic(space, phi):
+        raise InputError("monodromy matrix is not symplectic for this space")
+    # sigma(w^k), phi^k = later @ power for k the leading bits of n, multiplied once needed
+    sigma, power, later = base_sigma, phi, None
+    for bit in bin(n)[3:]:
+        if later is not None:
+            power = later @ power
+        sigma = 2 * sigma - _meyer_defect(space, power, power)
+        later = power
+        if bit == "1":
+            power = power @ power
+            sigma += base_sigma - _meyer_defect(space, phi, power)
+            later = phi
+    return sigma

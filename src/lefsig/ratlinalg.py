@@ -196,23 +196,6 @@ class Matrix(_Record):
             )
 
 
-def matrix_power(m: Matrix, k: int) -> Matrix:
-    """Exact k-th power, k >= 0, by square and multiply."""
-    if not m.is_square():
-        raise InputError("power of a non-square matrix")
-    if k < 0:
-        raise InputError("negative matrix power")
-    result = Matrix.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
-
-
 def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
     """(delta, delta * v) with delta > 0 the lcm of the denominators of v."""
     if {int}.issuperset(map(type, v)):  # the common case

@@ -1,6 +1,11 @@
-"""Cyclic branched covers: correction matrices and the cover ladder."""
+"""Cyclic branched covers: correction matrices, the cover ladder and the
+partial fiber sum tree that gives the cover total."""
 
 import random
+import time
+from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 
@@ -10,14 +15,16 @@ from lefsig import (
     SymplecticSpace,
     cover_signature,
     fiber_sum_defect,
-    matrix_power,
+    is_symplectic,
     signature,
     word_action,
 )
+from lefsig.cli import parse_fibration_document
 from lefsig.cover import correction_sums, correction_terms
 
 from .fixtures import (
     CHAIN_CORRECTIONS,
+    DATA_DIR,
     DELTA_STAR,
     FIXTURE_WORDS,
     MATSUMOTO_CORR_1,
@@ -39,13 +46,14 @@ def _term(space, phi, m):
 
 
 def test_correction_sums_match_power_sums():
-    # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i) from matrix_power
+    # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i), phi^i by repeated @
     j = SP2.form
     random_phi = word_action(random_word(random.Random(84), 2, 8))
     for phi in (MATSUMOTO_PHI, random_phi):
         reference = Matrix.zeros(4, 4)
+        power = Matrix.identity(4)
         for m, total in zip(range(1, 31), correction_sums(SP2, phi)):
-            power = matrix_power(phi, m)
+            power = power @ phi
             reference = reference + (power.transpose() @ j - j @ power)
             assert total == reference, m
 
@@ -113,7 +121,7 @@ def test_fixed_vectors_of_next_power_are_radical():
         m = rng.randint(1, 4)
         term = _term(space, phi, m)
         assert term.power == m
-        fixed = matrix_power(phi, m + 1) - Matrix.identity(space.dim)
+        fixed = reduce(matmul, [phi] * (m + 1)) - Matrix.identity(space.dim)
         for v in kernel_basis(fixed):
             assert all(x == 0 for x in term.matrix.apply(v))
             checked += 1
@@ -129,7 +137,7 @@ def test_correction_equals_gluing_defect():
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 5)
         assert _term(space, phi, m).sigma == fiber_sum_defect(
-            space, phi, matrix_power(phi, m))
+            space, phi, reduce(matmul, [phi] * m))
 
 
 def test_cover_matches_repeated_word():
@@ -155,3 +163,92 @@ def test_input_validation():
         cover_signature(0, Matrix.from_rows([[2, 0], [0, 2]]), 1)
     with pytest.raises(InputError, match="even"):
         cover_signature(0, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 2)
+    # both counts are ints: a float fold used to die with a bare TypeError, a
+    # float base signature came back as a float, and True counted as fold 1
+    for base_sigma, n, field in ((0, 2.0, "n"), (0, True, "n"), (1.5, 2, "base_sigma"),
+                                 (True, 2, "base_sigma"), (Fraction(3), 2, "base_sigma")):
+        with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
+            cover_signature(base_sigma, MATSUMOTO_PHI, n)
+
+
+def _ladder_totals(base_sigma, phi, max_n):
+    """The cover totals n * sigma - sum_{m < n} sigma(S_m) for n = 1 .. max_n,
+    read off one pass of the ladder."""
+    space = SymplecticSpace.standard(phi.rows // 2)
+    totals, corrections = [base_sigma], 0
+    for term in correction_terms(space, phi, max_n):
+        corrections += term.sigma
+        totals.append((term.power + 1) * base_sigma - corrections)
+    return totals
+
+
+def _assert_tree_matches_ladder(base_sigma, phi, max_n):
+    for n, total in enumerate(_ladder_totals(base_sigma, phi, max_n), 1):
+        assert cover_signature(base_sigma, phi, n) == total, n
+
+
+def test_cover_total_matches_the_ladder_on_random_phi():
+    rng = random.Random(85)
+    for trial in range(9):
+        space = SymplecticSpace.standard(1 + trial % 3)
+        _assert_tree_matches_ladder(rng.randint(-3, 3), random_symplectic(rng, space), 64)
+
+
+def test_cover_total_matches_the_ladder_on_the_shipped_documents():
+    for name in ("positive_g1", "matsumoto", "chain_relation", "parallel_twist_pair"):
+        w = parse_fibration_document((DATA_DIR / f"{name}.json").read_text()).word
+        _assert_tree_matches_ladder(signature(w).total, word_action(w), 64)
+
+
+def _split_symplectic(rng, genus):
+    """[[A, A S], [0, A^-T]] in the basis a1..ag, b1..bg, for a random unimodular
+    A and symmetric S, read in the basis a1, b1, ..., ag, bg: symplectic, and
+    not the action of any word."""
+    def elementary(i, j, k):  # Id + k e_ij, i != j, whose inverse is Id - k e_ij
+        return Matrix([[int(r == c) + k * ((r, c) == (i, j)) for c in range(genus)]
+                       for r in range(genus)], genus)
+
+    a, a_inv = Matrix.identity(genus), Matrix.identity(genus)
+    for _ in range(3 * (genus - 1)):
+        i, j = rng.sample(range(genus), 2)
+        k = rng.randint(-2, 2)
+        a, a_inv = a @ elementary(i, j, k), elementary(i, j, -k) @ a_inv
+    s = [[rng.randint(-3, 3) for _ in range(genus)] for _ in range(genus)]
+    s = Matrix([[s[min(r, c)][max(r, c)] for c in range(genus)] for r in range(genus)], genus)
+    top = [ra + rb for ra, rb in zip(a.entries, (a @ s).entries)]
+    bottom = [(0,) * genus + row for row in a_inv.transpose().entries]
+    split = top + bottom
+    place = [2 * i for i in range(genus)] + [2 * i + 1 for i in range(genus)]
+    order = sorted(range(2 * genus), key=place.__getitem__)
+    return Matrix([[split[r][c] for c in order] for r in order], 2 * genus)
+
+
+def test_cover_total_matches_the_ladder_at_the_edges():
+    # the identity and fold 1 are held above; genus 0 is the 0 x 0 monodromy
+    _assert_tree_matches_ladder(3, Matrix.identity(0), 12)
+    assert cover_signature(-2, Matrix.identity(0), 10**6) == -2 * 10**6
+    rng = random.Random(87)
+    fractional = 0
+    for genus in (1, 2, 3):
+        space = SymplecticSpace.standard(genus)
+        scale, unscale = (reduce(Matrix.block_diag, [Matrix.from_rows(m)] * genus)
+                          for m in ([[2, 0], [0, Fraction(1, 2)]], [[Fraction(1, 2), 0], [0, 2]]))
+        # a phi that no word built, a product of transvections, and their
+        # conjugates by diag(2, 1/2) on each handle: symplectic, with rational
+        # entries, and the same covers
+        for phi in (_split_symplectic(rng, genus), random_symplectic(rng, space)):
+            rational = unscale @ phi @ scale
+            assert is_symplectic(space, phi) and is_symplectic(space, rational)
+            fractional += any(x.denominator > 1 for row in rational.entries for x in row)
+            base = rng.randint(-3, 3)
+            totals = _ladder_totals(base, phi, 16)
+            assert _ladder_totals(base, rational, 16) == totals
+            for n, total in enumerate(totals, 1):
+                assert cover_signature(base, phi, n) == cover_signature(base, rational, n) == total
+    assert fractional >= 4
+
+def test_matsumoto_cover_at_fold_ten_to_the_fifth():
+    # about 17 defects and products on the tree; the ladder would take 10^5 - 1 terms
+    start = time.perf_counter()
+    assert cover_signature(0, MATSUMOTO_PHI, 10**5) == -240_000
+    assert time.perf_counter() - start < 0.1

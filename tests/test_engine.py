@@ -18,6 +18,7 @@ from lefsig import (
     local_sigma_via_maslov,
     shortcut_dual_preserved,
     signature,
+    transvection,
     word,
     word_action,
 )
@@ -246,6 +247,39 @@ def test_split_defect_formula():
             defect = fiber_sum_defect(
                 w.space, word_action(suffix), word_action(prefix))
             assert full == signature(prefix).total + signature(suffix).total - defect
+
+
+def test_partial_fiber_sum_trees_give_the_signature():
+    # the paper's decomposition, bracketed at random: a leaf twist contributes
+    # -c when its cycle is null-homologous and 0 otherwise, and a node w = u v
+    # (u first) glues its halves, sigma(u) + sigma(v) - defect(Phi_v, Phi_u),
+    # with total action Phi_v Phi_u; the per-step route is the left comb
+    rng = random.Random(66)
+
+    def tree(w, lo, hi):
+        if hi - lo == 1:
+            cycle = w.cycles[lo]
+            leaf = -cycle.chirality if cycle.is_null_homologous else 0
+            return leaf, transvection(w.space, cycle)
+        cut = rng.randint(lo + 1, hi - 1)
+        (sigma_u, phi_u), (sigma_v, phi_v) = tree(w, lo, cut), tree(w, cut, hi)
+        return sigma_u + sigma_v - fiber_sum_defect(w.space, phi_v, phi_u), phi_v @ phi_u
+
+    nulls = 0
+    for trial in range(150):
+        genus = 1 + trial % 3
+        vectors = [[rng.randint(-3, 3) for _ in range(2 * genus)]
+                   for _ in range(rng.randint(1, 13))]
+        if trial % 2:  # few-handle: each cycle on one handle
+            for v in vectors:
+                keep = rng.randrange(genus)
+                v[:] = [x if i // 2 == keep else 0 for i, x in enumerate(v)]
+        if trial % 3 == 0:
+            vectors.insert(rng.randint(0, len(vectors)), [0] * (2 * genus))
+        w = word(Surface(genus, 0), vectors, [rng.choice([1, -1]) for _ in vectors])
+        nulls += any(c.is_null_homologous for c in w.cycles)
+        assert tree(w, 0, len(w))[0] == signature(w).total, w
+    assert nulls >= 50
 
 
 def test_cold_local_sigma_on_ten_thousand_cycles():

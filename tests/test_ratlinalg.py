@@ -1,7 +1,9 @@
-"""Exact linear algebra: solves, kernels, signatures, powers, subspaces."""
+"""Exact linear algebra: solves, kernels, signatures, products, subspaces."""
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from lefsig.ratlinalg import (
     _int_kernel,
     as_rational,
     as_vector,
-    matrix_power,
     particular_solution,
     rank,
     signature_symmetric,
@@ -191,23 +192,6 @@ def test_signature_negation_flips(s):
     assert signature_symmetric(-s) == -signature_symmetric(s)
 
 
-def test_matrix_power_small():
-    c1 = Matrix.from_rows([[1, 1], [0, 1]])
-    assert matrix_power(c1, 3) == Matrix.from_rows([[1, 3], [0, 1]])
-    assert matrix_power(c1, 0) == Matrix.identity(2)
-
-
-def test_matrix_power_order_ten():
-    phi = Matrix.from_rows([[0, 1, 0, -1], [-1, 0, 0, 0], [1, 0, 1, 1], [-1, 0, -1, 0]])
-    assert matrix_power(phi, 10) == Matrix.identity(4)
-    assert matrix_power(phi, 5) != Matrix.identity(4)
-
-
-def test_matrix_power_rejects_negative():
-    with pytest.raises(InputError):
-        matrix_power(Matrix.identity(2), -1)
-
-
 def test_matrix_requires_exact_entries():
     for rows in (((2, 0), (0, 2)),
                  ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))),
@@ -275,7 +259,7 @@ def test_int_and_fraction_entries_agree_exactly():
         for entry in (int, Fraction):
             a, sq, s, t = (Matrix([[entry(x) for x in r] for r in rows], len(rows[0]))
                            for rows in (rect, square, small, big))
-            got = (rank(a), a.transpose() @ a, matrix_power(sq, 3),
+            got = (rank(a), a.transpose() @ a, sq @ sq @ sq,
                    signature_symmetric(s), signature_symmetric(t))
             _assert_exact(got)
             assert got[-2] == got[-1] == signature_via_charpoly(s), big
@@ -319,7 +303,8 @@ def closure_cases(draw):
 def test_exact_arithmetic_is_closed(case):
     a, b, c, s, factor, power, space, cycles = case
     results = [a + b, a - b, -a, a @ c, a.transpose(), a.scale(factor), a.block_diag(c),
-               matrix_power(s, power), Matrix.identity(a.rows), Matrix.zeros(a.rows, c.cols)]
+               reduce(matmul, [s] * power, Matrix.identity(s.rows)),
+               Matrix.identity(a.rows), Matrix.zeros(a.rows, c.cols)]
     results += prefix_actions(space, cycles)
     for m in results:
         _assert_closed(m)

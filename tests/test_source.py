@@ -12,10 +12,17 @@ third-party module there would make a dependency the package does not declare.
 
 `lefsig.__all__` is pinned so that a name deleted from a module cannot linger
 as a stale export, and a new public name is a deliberate edit here.
+
+Every annotation in the package resolves: with postponed evaluation an
+annotation naming a module that is imported only inside a function reads fine
+and fails only when `typing.get_type_hints` evaluates it.
 """
 
 import ast
+import importlib
+import inspect
 import sys
+import typing
 from pathlib import Path
 
 import lefsig
@@ -83,8 +90,8 @@ PUBLIC_API = [
     "SignatureTrace", "StepRecord", "Surface", "SymplecticSpace", "VanishingCycle",
     "cover_signature", "direct_sum_lagrangian", "effective_dimension",
     "fiber_sum_defect", "generate", "is_symplectic", "local_sigma",
-    "local_sigma_via_maslov", "map_lagrangian", "maslov_index", "matrix_power",
-    "meyer_cocycle", "shortcut_dual_preserved", "signature", "signature_symmetric",
+    "local_sigma_via_maslov", "map_lagrangian", "maslov_index", "meyer_cocycle",
+    "shortcut_dual_preserved", "signature", "signature_symmetric",
     "signature_zero_certificate", "transvection", "word", "word_action",
 ]
 
@@ -92,3 +99,36 @@ PUBLIC_API = [
 def test_public_api_is_pinned_and_resolves():
     assert sorted(lefsig.__all__) == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(lefsig, name)] == []
+
+
+def _annotated_functions():
+    """(qualified name, function) for every function and method defined in `src/lefsig`."""
+    for path in SOURCES:
+        name = "lefsig" if path.stem == "__init__" else f"lefsig.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{name}.{obj.__qualname__}", obj
+            elif inspect.isclass(obj):
+                for member in vars(obj).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member):
+                        yield f"{name}.{member.__qualname__}", member
+
+
+def test_every_annotation_resolves():
+    functions = dict(_annotated_functions())
+    assert "lefsig.cover.cover_signature" in functions
+    assert "lefsig.ratlinalg.Matrix.transpose" in functions
+    unresolved = []
+    for qualname, func in functions.items():
+        try:
+            typing.get_type_hints(func)
+        except NameError as exc:
+            unresolved.append(f"{qualname}: {exc}")
+    assert unresolved == []
