@@ -17,7 +17,10 @@ X_m = phi^T X_{m-1} from X_0 = J, so X_m = (phi^m)^T J: because J^T = -J for
 every symplectic form, J phi^m = -X_m^T and the new summand is X_m + X_m^T.
 S_m is symmetric by construction, and `signature_symmetric` checks it once.
 `correction_terms` streams the terms, so a caller that keeps only the
-signatures holds one S_m at a time.
+signatures holds one S_m at a time.  The ladder runs on tuple rows and wraps
+only the S_m it hands out in a `Matrix`: a term is one `ratlinalg._product`
+(the rule of `Matrix @`) and one pass of adds, not the rebuilt tuples and type
+scans of a `Matrix` product, a transpose and two sums.
 
 The ladder gives the terms and the certificate's S_m; the total comes from the
 partial fiber sum tree of w^n.  Wall non-additivity (Meyer 1973) splits it as
@@ -29,11 +32,12 @@ O(log n) defects and products.  sigma(S_m) = defect(phi, phi^m) ties the two.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add
 
 from ._record import _Record, _setattr
-from .errors import InputError
+from .errors import InputError, _require_int
 from .maslov import _meyer_defect
-from .ratlinalg import Matrix, signature_symmetric
+from .ratlinalg import Matrix, _product, signature_symmetric
 from .symplectic import SymplecticSpace, is_symplectic
 
 
@@ -53,18 +57,19 @@ class CorrectionTerm(_Record):
 
 def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
     """Yield S_1, S_2, ... forever: X <- phi^T X from X = J, S <- S + X + X^T; phi unchecked."""
-    phi_t = phi.transpose()
-    total = Matrix.zeros(space.dim, space.dim)
-    x = space.form
+    d = space.dim
+    phi_columns = phi.transpose().entries
+    x_t, total = space.form.transpose().entries, ((0,) * d,) * d
     while True:
-        x = phi_t @ x
-        total = total + (x + x.transpose())
-        yield total
+        x_t = _product(x_t, phi_columns)  # X^T <- X^T phi, the columns of X as rows
+        total = tuple(tuple(map(add, s, map(add, r, c))) for s, r, c in zip(total, zip(*x_t), x_t))
+        yield Matrix._exact(total, d)
 
 
 def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
     """Correction terms m = 1 .. n-1 of the n-fold cover, streamed in one pass
     over the powers; phi is checked before the first term is asked for."""
+    _require_int("n", n)
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
     sums = zip(range(1, n), correction_sums(space, phi))
@@ -73,9 +78,8 @@ def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[Co
 
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
     """Signature of the n-fold cyclic cover branched over a regular fiber, on the tree."""
-    for name, value in (("base_sigma", base_sigma), ("n", n)):
-        if type(value) is not int:  # a bool or a float is no count
-            raise InputError(f"{name} must be an integer, got {value!r}")
+    _require_int("base_sigma", base_sigma)
+    _require_int("n", n)
     if n < 1:
         raise InputError("fold count must be >= 1")
     if not phi.is_square() or phi.rows % 2 != 0:

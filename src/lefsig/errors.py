@@ -16,3 +16,8 @@ class InternalConsistencyError(LefsigError):
     a radical containment, a nonsingular induced form) comes out wrong.
     Indicates a bug, never bad input.
     """
+
+
+def _require_int(name: str, value: object) -> None:
+    if type(value) is not int:  # a bool, a float or a Fraction is no count
+        raise InputError(f"{name} must be an integer, got {value!r}")

@@ -19,7 +19,7 @@ from itertools import islice
 
 from ._record import _Record, _setattr
 from .cover import correction_sums
-from .errors import InputError
+from .errors import InputError, _require_int
 from .ratlinalg import Matrix
 from .symplectic import MonodromyWord, Surface, SymplecticSpace, VanishingCycle
 
@@ -35,8 +35,7 @@ class PositiveFamilySpec(_Record):
     def __init__(self, genus: int, boundary: int, repetitions: int) -> None:
         for name, value in (("genus", genus), ("boundary", boundary),
                             ("repetitions", repetitions)):
-            if type(value) is not int:  # a bool or a float is no count
-                raise InputError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, value)
         if genus < 1:
             raise InputError("positive family needs genus >= 1")
         if boundary < 0:
@@ -75,6 +74,7 @@ def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:
     determinant, hence signature 0; the verdict is a proof, not a numeric
     estimate.
     """
+    _require_int("n", n)
     if b.rows != 2 or b.cols != 2:
         raise InputError("certificate applies to 2x2 matrices")
     if not all(b.at(i, j) > 0 for i in range(2) for j in range(2)):

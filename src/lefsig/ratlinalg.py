@@ -4,12 +4,12 @@ Entries are ints or Fractions, never floats or bools, so solves, kernels and
 signatures are exact and a sign is never lost to rounding.  Matrices are
 immutable tuples of tuples.  `Matrix(...)` checks every entry; the results
 of its own arithmetic are not checked again, because ints and Fractions are
-closed under +, - and *.  A product of two all-int matrices sums each entry
-in C, `sum(map(mul, row, col))`; with a Fraction operand it goes through
-`vec_dot`, which skips zero terms.  Both eliminations are fraction-free: they
-clear denominators, run on Python ints and bring in a Fraction only when a
-result is read out.  Pivots follow a deterministic first-nonzero rule, which keeps
-every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
+closed under +, - and *.  `_product`, for `Matrix @` and the cover ladder,
+sums each entry of all-int operands in C, `sum(map(mul, row, col))`, and
+otherwise uses `vec_dot`, which skips zero terms.  Both eliminations are
+fraction-free: they clear denominators, run on Python ints and bring in a
+Fraction only when a result is read out.  A deterministic first-nonzero pivot
+rule keeps every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
 Every elimination is one forward pass, `_int_echelon`, read three ways:
 `_int_solve` (the engine's step) back-substitutes x = n / D over one positive
@@ -91,7 +91,7 @@ class Matrix(_Record):
         _setattr(self, "cols", cols)
 
     # Written out rather than through `_key()`: matrices are the one record
-    # compared inside the algorithms (`is_symplectic`, the skew check).
+    # compared inside the algorithms (the skew check of `SymplecticSpace`).
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.cols == other.cols and self.entries == other.entries
@@ -168,12 +168,7 @@ class Matrix(_Record):
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        columns = [other.column(j) for j in range(other.cols)]
-        if {int}.issuperset(map(type, chain(*self.entries, *other.entries))):
-            rows = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.entries)
-        else:  # vec_dot skips zero terms, so an int zero times a Fraction stays an int
-            rows = tuple(tuple(vec_dot(row, col) for col in columns) for row in self.entries)
-        return Matrix._exact(rows, other.cols)
+        return Matrix._exact(_product(self.entries, other.transpose().entries), other.cols)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         x = as_vector(v)
@@ -194,6 +189,13 @@ class Matrix(_Record):
             raise InputError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _product(rows: Sequence[Vector], columns: Sequence[Vector]) -> tuple[Vector, ...]:
+    """Rows of A B from A's rows and B's columns; an int 0 times a Fraction stays an int."""
+    if {int}.issuperset(map(type, chain(*rows, *columns))):
+        return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in rows)
+    return tuple(tuple(vec_dot(row, col) for col in columns) for row in rows)
 
 
 def clear_denominators(v: Sequence[Rational]) -> tuple[int, list[int]]:
@@ -321,22 +323,25 @@ def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
 def signature_symmetric(s: Matrix) -> int:
     """Signature of a symmetric rational matrix via congruence diagonalization.
 
-    Scaled by the positive lcm of its denominators, the matrix runs on ints.
-    Symmetric Gaussian steps E M E^T keep it symmetric; when the whole
-    trailing diagonal vanishes, a symmetric row+column addition manufactures
-    a nonzero diagonal pivot (2*m[i][j]).  A step updates only the live
-    trailing block, by Bareiss' rule (p*m[r][c] - m[r][k]*m[k][c]) // prev,
-    which keeps it prev times the Schur complement; swaps and manufactured
-    pivots are unimodular, so the divisions stay exact.  The k-th diagonal
-    pivot is p/prev: count +1 when p and prev have the same sign, else -1.
+    Symmetry is read off the rows, `entries == zip(*entries)`; all-int rows are
+    copied, others scaled by the positive lcm of the denominators, to run on ints.
+    Symmetric steps E M E^T keep it symmetric; a vanishing trailing diagonal gets
+    a manufactured pivot (2*m[i][j]) from a symmetric row+column addition.  A step
+    updates only the live trailing block, by Bareiss' rule (p*m[r][c] -
+    m[r][k]*m[k][c]) // prev, which keeps it prev times the Schur complement; swaps
+    and manufactured pivots are unimodular, so the divisions stay exact.  The k-th
+    diagonal pivot is p/prev: +1 when p and prev share a sign, else -1.
     """
     if not s.is_square():
         raise InputError("signature of a non-square matrix")
-    if s != s.transpose():
+    rows, n = s.entries, s.rows
+    if rows != tuple(zip(*rows)):
         raise InputError("signature of a non-symmetric matrix")
-    n = s.rows
-    flat = clear_denominators([x for row in s.entries for x in row])[1]
-    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if {int}.issuperset(map(type, chain(*rows))):
+        m = list(map(list, rows))
+    else:
+        flat = clear_denominators(list(chain(*rows)))[1]
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
     sig, prev = 0, 1
     for k in range(n):
         if m[k][k] == 0:

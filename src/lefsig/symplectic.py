@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 
 from ._record import _Record, _setattr
-from .errors import InputError
+from .errors import InputError, _require_int
 from .ratlinalg import (
     Matrix,
     Rational,
@@ -110,9 +110,8 @@ class Surface(_Record):
     _fields = ("genus", "boundary")
 
     def __init__(self, genus: int, boundary: int) -> None:
-        for name, value in (("genus", genus), ("boundary", boundary)):
-            if type(value) is not int:  # a bool or a float is no count
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        _require_int("genus", genus)
+        _require_int("boundary", boundary)
         if genus < 0 or boundary < 0:
             raise InputError("genus and boundary count must be nonnegative")
         _setattr(self, "genus", genus)
@@ -303,10 +302,12 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
 
 
 def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
-    """True iff M^T J M = J exactly."""
+    """True iff M^T J M, the `gram` matrix of M's columns over J's pattern,
+    is J exactly; False for a matrix of the wrong shape."""
     if m.rows != space.dim or m.cols != space.dim:
         return False
-    return m.transpose() @ space.form @ m == space.form
+    columns = m.transpose().entries
+    return space.gram(columns, columns) == space.form.entries
 
 
 class Lagrangian(_Record):

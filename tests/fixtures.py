@@ -9,6 +9,8 @@ suite pins down through at least two independent computation routes.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 from lefsig import (
@@ -91,6 +93,14 @@ def random_symplectic(rng: random.Random, space: SymplecticSpace,
             vec[rng.randrange(space.dim)] = 1
         m = transvection(space, VanishingCycle(tuple(vec), rng.choice([1, -1]))) @ m
     return m
+
+
+def handle_scaled(phi: Matrix) -> Matrix:
+    """phi conjugated by diag(2, 1/2) on each handle: symplectic for the
+    standard form when phi is, with rational entries, and the same covers."""
+    scale, unscale = (reduce(Matrix.block_diag, [Matrix.from_rows(m)] * (phi.rows // 2))
+                      for m in ([[2, 0], [0, Fraction(1, 2)]], [[Fraction(1, 2), 0], [0, 2]]))
+    return unscale @ phi @ scale
 
 
 def random_lagrangian(rng: random.Random, space: SymplecticSpace) -> Lagrangian:

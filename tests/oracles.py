@@ -31,6 +31,10 @@ The dual-preservation shortcut is kept as the library once ran it: a checked
 `Matrix` of (Phi_{k-1} - Id) stacked over the pairing row, solved over
 Fractions.  The library asks one int elimination instead.
 
+`is_symplectic` once formed M^T J M by two `Matrix` products; the library
+reads the Gram matrix of M's columns off `SymplecticSpace.gram` instead and
+must give the same verdict.
+
 Every matrix product once went through `vec_dot`; the library now multiplies
 all-int operands by a C-level sum of products and must agree entry for entry,
 down to the type.
@@ -308,6 +312,13 @@ def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
     rows = [list(row) + [int(i == space.dim)] for i, row in enumerate(stacked.entries)]
     return fraction_solve(rows, space.dim) is not None
+
+
+def reference_is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
+    """M^T J M == J by two `Matrix` products; False for a matrix of the wrong shape."""
+    if m.rows != space.dim or m.cols != space.dim:
+        return False
+    return m.transpose() @ space.form @ m == space.form
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> tuple[tuple, ...]:

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import matmul
 
 import pytest
@@ -31,10 +32,11 @@ from .fixtures import (
     MATSUMOTO_CORRECTIONS,
     MATSUMOTO_PHI,
     chain_word,
+    handle_scaled,
     random_symplectic,
     random_word,
 )
-from .oracles import kernel_basis
+from .oracles import kernel_basis, reference_matmul
 
 SP2 = SymplecticSpace.standard(2)
 
@@ -46,16 +48,33 @@ def _term(space, phi, m):
 
 
 def test_correction_sums_match_power_sums():
-    # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i), phi^i by repeated @
-    j = SP2.form
-    random_phi = word_action(random_word(random.Random(84), 2, 8))
-    for phi in (MATSUMOTO_PHI, random_phi):
-        reference = Matrix.zeros(4, 4)
-        power = Matrix.identity(4)
-        for m, total in zip(range(1, 31), correction_sums(SP2, phi)):
-            power = power @ phi
-            reference = reference + (power.transpose() @ j - j @ power)
-            assert total == reference, m
+    # independent reference: S_m = sum_{i<=m} ((phi^T)^i J - J phi^i), phi^i by
+    # repeated products.  Every product is `reference_matmul`, all `vec_dot`, not
+    # the library's product rule.  The values are held to the power sums; the
+    # entry types, which depend on the order of the products, are held by repr
+    # to the ladder's recurrence X_m = phi^T X_{m-1}, S_m = S_{m-1} + (X_m + X_m^T)
+    # run on `Matrix` sums and transposes
+    rng = random.Random(84)
+    words = [(2, word_action(random_word(rng, 2, 8))), (2, MATSUMOTO_PHI),
+             (1, word_action(random_word(rng, 1, 8))), (3, word_action(random_word(rng, 3, 8))),
+             (3, MATSUMOTO_PHI.block_diag(Matrix.identity(2)))]
+    types = set()
+    for genus, phi in words:
+        space = SymplecticSpace.standard(genus)
+        d, j = space.dim, space.form
+        for phi in (phi, handle_scaled(phi)):
+            power_sum, power = Matrix.zeros(d, d), Matrix.identity(d)
+            ladder, x = Matrix.zeros(d, d), j
+            for m, total in zip(range(1, 31), correction_sums(space, phi)):
+                power = Matrix(reference_matmul(power, phi), d)
+                power_sum = power_sum + (Matrix(reference_matmul(power.transpose(), j), d)
+                                         - Matrix(reference_matmul(j, power), d))
+                x = Matrix(reference_matmul(phi.transpose(), x), d)
+                ladder = ladder + (x + x.transpose())
+                assert total == power_sum, (genus, m)
+                assert repr(total) == repr(ladder), (genus, m)
+                types.update(map(type, chain(*total.entries)))
+    assert types == {int, Fraction}
 
 
 def test_first_matsumoto_correction_matrix():
@@ -169,6 +188,11 @@ def test_input_validation():
                                  (True, 2, "base_sigma"), (Fraction(3), 2, "base_sigma")):
         with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
             cover_signature(base_sigma, MATSUMOTO_PHI, n)
+    # the ladder's term count too: 2.5 died in `range` with a bare TypeError,
+    # and True gave the terms of fold 1
+    for n in (2.5, 2.0, True, Fraction(3)):
+        with pytest.raises(InputError, match=r"^n must be an integer, got "):
+            correction_terms(SP2, MATSUMOTO_PHI, n)
 
 
 def _ladder_totals(base_sigma, phi, max_n):
@@ -231,13 +255,10 @@ def test_cover_total_matches_the_ladder_at_the_edges():
     fractional = 0
     for genus in (1, 2, 3):
         space = SymplecticSpace.standard(genus)
-        scale, unscale = (reduce(Matrix.block_diag, [Matrix.from_rows(m)] * genus)
-                          for m in ([[2, 0], [0, Fraction(1, 2)]], [[Fraction(1, 2), 0], [0, 2]]))
         # a phi that no word built, a product of transvections, and their
-        # conjugates by diag(2, 1/2) on each handle: symplectic, with rational
-        # entries, and the same covers
+        # `handle_scaled` conjugates
         for phi in (_split_symplectic(rng, genus), random_symplectic(rng, space)):
-            rational = unscale @ phi @ scale
+            rational = handle_scaled(phi)
             assert is_symplectic(space, phi) and is_symplectic(space, rational)
             fractional += any(x.denominator > 1 for row in rational.entries for x in row)
             base = rng.randint(-3, 3)

@@ -1,5 +1,7 @@
 """Positive-signature family and its signature-zero cone certificate."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,11 @@ def test_certificate_input_validation():
         signature_zero_certificate(Matrix.from_rows([[1, -2], [3, 4]]), 1)
     with pytest.raises(InputError, match="n >= 1"):
         signature_zero_certificate(BLOCK_ACTION, 0)
+    # the count is an int: 2.0 died in `islice` with a bare ValueError, and
+    # True was certified as n = 1
+    for n in (2.0, True, Fraction(2), "2"):
+        with pytest.raises(InputError, match=r"^n must be an integer, got "):
+            signature_zero_certificate(BLOCK_ACTION, n)
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),

@@ -39,6 +39,7 @@ from .fixtures import (
     TWIST_1_0,
     TWIST_1_5,
     TWIST_2_5,
+    handle_scaled,
     matsumoto_word,
     positive_word,
     random_lagrangian,
@@ -48,6 +49,7 @@ from .oracles import (
     dense_prefix_actions,
     doubled_space,
     graph,
+    reference_is_symplectic,
     span_basis,
     symplectic_inverse,
 )
@@ -189,6 +191,41 @@ def test_transvection_products_are_symplectic(vecs, chis):
     for v, c in zip(vecs, chis):
         m = transvection(sp, VanishingCycle(v, c)) @ m
     assert is_symplectic(sp, m)
+
+
+def test_is_symplectic_matches_the_product_oracle():
+    # int and rational symplectic matrices of the standard form, and of a
+    # non-standard rational form P^T J P built by `SymplecticSpace(form)`, each
+    # held to M^T J M == J with one entry bent, and matrices of the wrong shape
+    rng = random.Random(91)
+    p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, "1/3"], [0, -1, 0, 0]])
+    standard = SymplecticSpace.standard(2)
+    skewed = SymplecticSpace(p.transpose() @ standard.form @ p)
+    assert skewed.form != standard.form
+    assert any(type(x) is Fraction for row in skewed.form.entries for x in row)
+    cases = []
+    for genus in (1, 2, 3):
+        space = SymplecticSpace.standard(genus)
+        for _ in range(4):
+            phi = random_symplectic(rng, space)
+            cases += [(space, phi), (space, handle_scaled(phi))]
+    cases += [(skewed, random_symplectic(rng, skewed)) for _ in range(6)]
+    bent_false = 0
+    for space, m in cases:
+        assert is_symplectic(space, m) and reference_is_symplectic(space, m)
+        for _ in range(3):
+            rows = m.to_lists()
+            rows[rng.randrange(space.dim)][rng.randrange(space.dim)] += rng.choice(
+                [1, -1, Fraction(1, 2)])
+            bent = Matrix(rows, space.dim)
+            assert is_symplectic(space, bent) == reference_is_symplectic(space, bent)
+            bent_false += not is_symplectic(space, bent)
+    assert bent_false > 0
+    assert is_symplectic(SymplecticSpace.standard(0), Matrix.identity(0))
+    for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
+              Matrix.zeros(0, 0), Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
+        for space in (standard, skewed):
+            assert not is_symplectic(space, m) and not reference_is_symplectic(space, m)
 
 
 def test_word_action_block():
