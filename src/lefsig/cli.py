@@ -34,10 +34,10 @@ from itertools import permutations
 from ._record import _Record, _setattr
 from .cover import correction_terms
 from .engine import StepRecord, signature
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, _require_int
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
-from .ratlinalg import Matrix, Rational, Vector, as_rational
+from .ratlinalg import Matrix, Vector
 from .symplectic import (
     Lagrangian,
     MonodromyWord,
@@ -45,7 +45,6 @@ from .symplectic import (
     SymplecticSpace,
     VanishingCycle,
     direct_sum_lagrangian,
-    effective_dimension,
     map_lagrangian,
     prefix_actions,
     word_action,
@@ -74,12 +73,6 @@ def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], what:
             raise InputError(f"{what}: unknown field {key!r}")
 
 
-def _as_int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what}: expected an integer, got {value!r}")
-    return value
-
-
 def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
@@ -98,10 +91,7 @@ def parse_fibration_document(text: str) -> FibrationDocument:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError("document: name must be a string")
-    genus = _as_int(obj["genus"], "genus")
-    boundary = _as_int(obj["boundary"], "boundary")
-    surface = Surface(genus, boundary)
-    dim = effective_dimension(surface)
+    surface = Surface(obj["genus"], obj["boundary"])
     if not isinstance(obj["cycles"], list):
         raise InputError("document: cycles must be a list")
     cycles = []
@@ -109,21 +99,13 @@ def parse_fibration_document(text: str) -> FibrationDocument:
         if not isinstance(entry, dict):
             raise InputError(f"cycle {i}: expected an object")
         _require_keys(entry, {"vector", "chirality"}, ("vector",), f"cycle {i}")
-        vec = entry["vector"]
-        if not isinstance(vec, list):
+        if not isinstance(entry["vector"], list):
             raise InputError(f"cycle {i}: vector must be a list")
-        if len(vec) != dim:
-            raise InputError(
-                f"cycle {i}: vector has length {len(vec)}, expected {dim} "
-                f"(genus {genus}, boundary {boundary})"
-            )
-        ints = [_as_int(x, f"cycle {i}: vector entry") for x in vec]
-        chi = entry.get("chirality", 1)
-        chi = _as_int(chi, f"cycle {i}: chirality")
-        if chi not in (1, -1):
-            raise InputError(f"cycle {i}: chirality must be +1 or -1, got {chi}")
-        cycles.append(VanishingCycle(tuple(ints), chi))
-    return FibrationDocument(MonodromyWord(surface, tuple(cycles)), name)
+        try:
+            cycles.append(VanishingCycle(entry["vector"], entry.get("chirality", 1)))
+        except InputError as exc:
+            raise InputError(f"cycle {i}: {exc}") from exc
+    return FibrationDocument(MonodromyWord(surface, cycles), name)  # checks the lengths
 
 
 def serialize_fibration_document(doc: FibrationDocument) -> str:
@@ -151,7 +133,8 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     if d = 0), entries integers or "p/q" strings; `expect` pins the matrix count."""
     obj = _load_object(text)
     _require_keys(obj, {"dimension", "matrices"}, ("dimension", "matrices"), "document")
-    dim = _as_int(obj["dimension"], "dimension")
+    dim = obj["dimension"]
+    _require_int("dimension", dim)
     if dim < 0 or dim % 2 != 0:
         raise InputError(f"dimension must be even and nonnegative, got {dim}")
     raw = obj["matrices"]
@@ -163,28 +146,13 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     for idx, rows in enumerate(raw, start=1):
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError(f"matrix {idx}: expected a list of rows")
-        parsed = []
-        for r in rows:
-            if len(r) != dim:
-                raise InputError(
-                    f"matrix {idx}: row has length {len(r)}, expected {dim}"
-                )
-            parsed.append(tuple(_entry(x, idx) for x in r))
-        if not parsed and dim > 0:
+        if not rows and dim > 0:
             raise InputError(f"matrix {idx}: no rows")
-        out.append(Matrix(tuple(parsed), dim))
-    return dim, out
-
-
-def _entry(x: object, idx: int) -> Rational:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise InputError(f"matrix {idx}: entries must be integers or 'p/q' strings")
-    if isinstance(x, (int, str)):
         try:
-            return as_rational(x)
-        except InputError:
-            pass
-    raise InputError(f"matrix {idx}: bad entry {x!r}")
+            out.append(Matrix.from_rows(rows, dim))
+        except InputError as exc:
+            raise InputError(f"matrix {idx}: {exc}") from exc
+    return dim, out
 
 
 def _format_witness(w: Vector | None) -> str:

@@ -19,8 +19,7 @@ S_m is symmetric by construction, and `signature_symmetric` checks it once.
 `correction_terms` streams the terms, so a caller that keeps only the
 signatures holds one S_m at a time.  The ladder runs on tuple rows and wraps
 only the S_m it hands out in a `Matrix`: a term is one `ratlinalg._product`
-(the rule of `Matrix @`) and one pass of adds, not the rebuilt tuples and type
-scans of a `Matrix` product, a transpose and two sums.
+(the rule of `Matrix @`) and one pass of adds.
 
 The ladder gives the terms and the certificate's S_m; the total comes from the
 partial fiber sum tree of w^n.  Wall non-additivity (Meyer 1973) splits it as
@@ -68,8 +67,10 @@ def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
 
 def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
     """Correction terms m = 1 .. n-1 of the n-fold cover, streamed in one pass
-    over the powers; phi is checked before the first term is asked for."""
+    over the powers; n and phi are checked before the first term is asked for."""
     _require_int("n", n)
+    if n < 1:
+        raise InputError("fold count must be >= 1")
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
     sums = zip(range(1, n), correction_sums(space, phi))

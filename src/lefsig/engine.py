@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._record import _Record, _setattr
-from .errors import InputError
+from .errors import InputError, _require_int
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
@@ -106,11 +106,17 @@ def _step_rows(phi: Matrix, rhs: Sequence[int], rows: Sequence[int]) -> list[lis
     return out
 
 
-def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
-    """Local contribution record of step k (1-indexed)."""
+def _cycle(word: MonodromyWord, k: int) -> VanishingCycle:
+    """Cycle k (1-indexed) of the word, once k is checked to be a step of it."""
+    _require_int("k", k)
     if not 1 <= k <= len(word):
         raise InputError(f"step {k} out of range 1..{len(word)}")
-    cycle = word.cycles[k - 1]
+    return word.cycles[k - 1]
+
+
+def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
+    """Local contribution record of step k (1-indexed)."""
+    cycle = _cycle(word, k)
     space = word.space
     phi_k = word_action(word, k)
     if cycle.is_null_homologous:
@@ -146,9 +152,7 @@ def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:
     c_k * sigma_k.  Returns sigma_k for direct comparison with
     `local_sigma`.
     """
-    if not 1 <= k <= len(word):
-        raise InputError(f"step {k} out of range 1..{len(word)}")
-    cycle = word.cycles[k - 1]
+    cycle = _cycle(word, k)
     space = word.space
     defect = _meyer_defect(  # both factors are symplectic by construction
         space,
@@ -167,9 +171,7 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     the int rows I_{k-1} of [Id - Phi_{k-1} | 0] over Q(gamma_k, y) = 1
     (module docstring).
     """
-    if not 1 <= k <= len(word):
-        raise InputError(f"step {k} out of range 1..{len(word)}")
-    cycle = word.cycles[k - 1]
+    cycle = _cycle(word, k)
     if cycle.is_null_homologous:
         raise InputError("dual-preservation shortcut needs a non-null cycle")
     space = word.space

@@ -42,12 +42,13 @@ def as_rational(x: Scalar) -> Rational:
     """Exact rational of an int (kept an int), a Fraction, or a string like '3/4'.
 
     Floats are rejected on purpose: admitting one would silently poison
-    every exactness guarantee downstream.
+    every exactness guarantee downstream.  Bools are rejected too, as
+    `Matrix(...)` and `errors._require_int` reject them.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return int(x)  # a bool becomes 0 or 1
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     if isinstance(x, str):
         try:
             return Fraction(x)

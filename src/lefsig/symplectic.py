@@ -66,6 +66,7 @@ class SymplecticSpace(_Record):
     @staticmethod
     def standard(half_dim: int) -> "SymplecticSpace":
         """Block-diagonal form with 2x2 blocks [[0,1],[-1,0]], basis a1,b1,...,aG,bG."""
+        _require_int("half_dim", half_dim)
         if half_dim < 0:
             raise InputError("negative dimension")
         if 2 * half_dim > MAX_DIMENSION:
@@ -148,7 +149,7 @@ class VanishingCycle(_Record):
             raise InputError(f"chirality must be +1 or -1, got {chirality!r}")
         homology_class = tuple(homology_class)  # before the check reads a one-shot iterator
         if bad := [x for x in homology_class if type(x) is not int]:
-            raise InputError(f"homology_class entries must be integers, got {bad[0]!r}")
+            raise InputError(f"vector entries must be integers, got {bad[0]!r}")
         _setattr(self, "homology_class", homology_class)
         _setattr(self, "chirality", chirality)
 
@@ -201,11 +202,14 @@ class MonodromyWord(_Record):
         return spanned_rows(self.space.dim, self.cycles)
 
     def repeated(self, n: int) -> "MonodromyWord":
+        _require_int("n", n)
         if n < 1:
             raise InputError("repetition count must be >= 1")
         return MonodromyWord(self.surface, self.cycles * n)
 
     def subword(self, start: int, stop: int) -> "MonodromyWord":
+        _require_int("start", start)
+        _require_int("stop", stop)
         return MonodromyWord(self.surface, self.cycles[start:stop])
 
 
@@ -296,6 +300,7 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     integer rank-one update per cycle, O(dim^2) work, in a single forward pass.
     """
     k = len(word) if upto is None else upto
+    _require_int("upto", k)
     if not 0 <= k <= len(word):
         raise InputError(f"prefix length {k} out of range 0..{len(word)}")
     return word._prefix_products[k]

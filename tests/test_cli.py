@@ -219,6 +219,10 @@ def test_missing_file_exits_2(capsys):
     assert "no such file" in err
 
 
+def _cycles(items: str) -> str:
+    return '{"genus": 1, "boundary": 0, "cycles": [' + items + "]}"
+
+
 def test_malformed_documents_exit_2(capsys, tmp_path):
     cases = [
         ("not json at all", "invalid JSON"),
@@ -228,7 +232,7 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
          "length 3, expected 2"),
         ('{"genus": 1, "boundary": 0, "cycles": [{"vector": [1, 0], "chirality": 2}]}',
          "chirality"),
-        ('{"genus": true, "boundary": 0, "cycles": []}', "expected an integer"),
+        ('{"genus": true, "boundary": 0, "cycles": []}', "genus must be an integer"),
         # past Python's 4300-digit int limit json.loads raises a plain ValueError
         ('{"genus": 1, "boundary": 0, "cycles": [{"vector": [' + "7" * 5000 + ', 0]}]}',
          "invalid JSON"),
@@ -240,6 +244,18 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         # documents are UTF-8: a stray byte or a byte order mark is not JSON
         (b'{"name": "\xff", "genus": 1, "boundary": 0, "cycles": []}', "invalid JSON"),
         (b'\xef\xbb\xbf{"genus": 1, "boundary": 0, "cycles": []}', "invalid JSON"),
+        # each field is checked by the record that stores it, under the cycle's index
+        (_cycles('{"vector": [1, 0]}, {"vector": ["1", 0]}'),
+         "cycle 2: vector entries must be integers, got '1'"),
+        (_cycles('{"vector": [1, 0.0]}'), "cycle 1: vector entries must be integers, got 0.0"),
+        (_cycles('{"vector": [true, 0]}'), "cycle 1: vector entries must be integers, got True"),
+        (_cycles('{"vector": [1, 0], "chirality": true}'),
+         "cycle 1: chirality must be +1 or -1, got True"),
+        (_cycles('{"vector": [1, 0]}, {"vector": [0, 1], "chirality": 0}'),
+         "cycle 2: chirality must be +1 or -1, got 0"),
+        (_cycles('{"vector": {"a": 1}}'), "cycle 1: vector must be a list"),
+        ('{"genus": 1, "boundary": -1, "cycles": []}',
+         "genus and boundary count must be nonnegative"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
@@ -257,6 +273,7 @@ def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
         (DEEP_ARRAY, "invalid JSON"),
         ('{"dimension": 2, "matrices": ' + DEEP_ARRAY + "}", "invalid JSON"),
         (b'{"dimension": 0, "matrices": [[], [], []], "\xff": 0}', "invalid JSON"),
+        ('{"dimension": true, "matrices": []}', "dimension must be an integer, got True"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"
@@ -265,6 +282,9 @@ def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
             code, _, err = run(capsys, command, str(f))
             assert code == 2, (command, text[:80])
             assert needle in err, (command, text[:80], err)
+    f.write_text('{"dimension": 2, "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, true]]]}')
+    code, _, err = run(capsys, "meyer", str(f))
+    assert code == 2 and "matrix 2: not an exact rational: True" in err, err
 
 
 def test_genus_above_the_ceiling_exits_2(capsys, tmp_path):
@@ -296,7 +316,7 @@ def test_matrix_document_parsing():
         '{"dimension": 2, "matrices": [[["1/2", 0], [3, "-2/3"]]]}')
     assert dim == 2
     assert str(mats[0].at(0, 0)) == "1/2"
-    with pytest.raises(Exception, match="integers or"):
+    with pytest.raises(Exception, match="matrix 1: not an exact rational: 0.5"):
         parse_matrix_document('{"dimension": 2, "matrices": [[[0.5, 0]]]}')
     with pytest.raises(Exception, match="expected 3 matrices"):
         parse_matrix_document('{"dimension": 2, "matrices": []}', expect=3)

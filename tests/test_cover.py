@@ -193,6 +193,10 @@ def test_input_validation():
     for n in (2.5, 2.0, True, Fraction(3)):
         with pytest.raises(InputError, match=r"^n must be an integer, got "):
             correction_terms(SP2, MATSUMOTO_PHI, n)
+    # a fold below 1 used to yield no terms at all
+    for n in (0, -5):
+        with pytest.raises(InputError, match="^fold count must be >= 1$"):
+            correction_terms(SP2, MATSUMOTO_PHI, n)
 
 
 def _ladder_totals(base_sigma, phi, max_n):

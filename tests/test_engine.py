@@ -374,6 +374,14 @@ def test_step_index_validation():
             local_sigma_via_maslov(w, k)
 
 
+@pytest.mark.parametrize("bad", [1.0, 2.0, True, "2"])
+def test_step_index_is_an_int(bad):
+    w = positive_word()
+    for step in (local_sigma, local_sigma_via_maslov, shortcut_dual_preserved):
+        with pytest.raises(InputError, match="^k must be an integer, got "):
+            step(w, bad)
+
+
 def test_empty_word_has_zero_signature():
     trace = signature(word(Surface(2, 0), []))
     assert trace.total == 0

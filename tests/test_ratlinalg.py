@@ -37,6 +37,14 @@ def test_as_rational_rejects_floats_and_garbage():
         as_rational("1.5.2")
 
 
+def test_bools_are_no_rationals():
+    for x in (True, False):
+        with pytest.raises(InputError, match="not an exact rational"):
+            as_rational(x)
+    with pytest.raises(InputError):
+        Matrix.from_rows([[True, 0], [0, 1]], 2)
+
+
 def _system(a: Matrix, b) -> list[list[int]]:
     """The int rows [A | b]."""
     return [list(row) + [y] for row, y in zip(a.entries, b)]

@@ -432,8 +432,8 @@ def test_surface_validation():
 
 
 @pytest.mark.parametrize("vector, chirality, field", [
-    ((True, False), 1, "homology_class"),
-    ((1, 0.0), 1, "homology_class"),
+    ((True, False), 1, "vector"),
+    ((1, 0.0), 1, "vector"),
     ((1, 0), True, "chirality"),
     ((1, 0), -1.0, "chirality"),
 ])
@@ -456,3 +456,17 @@ def test_vanishing_cycle_rejects_bools_and_floats(vector, chirality, field):
 def test_surface_and_family_spec_reject_bools_and_floats(make, field):
     with pytest.raises(InputError, match=field):
         make()
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0, True, "2"])
+def test_counts_and_indices_are_ints(bad):
+    """A float or a string used to die with a bare TypeError, and True was
+    taken as 1 (`word_action(w, True)` returned Phi_1)."""
+    w = word(Surface(1, 0), [(1, 0), (0, 1), (1, 1)])
+    for make, field in ((lambda: word_action(w, bad), "upto"),
+                        (lambda: w.repeated(bad), "n"),
+                        (lambda: w.subword(bad, 2), "start"),
+                        (lambda: w.subword(0, bad), "stop"),
+                        (lambda: SymplecticSpace.standard(bad), "half_dim")):
+        with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
+            make()
