@@ -21,6 +21,7 @@ Usage: python scripts/derive_chain_vectors.py [--radius 1]
 
 import argparse
 import itertools
+import sys
 
 from lefsig import (
     Surface,
@@ -94,7 +95,8 @@ def main():
         via_word = signature(w.repeated(n)).total
         via_cover = cover_signature(base, action, n)
         print(f"  n={n}: repeated word {via_word}, cover formula {via_cover}")
-        assert via_word == via_cover
+        if via_word != via_cover:
+            sys.exit(f"n={n}: repeated word {via_word} != cover formula {via_cover}")
     pair = signature(word(SURFACE, [DELTA, DELTA])).total
     print(f"two separating boundary twists: {pair}; "
           f"chain fourth power minus that: {signature(w.repeated(4)).total - pair}")

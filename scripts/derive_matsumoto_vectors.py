@@ -19,6 +19,7 @@ Usage: python scripts/derive_matsumoto_vectors.py [--radius 1]
 
 import argparse
 import itertools
+import sys
 
 from lefsig import (
     Matrix,
@@ -83,7 +84,8 @@ def main():
 
     w = word(SURFACE, frozen)
     action = word_action(w)
-    assert action == PHI
+    if action != PHI:
+        sys.exit("the frozen word's action is not the Matsumoto monodromy PHI")
     base = signature(w).total
     print(f"exact check: word signature {base}, per-step sigmas "
           f"{[s.sigma for s in signature(w).steps]}")
@@ -91,7 +93,8 @@ def main():
         via_word = signature(w.repeated(n)).total
         via_cover = cover_signature(base, action, n)
         print(f"  n={n:>2}: repeated word {via_word}, cover formula {via_cover}")
-        assert via_word == via_cover
+        if via_word != via_cover:
+            sys.exit(f"n={n}: repeated word {via_word} != cover formula {via_cover}")
 
 
 if __name__ == "__main__":

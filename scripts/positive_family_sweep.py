@@ -8,6 +8,7 @@ Usage: python scripts/positive_family_sweep.py [--max-n 20] [--genus 1]
 """
 
 import argparse
+import sys
 
 from lefsig import (
     PositiveFamilySpec,
@@ -49,7 +50,8 @@ def main():
             cert = ("corrections zero by diagonalization" if not any(sigs)
                     else f"nonzero corrections {sigs}")
         print(f"{n:>3} {engine_total:>7} {cover_total:>6}  {cert}")
-        assert engine_total == cover_total == n
+        if not engine_total == cover_total == n:
+            sys.exit(f"n={n}: engine {engine_total} and cover {cover_total} must both be {n}")
 
 
 if __name__ == "__main__":

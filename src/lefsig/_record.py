@@ -1,17 +1,19 @@
 """Immutable value records, the base of every lefsig data class.
 
 A record's `__init__` checks its arguments and assigns each field once
-through `_setattr`; `_fields` names the fields in order and `_key()` returns
-them as a tuple.  As with a frozen standard-library data class, `==` compares
-`_key()` within one class only, `hash` hashes it, the repr is
-`Name(field=value, ...)`, and assignment or deletion raises `AttributeError`.
-`cached_property` values live in the instance `__dict__`, outside `_key()`.
-Records are written out by hand, not generated, because every CLI call is a
-fresh process: the data-class module imports `inspect`, and its decorator
-`exec`s new methods at each start.  `_key` is spelled out per class because a
-`getattr` loop over `_fields` makes `==` and `hash` several times slower;
-`Matrix`, compared inside the algorithms, writes `==` and `hash` out itself.
+through `_setattr`; `_fields` names the fields in order.  As with a frozen
+standard-library data class, `==` compares the tuple of field values within
+one class only, `hash` hashes it, the repr is `Name(field=value, ...)`, and
+assignment or deletion raises `AttributeError`.  `cached_property` values
+live in the instance `__dict__`, outside that tuple.  Records are written out
+by hand, not generated, because every CLI call is a fresh process: the
+data-class module imports `inspect`, and its decorator `exec`s new methods at
+each start.  That tuple is a record's identity, `Matrix` included: one
+`operator.attrgetter` over `_fields`, built once per class, reads it in C,
+where a `getattr` loop would be several times slower.
 """
+
+from operator import attrgetter
 
 _setattr = object.__setattr__  # a record's own writes, past the read-only __setattr__
 
@@ -19,13 +21,20 @@ _setattr = object.__setattr__  # a record's own writes, past the read-only __set
 class _Record:
     _fields: tuple[str, ...]
 
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)
+        # over one name attrgetter returns the bare value; the key is a 1-tuple
+        # then, so that every hash equals the frozen data class's
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda rec: (get(rec),))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

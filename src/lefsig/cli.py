@@ -60,9 +60,6 @@ class FibrationDocument(_Record):
         _setattr(self, "word", word)
         _setattr(self, "name", name)
 
-    def _key(self) -> tuple:
-        return self.word, self.name
-
 
 def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], what: str) -> None:
     for key in required:

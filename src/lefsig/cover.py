@@ -50,9 +50,6 @@ class CorrectionTerm(_Record):
         _setattr(self, "matrix", matrix)
         _setattr(self, "sigma", sigma)
 
-    def _key(self) -> tuple:
-        return self.power, self.matrix, self.sigma
-
 
 def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
     """Yield S_1, S_2, ... forever: X <- phi^T X from X = J, S <- S + X + X^T; phi unchecked."""

@@ -74,10 +74,6 @@ class StepRecord(_Record):
         _setattr(self, "witness", witness)
         _setattr(self, "cumulative_action", cumulative_action)
 
-    def _key(self) -> tuple:
-        return (self.index, self.cycle, self.solvable, self.sigma, self.witness,
-                self.cumulative_action)
-
 
 class SignatureTrace(_Record):
     """The step records of a word and their total (module docstring)."""
@@ -90,9 +86,6 @@ class SignatureTrace(_Record):
         _setattr(self, "steps", steps)
         _setattr(self, "null_homologous_count", null_homologous_count)
         _setattr(self, "total", total)
-
-    def _key(self) -> tuple:
-        return self.word, self.steps, self.null_homologous_count, self.total
 
 
 def _step_rows(phi: Matrix, rhs: Sequence[int], rows: Sequence[int]) -> list[list[int]]:

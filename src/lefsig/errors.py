@@ -21,3 +21,9 @@ class InternalConsistencyError(LefsigError):
 def _require_int(name: str, value: object) -> None:
     if type(value) is not int:  # a bool, a float or a Fraction is no count
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_size(name: str, value: object) -> None:
+    _require_int(name, value)
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative, got {value}")

@@ -46,9 +46,6 @@ class PositiveFamilySpec(_Record):
         _setattr(self, "boundary", boundary)
         _setattr(self, "repetitions", repetitions)
 
-    def _key(self) -> tuple:
-        return self.genus, self.boundary, self.repetitions
-
 
 def generate(spec: PositiveFamilySpec) -> MonodromyWord:
     """The block word, padded with zeros to the ambient dimension and repeated.

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import _Record, _setattr
-from .errors import InputError
+from .errors import InputError, _require_size
 
 Rational = int | Fraction  # the entry type: never a float or a bool
 Scalar = Rational | str
@@ -80,6 +80,7 @@ class Matrix(_Record):
     _fields = ("entries", "cols")
 
     def __init__(self, entries: Sequence[Sequence[Rational]], cols: int) -> None:
+        _require_size("cols", cols)
         entries = tuple(map(tuple, entries))
         for row in entries:
             if len(row) != cols:
@@ -90,16 +91,6 @@ class Matrix(_Record):
                 raise InputError("matrix entries must be ints or Fractions; use Matrix.from_rows")
         _setattr(self, "entries", entries)
         _setattr(self, "cols", cols)
-
-    # Written out rather than through `_key()`: matrices are the one record
-    # compared inside the algorithms (the skew check of `SymplecticSpace`).
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.cols == other.cols and self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.cols))
 
     @classmethod
     def _exact(cls, entries: tuple[tuple[Rational, ...], ...], cols: int) -> "Matrix":
@@ -122,10 +113,13 @@ class Matrix(_Record):
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        _require_size("n", n)
         return Matrix._exact(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
+        _require_size("rows", rows)
+        _require_size("cols", cols)
         return Matrix._exact(((0,) * cols,) * rows, cols)
 
     @property

@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_int
+from .errors import InputError, _require_int, _require_size
 from .ratlinalg import (
     Matrix,
     Rational,
@@ -51,9 +51,6 @@ class SymplecticSpace(_Record):
             raise InputError("symplectic form must be nondegenerate")
         _setattr(self, "form", form)
 
-    def _key(self) -> tuple:
-        return (self.form,)
-
     @classmethod
     def _unchecked(cls, form: Matrix) -> "SymplecticSpace":
         """The space of a form known to be square of even size, skew and
@@ -66,9 +63,7 @@ class SymplecticSpace(_Record):
     @staticmethod
     def standard(half_dim: int) -> "SymplecticSpace":
         """Block-diagonal form with 2x2 blocks [[0,1],[-1,0]], basis a1,b1,...,aG,bG."""
-        _require_int("half_dim", half_dim)
-        if half_dim < 0:
-            raise InputError("negative dimension")
+        _require_size("half_dim", half_dim)
         if 2 * half_dim > MAX_DIMENSION:
             raise InputError(f"dimension above the ceiling of {MAX_DIMENSION}")
         n = 2 * half_dim
@@ -120,9 +115,6 @@ class Surface(_Record):
         if 2 * self.half_dim > MAX_DIMENSION:
             raise InputError(f"genus and boundary give a fiber dimension above {MAX_DIMENSION}")
 
-    def _key(self) -> tuple:
-        return self.genus, self.boundary
-
     @property
     def half_dim(self) -> int:
         if self.boundary == 0:
@@ -153,9 +145,6 @@ class VanishingCycle(_Record):
         _setattr(self, "homology_class", homology_class)
         _setattr(self, "chirality", chirality)
 
-    def _key(self) -> tuple:
-        return self.homology_class, self.chirality
-
     @property
     def is_null_homologous(self) -> bool:
         return not any(self.homology_class)
@@ -182,9 +171,6 @@ class MonodromyWord(_Record):
                 )
         _setattr(self, "surface", surface)
         _setattr(self, "cycles", cycles)
-
-    def _key(self) -> tuple:
-        return self.surface, self.cycles
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -335,9 +321,6 @@ class Lagrangian(_Record):
             raise InputError(f"basis must be a tuple of {n} tuples of {d} ints")
         _setattr(self, "space", space)
         _setattr(self, "basis", basis)
-
-    def _key(self) -> tuple:
-        return self.space, self.basis
 
     @staticmethod
     def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":

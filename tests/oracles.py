@@ -46,6 +46,16 @@ with every free variable zero, all read off `fraction_rref`.  The library
 reads Lagrangian bases, ranks, Meyer's kernel and the step's solution off
 its int elimination instead, with no division.
 
+The handlebody route (Ozbagci 2002; Gompf-Stipsicz 1999) reads a word's
+fields and nothing else from the package.  X is the fiber times D^2 with a
+2-handle along each gamma_k, framed -c_k against the fiber; its intersection
+form on ker(Gamma: Z^n -> H_1, e_k -> gamma_k) is
+Q_X(a, b) = -sum_k c_k a_k b_k - sum_{i<j} a_i b_j Q(gamma_i, gamma_j).  With
+M = 2 Q_X written out on all of Z^n and Gamma_I a set of rows of Gamma of full
+row rank r, the border [[M, Gamma_I^T], [Gamma_I, 0]] adds (r, r) to the
+inertia, so its signature is the fibration's.  Q is written out here, and the
+signature is `congruence_signature`'s.
+
 The `signature --json` and `power --json` payloads are built here as the CLI
 once built them, for `json.dumps(payload, indent=2)`.  The CLI writes the same
 bytes directly.
@@ -164,8 +174,13 @@ def fraction_signature_symmetric(s: Matrix) -> int:
     complement of its diagonal pivot and counts the pivot's sign; a vanishing
     trailing diagonal gets a manufactured pivot by a row+column addition."""
     assert s == s.transpose()
-    m = s.to_lists()
-    n = s.rows
+    return congruence_signature(s.to_lists())
+
+
+def congruence_signature(m: list[list]) -> int:
+    """`fraction_signature_symmetric` on a symmetric matrix of int or Fraction
+    rows, which it consumes."""
+    n = len(m)
     sig = 0
     for k in range(n):
         if m[k][k] == 0:
@@ -354,3 +369,26 @@ def power_payload(base: int, fold: int, sigmas: list[int]) -> dict:
         "corrections": [{"power": m, "sigma": s} for m, s in enumerate(sigmas, start=1)],
         "signature": fold * base - sum(sigmas),
     }
+
+
+def handle_signature(word: MonodromyWord) -> int:
+    """Signature of the handlebody of the word: the bordered matrix
+    [[M, Gamma_I^T], [Gamma_I, 0]] of the module docstring, by congruence."""
+    gammas = [c.homology_class for c in word.cycles]
+    chiralities = [c.chirality for c in word.cycles]
+    n = len(gammas)
+
+    def q(x, y):  # the standard form, blocks [[0, 1], [-1, 0]]
+        return sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))
+
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = -2 * chiralities[i]
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = -q(gammas[i], gammas[j])
+    # the pivot columns of the rows gamma_k are independent rows of Gamma
+    _, rows = fraction_rref(gammas)
+    border = [[g[i] for g in gammas] for i in rows]
+    bordered = [row + [b[k] for b in border] for k, row in enumerate(m)]
+    bordered += [b + [0] * len(border) for b in border]
+    return congruence_signature(bordered)

@@ -7,6 +7,10 @@ a float literal or a `float(...)` call would bring a float in and lose
 exactness silently, so none may appear in `src/lefsig/*.py`; exact quotients
 are written `Fraction(a, b)`.
 
+No `assert` statement sits in the package or the scripts: `python -O`
+strips them, so a self-check written as one would vanish.  Each is an
+explicit check that raises or exits non-zero with a message.
+
 The scripts in `scripts/` are the package's own callers; an import of a
 third-party module there would make a dependency the package does not declare.
 
@@ -55,6 +59,24 @@ def test_float_sites_are_found(tmp_path):
     probe.write_text("a = 1 / 2\nb = 3\nb /= 4\nc = 0.5\nd = float('1')\ne = 7 // 2\n")
     assert [what for _, what in _float_sites(probe)] == [
         "true division", "true division", "float literal", "float() call"]
+
+
+def _assert_sites(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_asserts_in_the_package_or_the_scripts():
+    found = [f"{p.relative_to(ROOT)}:{line}" for p in (*SOURCES, *SCRIPTS)
+             for line in _assert_sites(p)]
+    assert found == []
+
+
+def test_assert_sites_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("assert True\nx = 'assert'\ndef f():\n    assert x, 'message'\n"
+                     "if not x:\n    raise SystemExit('message')\n")
+    assert _assert_sites(probe) == [1, 4]
 
 
 def _foreign_imports(path: Path):

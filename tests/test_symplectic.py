@@ -470,3 +470,5 @@ def test_counts_and_indices_are_ints(bad):
                         (lambda: SymplecticSpace.standard(bad), "half_dim")):
         with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
             make()
+    with pytest.raises(InputError, match="^half_dim must be nonnegative, got -1$"):
+        SymplecticSpace.standard(-1)
