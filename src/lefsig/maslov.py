@@ -68,9 +68,9 @@ def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     p, s, r = (space.gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
     pt, st, rt = (tuple(zip(*m)) for m in (p, s, r))
     zero = ((0,) * n,) * n
-    form = [x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))
-            for x, y, z in zip(*blocks)]
-    tau = -signature_symmetric(Matrix(form, 3 * n))
+    form = tuple(x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))
+                 for x, y, z in zip(*blocks))
+    tau = -signature_symmetric(Matrix._exact(form, 3 * n))
     if abs(tau) > n:
         raise InternalConsistencyError(f"Maslov index {tau} exceeds the half dimension")
     return tau

@@ -324,8 +324,11 @@ def signature_symmetric(s: Matrix) -> int:
     a manufactured pivot (2*m[i][j]) from a symmetric row+column addition.  A step
     updates only the live trailing block, by Bareiss' rule (p*m[r][c] -
     m[r][k]*m[k][c]) // prev, which keeps it prev times the Schur complement; swaps
-    and manufactured pivots are unimodular, so the divisions stay exact.  The k-th
-    diagonal pivot is p/prev: +1 when p and prev share a sign, else -1.
+    and manufactured pivots are unimodular, so the divisions stay exact.  Each
+    row's entry f = m[r][k] is read once: a row with f = 0 is only rescaled,
+    p*m[r][c] // prev, the same Bareiss minor and so as exact, and is left as it
+    is when p = prev.  The k-th diagonal pivot is p/prev: +1 when p and prev
+    share a sign, else -1.
     """
     if not s.is_square():
         raise InputError("signature of a non-square matrix")
@@ -359,7 +362,10 @@ def signature_symmetric(s: Matrix) -> int:
         sig += 1 if (p > 0) == (prev > 0) else -1
         top = m[k][k + 1:]
         for row in m[k + 1:]:
-            row[k + 1:] = [(p * x - row[k] * y) // prev for x, y in zip(row[k + 1:], top)]
+            if f := row[k]:
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+            elif p != prev:
+                row[k + 1:] = [p * x // prev for x in row[k + 1:]]
         prev = p
     return sig
 

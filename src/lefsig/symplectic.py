@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from ._record import _Record, _setattr
 from .errors import InputError, _require_int, _require_size
@@ -88,10 +89,20 @@ class SymplecticSpace(_Record):
 
     def gram(self, us: Sequence[Sequence[Rational]],
              vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
-        """Rows (Q(u, v) for v in vs) for u in us.  Each J v is summed once over
-        the nonzero pattern of J; each entry is then one C-level sum of products."""
-        jvs = [[sum(f * v[j] for j, f in row) for row in self._form_pattern] for v in vs]
-        return tuple(tuple(sum(map(mul, u, jv)) for jv in jvs) for u in us)
+        """Rows (Q(u, v) for v in vs) for u in us, off J V formed by columns in one
+        pass: row i of J V sums J_ij times column j of V over J's pattern, the
+        column itself (shared) when J_ij is 1, else scaled by a C-level `map`.
+        Each entry is one C-level sum of products of u and a J v."""
+        cols = tuple(zip(*vs)) or ((),) * self.dim  # with no vs, d empty columns
+        jv = []
+        for row in self._form_pattern:
+            acc = None
+            for j, f in row:
+                t = cols[j] if f == 1 else tuple(map(mul, repeat(f), cols[j]))
+                acc = t if acc is None else tuple(map(add, acc, t))
+            jv.append(acc)
+        jvs = tuple(zip(*jv)) or ((),) * len(vs)  # in dimension 0, one empty J v per v
+        return tuple(tuple(sum(map(mul, u, w)) for w in jvs) for u in us)
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
         """Q(x, y) = x^T J y over J's pattern where x != 0 (a step's sparse gamma)."""
@@ -194,8 +205,10 @@ class MonodromyWord(_Record):
         return MonodromyWord(self.surface, self.cycles * n)
 
     def subword(self, start: int, stop: int) -> "MonodromyWord":
-        _require_int("start", start)
-        _require_int("stop", stop)
+        for name, value, low in (("start", start, 0), ("stop", stop, start)):
+            _require_int(name, value)
+            if not low <= value <= len(self):
+                raise InputError(f"{name} {value} out of range {low}..{len(self)}")
         return MonodromyWord(self.surface, self.cycles[start:stop])
 
 

@@ -33,7 +33,9 @@ Fractions.  The library asks one int elimination instead.
 
 `is_symplectic` once formed M^T J M by two `Matrix` products; the library
 reads the Gram matrix of M's columns off `SymplecticSpace.gram` instead and
-must give the same verdict.
+must give the same verdict.  `gram` itself once formed each J v on its own,
+summed over J's nonzero pattern; it now forms J V by columns and must agree
+entry for entry, down to the type.
 
 Every matrix product once went through `vec_dot`; the library now multiplies
 all-int operands by a C-level sum of products and must agree entry for entry,
@@ -64,6 +66,7 @@ bytes directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from lefsig.maslov import maslov_index
 from lefsig.engine import SignatureTrace
@@ -334,6 +337,14 @@ def reference_is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
     if m.rows != space.dim or m.cols != space.dim:
         return False
     return m.transpose() @ space.form @ m == space.form
+
+
+def reference_gram(space: SymplecticSpace, us, vs) -> tuple[tuple, ...]:
+    """Rows (Q(u, v) for v in vs) for u in us: each J v summed on its own over
+    the nonzero pattern of J, then each entry one sum of products."""
+    pattern = [[(j, f) for j, f in enumerate(row) if f] for row in space.form.entries]
+    jvs = [[sum(f * v[j] for j, f in row) for row in pattern] for v in vs]
+    return tuple(tuple(sum(map(mul, u, jv)) for jv in jvs) for u in us)
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> tuple[tuple, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lefsig import Surface, signature, word, word_action
 from lefsig.cli import (
     build_parser,
     main,
@@ -144,6 +145,40 @@ def test_maslov_axioms_in_dimension_zero(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == [
         "maslov index: 0",
+        "axiom antisymmetry: pass",
+        "axiom symplectic invariance: pass",
+        "axiom direct-sum additivity: pass",
+    ]
+
+
+def test_maslov_axioms_on_a_graph_triple_in_dimension_eight(capsys, tmp_path):
+    """graph(phi_later), the diagonal and the conjugate graph of phi_earlier for
+    two genus-2 words, moved to the standard form on V + V by swapping a_i and
+    b_i in the second copy: the index is minus the gluing defect
+    signature(u v) - signature(u) - signature(v)."""
+    surface = Surface(2, 0)
+    earlier = [[1, 1, -2, 0], [2, 1, 1, 0], [1, 0, 2, -1]]
+    later = [[2, -1, 0, -1], [-2, 2, 0, 2], [2, -1, 0, -2]]
+    defect = (signature(word(surface, earlier + later)).total
+              - signature(word(surface, earlier)).total - signature(word(surface, later)).total)
+    assert defect != 0
+    n = 4
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap(y):
+        return [y[i ^ 1] for i in range(n)]
+
+    cols_later, cols_earlier = (word_action(word(surface, w)).transpose().to_lists()
+                                for w in (later, earlier))
+    triple = [[unit[i] + swap(cols_later[i]) for i in range(n)],
+              [unit[i] + swap(unit[i]) for i in range(n)],
+              [cols_earlier[i] + swap(unit[i]) for i in range(n)]]
+    doc = tmp_path / "graph_triple.json"
+    doc.write_text(json.dumps({"dimension": 2 * n, "matrices": triple}))
+    code, out, _ = run(capsys, "maslov", str(doc), "--check-axioms")
+    assert code == 0
+    assert out.splitlines() == [
+        f"maslov index: {-defect}",
         "axiom antisymmetry: pass",
         "axiom symplectic invariance: pass",
         "axiom direct-sum additivity: pass",

@@ -20,6 +20,7 @@ from lefsig.ratlinalg import (
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
 
+from .fixtures import random_lagrangian
 from .oracles import (
     fraction_rref,
     fraction_signature_symmetric,
@@ -145,10 +146,41 @@ MANUFACTURED = [
 ]
 
 
+def _kashiwara_form(rng: random.Random, genus: int) -> Matrix:
+    """Kashiwara's form of a random Lagrangian triple: zero diagonal blocks,
+    so many rows hold 0 in the pivot column."""
+    space = SymplecticSpace.standard(genus)
+    a, b, c = (random_lagrangian(rng, space).basis for _ in range(3))
+    p, s, r = space.gram(a, b), space.gram(b, c), space.gram(c, a)
+    zero = ((0,) * genus,) * genus
+    blocks = ((zero, p, tuple(zip(*r))), (tuple(zip(*p)), zero, s), (r, tuple(zip(*s)), zero))
+    return Matrix([x + y + z for row in blocks for x, y, z in zip(*row)], 3 * genus)
+
+
+def _zero_column_cases(rng: random.Random) -> list[Matrix]:
+    """Symmetric matrices whose rows hold 0 in a pivot column both where the
+    pivot p differs from the previous one and where p = prev: block sums,
+    diagonal matrices and Kashiwara forms."""
+    cases = [Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 3]], 3),  # pivots 2, 2, 6
+             Matrix([[1, 0, 1], [0, 1, 0], [1, 0, -1]], 3)]  # pivots 1, 1, -2
+    for _ in range(40):
+        left = _random_symmetric(rng, rng.randint(1, 4))
+        right = _random_symmetric(rng, rng.randint(1, 4))
+        cases.append(left.block_diag(right))
+        diag = [rng.choice((1, 1, -1, 2, -2, 3)) for _ in range(rng.randint(1, 5))]
+        cases.append(Matrix([[x if i == j else 0 for j in range(len(diag))]
+                             for i, x in enumerate(diag)], len(diag)))
+    cases += [Matrix(rows, len(rows)).block_diag(Matrix(rows, len(rows)))
+              for rows in MANUFACTURED]
+    cases += [_kashiwara_form(rng, rng.randint(1, 3)) for _ in range(30)]
+    return cases
+
+
 def test_bareiss_congruence_matches_oracles():
     rng = random.Random(1968)
     cases = [Matrix(rows, len(rows)) for rows in MANUFACTURED]
     cases += [_random_symmetric(rng, rng.randint(0, 8)) for _ in range(300)]
+    cases += _zero_column_cases(rng)
     for s in cases:
         sig = signature_via_charpoly(s)
         for t, want in ((s, sig), (-s, -sig), (s.scale(Fraction(-5, 3)), -sig)):

@@ -49,6 +49,7 @@ from .oracles import (
     dense_prefix_actions,
     doubled_space,
     graph,
+    reference_gram,
     reference_is_symplectic,
     span_basis,
     symplectic_inverse,
@@ -226,6 +227,56 @@ def test_is_symplectic_matches_the_product_oracle():
               Matrix.zeros(0, 0), Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
         for space in (standard, skewed):
             assert not is_symplectic(space, m) and not reference_is_symplectic(space, m)
+
+
+def _unimodular(rng: random.Random, n: int) -> Matrix:
+    """A product of random integer row additions: determinant 1."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2, -3))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(rows, n)
+
+
+def test_gram_matches_the_per_vector_oracle():
+    # J V by columns against each J v summed on its own, values and types,
+    # on standard, block-sum, dense unimodular-congruent and rational forms
+    rng = random.Random(1973)
+    spaces = [SymplecticSpace.standard(h) for h in range(7)]
+    for genus in (1, 2, 3):
+        space = SymplecticSpace.standard(genus)
+        lags = [random_lagrangian(rng, space) for _ in range(2)]
+        spaces.append(direct_sum_lagrangian(*lags).space)
+    for genus in (2, 3):
+        p = _unimodular(rng, 2 * genus)
+        dense = SymplecticSpace(p @ SymplecticSpace.standard(genus).form @ p.transpose())
+        pattern = [[x for x in row if x] for row in dense.form.entries]
+        assert any(len(row) > 1 for row in pattern)
+        assert any(x not in (1, -1) for row in pattern for x in row)
+        spaces.append(dense)
+    spaces.append(SymplecticSpace(Matrix.from_rows([["0", "1"], ["-1", "0"]])))  # Fraction 1s
+    spaces.append(SymplecticSpace(SymplecticSpace.standard(2).form.scale(Fraction(3, 7))))
+
+    def vector(d: int, rational: bool) -> tuple:
+        if rational:
+            return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(d))
+        return tuple(rng.randint(-5, 5) for _ in range(d))
+
+    def types(rows):
+        return [[type(x) for x in row] for row in rows]
+
+    for space in spaces:
+        d = space.dim
+        for _ in range(8):
+            us = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
+            vs = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
+            got, want = space.gram(us, vs), reference_gram(space, us, vs)
+            assert got == want and types(got) == types(want), (space, us, vs)
+        u = vector(d, False)
+        assert space.gram([u], []) == reference_gram(space, [u], []) == ((),)
+        assert space.gram([], [u]) == reference_gram(space, [], [u]) == ()
+    assert SymplecticSpace.standard(0).gram([(), ()], [()]) == ((0,), (0,))
 
 
 def test_word_action_block():
@@ -472,3 +523,21 @@ def test_counts_and_indices_are_ints(bad):
             make()
     with pytest.raises(InputError, match="^half_dim must be nonnegative, got -1$"):
         SymplecticSpace.standard(-1)
+
+
+@pytest.mark.parametrize("start, stop, message", [
+    (-5, 99, "start -5 out of range 0..3"),
+    (-1, 3, "start -1 out of range 0..3"),
+    (4, 4, "start 4 out of range 0..3"),
+    (2, 1, "stop 1 out of range 2..3"),
+    (0, 99, "stop 99 out of range 0..3"),
+    (0, -1, "stop -1 out of range 0..3"),
+])
+def test_subword_bounds_are_checked(start, stop, message):
+    """Bounds used to be taken with Python's slice rules: `subword(-5, 99)`
+    returned the whole word and `subword(-1, 3)` the last cycle."""
+    w = word(Surface(1, 0), [(1, 0), (0, 1), (1, 1)])
+    with pytest.raises(InputError, match=f"^{message}$"):
+        w.subword(start, stop)
+    assert w.subword(0, 3) == w and len(w.subword(3, 3)) == len(w.subword(1, 1)) == 0
+    assert w.subword(1, 2).cycles == w.cycles[1:2]
