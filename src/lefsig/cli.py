@@ -18,7 +18,9 @@ entries.  Exit codes: 0 success, 2 bad input, 3 internal consistency failure.
 per step or correction term, byte for byte as the standard JSON encoder lays
 it out at indent 2: every value is an int, a bool, null or a witness string
 of `-0-9/`, so nothing needs escaping.  The golden transcript and the oracle
-payloads in tests/oracles.py pin the layout byte for byte.
+payloads in tests/oracles.py pin the layout byte for byte.  `signature`,
+`power` and `generate` keep only what they print from the engine's stream of
+steps, never every record at once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import permutations
 
 from ._record import _Record, _setattr
 from .cover import correction_terms
-from .engine import StepRecord, signature
+from .engine import StepRecord, _contribution, _steps
 from .errors import InputError, InternalConsistencyError, _require_int
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
@@ -47,7 +49,6 @@ from .symplectic import (
     direct_sum_lagrangian,
     map_lagrangian,
     prefix_actions,
-    word_action,
 )
 
 
@@ -184,8 +185,12 @@ def _step_json(s: StepRecord) -> str:
 
 
 def cmd_signature(args: argparse.Namespace) -> int:
+    """Each form keeps only what it prints from the stream of steps: the
+    total; the total and one row at a time; or, since the JSON layout puts
+    the total first, the total, the null count and each step's text."""
     doc = parse_fibration_document(_read(args.file))
-    trace = signature(doc.word)
+    steps = _steps(doc.word)
+    total = 0
     # witnesses may pass CPython's int-to-str digit limit (4300 by default, none
     # before 3.10.7): lift it while they are written, never while input is parsed
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -193,24 +198,38 @@ def cmd_signature(args: argparse.Namespace) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.json:
-            steps = _json_list([_step_json(s) for s in trace.steps], "  ")
-            print(f'{{\n  "signature": {trace.total},\n'
-                  f'  "null_homologous_count": {trace.null_homologous_count},\n'
-                  f'  "steps": {steps}\n}}')
+            nulls = 0
+            texts = []
+            for s in steps:
+                total += _contribution(s)
+                nulls += s.cycle.is_null_homologous
+                texts.append(_step_json(s))
+            write = sys.stdout.write  # `_json_list`'s layout, one step text at a time
+            write(f'{{\n  "signature": {total},\n'
+                  f'  "null_homologous_count": {nulls},\n  "steps": [')
+            sep = "\n    "
+            for text in texts:
+                write(sep)
+                write(text)
+                sep = ",\n    "
+            write("\n  ]\n}\n" if texts else "]\n}\n")
             return 0
         if args.trace:
             print(f"{'k':>3}  {'cycle':<24} {'chi':>3}  {'solvable':<8} {'sigma':>5}  witness")
-            for s in trace.steps:
+            for s in steps:
+                total += _contribution(s)
                 vec = "[" + ", ".join(str(x) for x in s.cycle.homology_class) + "]"
                 chi = "+1" if s.cycle.chirality == 1 else "-1"
                 print(
                     f"{s.index:>3}  {vec:<24} {chi:>3}  "
                     f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {_format_witness(s.witness)}"
                 )
+        else:
+            total = sum(map(_contribution, steps))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    print(f"signature: {trace.total}")
+    print(f"signature: {total}")
     return 0
 
 
@@ -218,8 +237,12 @@ def cmd_power(args: argparse.Namespace) -> int:
     doc = parse_fibration_document(_read(args.file))
     if args.n < 1:
         raise InputError("--n must be >= 1")
-    base = signature(doc.word).total
-    sigmas = [t.sigma for t in correction_terms(doc.word.space, word_action(doc.word), args.n)]
+    base = 0
+    phi = Matrix.identity(doc.word.space.dim)  # the action of the empty word
+    for s in _steps(doc.word):
+        base += _contribution(s)
+        phi = s.cumulative_action
+    sigmas = [t.sigma for t in correction_terms(doc.word.space, phi, args.n)]
     total = args.n * base - sum(sigmas)
     if args.json:
         terms = [f'{{\n      "power": {m},\n      "sigma": {s}\n    }}'
@@ -311,7 +334,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     # round-trip through the parser before certifying, as a self-check
     reparsed = parse_fibration_document(text)
-    print(f"signature: {signature(reparsed.word).total}")
+    print(f"signature: {sum(map(_contribution, _steps(reparsed.word)))}")
     return 0
 
 

@@ -16,9 +16,9 @@ x = n / delta over a common denominator delta > 0, and since delta > 0,
 sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).
 
 Only the rows I_k of [Id - Phi_k | gamma_k] are eliminated, I_k the pivot
-coordinates of an echelon basis of gamma_1 .. gamma_k (`MonodromyWord`
-keeps them beside its prefix actions).  Id - Phi_k = sum_{j<=k} c_j gamma_j
-r_j^T maps into S_k = span(gamma_1 .. gamma_k), and so does gamma_k;
+coordinates of an echelon basis of gamma_1 .. gamma_k (`span_sweep`).
+Id - Phi_k = sum_{j<=k} c_j gamma_j r_j^T maps into
+S_k = span(gamma_1 .. gamma_k), and so does gamma_k;
 projection onto I_k is injective on S_k, so the rows I_k have the null space
 of the whole system, hence its RREF, its pivot columns, its solvability and
 its witness.  When S_k is the whole space, I_k is every row.  The dual
@@ -30,6 +30,14 @@ argument.  The total is
 a right twist along a separating curve adds a -1-framed handle (count -1),
 a left one adds a +1-framed handle (count +1).
 
+The steps are one left-to-right stream: step k needs only Phi_k, I_k and
+gamma_k, so `prefix_sweep` and `span_sweep` run side by side and `_step`
+turns each (gamma_k, Phi_k, I_k) into its record, which the caller may drop
+before the next step is computed.  `signature` collects that stream and
+leaves the word's caches empty.  `local_sigma(word, k)` is the random-access
+entry: it runs the same `_step` on the prefix actions and row sets the word
+keeps once they are first asked for.
+
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
 which `local_sigma_via_maslov` recomputes independently; the two routes agree
@@ -39,7 +47,7 @@ purpose: it shares no row selection with the step solve.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from ._record import _Record, _setattr
 from .errors import InputError, _require_int
@@ -47,7 +55,10 @@ from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
     MonodromyWord,
+    SymplecticSpace,
     VanishingCycle,
+    prefix_sweep,
+    span_sweep,
     transvection,
     word_action,
 )
@@ -107,15 +118,13 @@ def _cycle(word: MonodromyWord, k: int) -> VanishingCycle:
     return word.cycles[k - 1]
 
 
-def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
-    """Local contribution record of step k (1-indexed)."""
-    cycle = _cycle(word, k)
-    space = word.space
-    phi_k = word_action(word, k)
+def _step(space: SymplecticSpace, k: int, cycle: VanishingCycle, phi_k: Matrix,
+          rows: Sequence[int]) -> StepRecord:
+    """The record of step k from Phi_k and the row set I_k (module docstring)."""
     if cycle.is_null_homologous:
         return StepRecord(k, cycle, True, 0, None, phi_k)
     gamma = cycle.homology_class
-    solved = _int_solve(_step_rows(phi_k, gamma, word._spanned_rows[k]), space.dim)
+    solved = _int_solve(_step_rows(phi_k, gamma, rows), space.dim)
     if solved is None:
         return StepRecord(k, cycle, False, 0, None, phi_k)
     delta, numerators = solved
@@ -123,17 +132,36 @@ def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     return StepRecord(k, cycle, True, sigma, tuple(_divide(numerators, delta)), phi_k)
 
 
+def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
+    """Local contribution record of step k (1-indexed), from the word's kept
+    prefix actions and row sets: the random-access entry to the steps."""
+    cycle = _cycle(word, k)
+    return _step(word.space, k, cycle, word_action(word, k), word._spanned_rows[k])
+
+
+def _steps(word: MonodromyWord) -> Iterator[StepRecord]:
+    """The step records of the word in order, from one `prefix_sweep` and one
+    `span_sweep`; nothing is kept on the word or here once a step is yielded."""
+    space = word.space
+    cycles = word.cycles
+    sweeps = zip(prefix_sweep(space, cycles), span_sweep(space.dim, cycles))
+    next(sweeps)  # Phi_0 and I_0 precede the first cycle
+    for k, (cycle, (phi_k, rows)) in enumerate(zip(cycles, sweeps), start=1):
+        yield _step(space, k, cycle, phi_k, rows)
+
+
+def _contribution(step: StepRecord) -> int:
+    """The step's term of the total: -c_k sigma_k, or -c_k on a null cycle."""
+    if step.cycle.is_null_homologous:  # its sigma is 0
+        return -step.cycle.chirality
+    return -step.cycle.chirality * step.sigma
+
+
 def signature(word: MonodromyWord) -> SignatureTrace:
     """Run the per-cycle algorithm over the whole word and total it up."""
-    steps = tuple(local_sigma(word, k) for k in range(1, len(word) + 1))
-    nulls = total = 0
-    for s in steps:
-        if s.solvable and s.witness is None:  # null-homologous; its sigma is 0
-            nulls += 1
-            total -= s.cycle.chirality
-        else:
-            total -= s.cycle.chirality * s.sigma
-    return SignatureTrace(word, steps, nulls, total)
+    steps = tuple(_steps(word))
+    nulls = sum(s.cycle.is_null_homologous for s in steps)
+    return SignatureTrace(word, steps, nulls, sum(map(_contribution, steps)))
 
 
 def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:

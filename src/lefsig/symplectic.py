@@ -8,12 +8,14 @@ into twists becomes a word of integer vectors, one per vanishing cycle.
 Chirality -1 marks a left-handed twist, which acts by the inverse
 transvection.
 Every twist action, single or a word's prefixes, comes from one exact
-rank-one sweep, `prefix_actions`.
+rank-one sweep, `prefix_sweep`, which yields Phi_0, Phi_1, ... one at a time;
+`span_sweep` yields the row sets I_k beside it.  A word keeps both as tuples
+only for its random-access callers (`word_action`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import repeat
 from math import gcd
@@ -93,6 +95,8 @@ class SymplecticSpace(_Record):
         pass: row i of J V sums J_ij times column j of V over J's pattern, the
         column itself (shared) when J_ij is 1, else scaled by a C-level `map`.
         Each entry is one C-level sum of products of u and a J v."""
+        if bad := {*map(len, us), *map(len, vs)} - {self.dim}:
+            raise InputError(f"gram of a vector of length {min(bad)} in dimension {self.dim}")
         cols = tuple(zip(*vs)) or ((),) * self.dim  # with no vs, d empty columns
         jv = []
         for row in self._form_pattern:
@@ -225,8 +229,8 @@ def word(surface: Surface, vectors: Sequence[Sequence[int]],
     )
 
 
-def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> tuple[Matrix, ...]:
-    """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, built in one pass.
+def prefix_sweep(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> Iterator[Matrix]:
+    """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, one at a time.
 
     T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of the rows of the
     previous product where g_i != 0; the other rows are shared with it.  On an
@@ -234,10 +238,11 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
     the products are built without re-checking their entries.
     """
     n = space.dim
-    products = [Matrix.identity(n)]
+    phi = Matrix.identity(n)
+    yield phi
     for c in cycles:
         g = c.homology_class
-        rows = list(products[-1].entries)
+        rows = list(phi.entries)
         r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
         for row, phi_i in zip(space._form_pattern, rows):
             if wi := sum(f * g[j] for j, f in row):
@@ -246,24 +251,30 @@ def prefix_actions(space: SymplecticSpace, cycles: Sequence[VanishingCycle]) -> 
             if gi:
                 s = c.chirality * gi
                 rows[i] = tuple([a - s * b for a, b in zip(rows[i], r)])
-        products.append(Matrix._exact(tuple(rows), n))
-    return tuple(products)
+        phi = Matrix._exact(tuple(rows), n)
+        yield phi
 
 
-def spanned_rows(dim: int, cycles: Sequence[VanishingCycle]) -> tuple[tuple[int, ...], ...]:
-    """I_0 = (), I_1, ..., I_n: I_k the sorted pivot coordinates of an echelon
-    basis of gamma_1 .. gamma_k, on which projection is injective on their span.
+def prefix_actions(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> tuple[Matrix, ...]:
+    """Every product of `prefix_sweep`, kept: Phi_0 .. Phi_n."""
+    return tuple(prefix_sweep(space, cycles))
+
+
+def span_sweep(dim: int, cycles: Iterable[VanishingCycle]) -> Iterator[tuple[int, ...]]:
+    """I_0 = (), I_1, ..., I_n one at a time: I_k the sorted pivot coordinates
+    of an echelon basis of gamma_1 .. gamma_k, on which projection is
+    injective on their span.
 
     Each cycle is `_eliminate`d against the kept basis rows, lowest pivot
     first (a row is zero left of its pivot), which zeroes it at every pivot;
     a nonzero remainder joins the basis with its first nonzero coordinate as
     pivot.  Once I_k holds all dim coordinates the basis stops growing.  A
-    set that did not grow is shared with the previous prefix.
+    set that did not grow is the previous prefix's.
     """
     basis: dict[int, list[int]] = {}
-    spans: list[tuple[int, ...]] = [()]
+    pivots: tuple[int, ...] = ()
+    yield pivots
     for c in cycles:
-        pivots = spans[-1]
         if len(pivots) < dim:
             g = list(c.homology_class)
             for p in pivots:
@@ -275,8 +286,12 @@ def spanned_rows(dim: int, cycles: Sequence[VanishingCycle]) -> tuple[tuple[int,
                     basis[p] = g
                     pivots = tuple(sorted((*pivots, p)))
                     break
-        spans.append(pivots)
-    return tuple(spans)
+        yield pivots
+
+
+def spanned_rows(dim: int, cycles: Iterable[VanishingCycle]) -> tuple[tuple[int, ...], ...]:
+    """Every set of `span_sweep`, kept: I_0 .. I_n."""
+    return tuple(span_sweep(dim, cycles))
 
 
 def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
@@ -295,8 +310,10 @@ def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
 def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     """Product T_k ... T_1 of the first k transvections (all of them by default).
 
-    The word computes all its prefix actions on first use and keeps them: one
-    integer rank-one update per cycle, O(dim^2) work, in a single forward pass.
+    The word keeps all its prefix actions once one is asked for, from one
+    `prefix_sweep`: one integer rank-one update per cycle, O(dim^2) work, in a
+    single forward pass.  The engine's step stream, which `engine.signature`
+    and the CLI consume, runs its own sweep and leaves this cache unbuilt.
     """
     k = len(word) if upto is None else upto
     _require_int("upto", k)

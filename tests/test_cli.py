@@ -1,16 +1,19 @@
 """Command line interface: documents, outputs, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from lefsig import Surface, signature, word, word_action
+from lefsig import PositiveFamilySpec, Surface, generate, signature, word, word_action
 from lefsig.cli import (
+    FibrationDocument,
     build_parser,
     main,
     parse_fibration_document,
@@ -117,6 +120,43 @@ def test_power_streams_its_correction_terms(capsys):
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["corrections"]) == 999
     assert peak < 2_000_000
+
+
+class _CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_signature_command_streams_its_steps(tmp_path):
+    # 900 cycles: the library's trace keeps every record and Phi_k; plain
+    # `signature` keeps a running total, and --json the text of each step
+    doc = FibrationDocument(generate(PositiveFamilySpec(1, 1, 300)))
+    path = tmp_path / "p300.json"
+    path.write_text(serialize_fibration_document(doc))
+    sink = _CountingSink()
+    with redirect_stdout(sink):
+        assert main(["signature", str(path)]) == 0  # warm-up: parser, imports
+        library = _traced_peak(lambda: signature(doc.word))
+        plain = _traced_peak(lambda: main(["signature", str(path)]))
+        sink.chars = 0
+        as_json = _traced_peak(lambda: main(["signature", str(path), "--json"]))
+    assert plain < library / 2, (plain, library)
+    assert as_json < 2 * sink.chars, (as_json, sink.chars)
 
 
 def test_power_rejects_bad_fold(capsys):
@@ -360,15 +400,23 @@ def test_matrix_document_parsing():
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch, tmp_path):
+    # each form of `signature` consumes the step stream; a failure after its
+    # first step exits 3 with no total, though --trace has printed that step
     import lefsig.cli as cli_mod
 
+    steps = cli_mod._steps
+
     def boom(word):
+        yield next(steps(word))
         raise InternalConsistencyError("forced")
 
-    monkeypatch.setattr(cli_mod, "signature", boom)
-    code, _, err = run(capsys, "signature", str(DATA_DIR / "positive_g1.json"))
-    assert code == 3
-    assert "internal consistency error" in err
+    monkeypatch.setattr(cli_mod, "_steps", boom)
+    path = str(DATA_DIR / "positive_g1.json")
+    for flags, printed in (((), 0), (("--trace",), 2), (("--json",), 0)):
+        code, out, err = run(capsys, "signature", path, *flags)
+        assert code == 3, flags
+        assert "internal consistency error: forced" in err
+        assert len(out.splitlines()) == printed, (flags, out)
 
 
 def test_missing_subcommand_is_usage_error():

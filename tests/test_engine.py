@@ -1,6 +1,7 @@
 """Per-cycle signature algorithm: golden words, invariants, cross-checks."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from lefsig import (
     MonodromyWord,
     Surface,
     VanishingCycle,
+    effective_dimension,
     fiber_sum_defect,
     local_sigma,
     local_sigma_via_maslov,
@@ -22,6 +24,7 @@ from lefsig import (
     word,
     word_action,
 )
+from lefsig.engine import _contribution, _steps
 
 from .fixtures import (
     FIXTURE_WORDS,
@@ -120,6 +123,51 @@ def test_trace_internal_consistency():
             if s.witness is not None:
                 lhs = (Matrix.identity(w.space.dim) - s.cumulative_action).apply(s.witness)
                 assert lhs == s.cycle.vector()
+
+
+def _stream_word(rng: random.Random) -> MonodromyWord:
+    """A word of 0-12 cycles on genus 1-4 with 0-2 boundary components: null,
+    repeated and non-primitive cycles of both chiralities among random ones."""
+    surface = Surface(rng.randint(1, 4), rng.randint(0, 2))
+    dim = effective_dimension(surface)
+    vectors: list[list[int]] = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.15:
+            v = [0] * dim
+        elif roll < 0.3 and vectors:
+            v = rng.choice(vectors)
+        elif roll < 0.45:
+            f = rng.choice((2, -3))
+            v = [f * rng.randint(-1, 1) for _ in range(dim)]
+        else:
+            v = [rng.randint(-2, 2) for _ in range(dim)]
+        vectors.append(v)
+    return word(surface, vectors, [rng.choice((1, -1)) for _ in vectors])
+
+
+def test_stream_trace_and_random_access_agree():
+    """`signature` collects the step stream without filling the word's
+    caches; `local_sigma` fills them on demand and gives the same records."""
+    rng = random.Random(28)
+    words = [word(Surface(2, 1), [])] + [_stream_word(rng) for _ in range(60)]
+    seen = {"null": 0, "repeated": 0, "non-primitive": 0, "left": 0}
+    for w in words:
+        streamed = tuple(_steps(w))
+        trace = signature(w)
+        assert "_prefix_products" not in w.__dict__ and "_spanned_rows" not in w.__dict__
+        assert streamed == trace.steps
+        assert trace.total == sum(map(_contribution, streamed))
+        assert trace.steps == tuple(local_sigma(w, k) for k in range(1, len(w) + 1))
+        if len(w):
+            kept = (w.__dict__["_prefix_products"], w.__dict__["_spanned_rows"])
+            assert list(map(len, kept)) == [len(w) + 1] * 2
+        vectors = [c.homology_class for c in w.cycles]
+        seen["null"] += any(not any(v) for v in vectors)
+        seen["repeated"] += len(set(vectors)) < len(vectors)
+        seen["non-primitive"] += any(any(v) and gcd(*v) > 1 for v in vectors)
+        seen["left"] += any(c.chirality == -1 for c in w.cycles)
+    assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_maslov_route_agrees_on_fixtures():

@@ -279,6 +279,16 @@ def test_gram_matches_the_per_vector_oracle():
     assert SymplecticSpace.standard(0).gram([(), ()], [()]) == ((0,), (0,))
 
 
+def test_gram_rejects_a_vector_of_the_wrong_length():
+    plane = SymplecticSpace.standard(1)
+    assert plane.gram([(1, 0)], [(0, 1)]) == ((1,),)
+    for us, vs, length in (([(1,)], [(0, 1)], 1), ([(1, 0, 5)], [(0, 1)], 3),
+                           ([(1, 0)], [(0, 1, 7)], 3), ([], [(0, 1), ()], 0)):
+        with pytest.raises(InputError, match=f"^gram of a vector of length {length} in "
+                                             "dimension 2$"):
+            plane.gram(us, vs)
+
+
 def test_word_action_block():
     assert word_action(positive_word()) == BLOCK_ACTION
     assert word_action(positive_word(), 0) == Matrix.identity(2)
