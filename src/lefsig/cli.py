@@ -260,7 +260,12 @@ def cmd_power(args: argparse.Namespace) -> int:
 def _triple_from_file(path: str) -> tuple[SymplecticSpace, Lagrangian, Lagrangian, Lagrangian]:
     dim, mats = parse_matrix_document(_read(path), expect=3)
     space = SymplecticSpace.standard(dim // 2)
-    lags = [Lagrangian.span(space, list(m.entries)) for m in mats]
+    lags = []
+    for idx, m in enumerate(mats, start=1):
+        try:
+            lags.append(Lagrangian.span(space, m.entries))
+        except InputError as exc:
+            raise InputError(f"matrix {idx}: {exc}") from exc
     return space, lags[0], lags[1], lags[2]
 
 

@@ -57,6 +57,7 @@ from .symplectic import (
     MonodromyWord,
     SymplecticSpace,
     VanishingCycle,
+    _apply_form,
     prefix_sweep,
     span_sweep,
     transvection,
@@ -198,6 +199,6 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     space = word.space
     rows = _step_rows(word_action(word, k - 1), (0,) * space.dim, word._spanned_rows[k - 1])
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
-    rows.append([-x for x in space.form.apply(cycle.homology_class)] + [1])
+    rows.append([-x for x in _apply_form(cycle.homology_class)] + [1])
     return _int_solve(rows, space.dim) is not None
 

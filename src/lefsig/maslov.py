@@ -36,13 +36,14 @@ Flächenbündeln", Math. Ann. 201 (1973)):
 on {(x, y) : (A^{-1} - Id) x + (B - Id) y = 0}.  Substituting x = A x' removes
 A^{-1}: the domain becomes the kernel of [(Id - A) | (B - Id)], and the form
 Q(A x1' + y1, (Id - B) y2).  It equals tau(graph A, diagonal, graph B^{-1})
-in (V + V, Q + -Q), which the tests hold it to.  The kernel rows (x, y) come
-off one int elimination (`ratlinalg._int_kernel`) scaled by positive lcms, a
-congruence; u = A x + y, w = (Id - B) y and F = gram(u, w) follow on ints,
-and F's symmetry is the one self-check.  Only `fiber_sum_defect` (and so
-`meyer_cocycle` and `lefsig meyer`) checks that A and B are symplectic; the
-second route passes a transvection and a prefix action, symplectic by
-construction, to `_meyer_defect` directly.
+in (V + V, Q + -Q), which the tests hold it to on the standard form of
+V + V: swapping a_i and b_i in the second copy turns -Q into Q.  The kernel
+rows (x, y) come off one int elimination (`ratlinalg._int_kernel`) scaled by
+positive lcms, a congruence; u = A x + y, w = (Id - B) y and F = gram(u, w)
+follow on ints, and F's symmetry is the one self-check.  Only
+`fiber_sum_defect` (and so `meyer_cocycle` and `lefsig meyer`) checks that A
+and B are symplectic; the second route passes a transvection and a prefix
+action, symplectic by construction, to `_meyer_defect` directly.
 """
 
 from __future__ import annotations

@@ -2,11 +2,16 @@
 
 The first homology of a genus-g surface with b boundary components (capped
 off to its closed genus g+b-1 counterpart when b > 0) carries the standard
-symplectic intersection form.  A Dehn twist along a simple closed curve acts
-on homology as a transvection; a factorization of a fibration's monodromy
-into twists becomes a word of integer vectors, one per vanishing cycle.
-Chirality -1 marks a left-handed twist, which acts by the inverse
-transvection.
+symplectic intersection form: in the basis a1, b1, ..., ah, bh its Gram
+matrix J has 2x2 blocks [[0, 1], [-1, 0]] down the diagonal.  That is the
+only form here, so a `SymplecticSpace` is its half dimension h.  The pairing,
+the Gram blocks and the sweep apply J, one swap-and-negate of each pair,
+(J v)_2i = v_2i+1 and (J v)_2i+1 = -v_2i (`_apply_form`); the dense `form`
+is built only for a caller that reads it.  A Dehn twist along a simple
+closed curve acts on homology as a transvection; a factorization of a
+fibration's monodromy into twists becomes a word of integer vectors, one per
+vanishing cycle.  Chirality -1 marks a left-handed twist, which acts by the
+inverse transvection.
 Every twist action, single or a word's prefixes, comes from one exact
 rank-one sweep, `prefix_sweep`, which yields Phi_0, Phi_1, ... one at a time;
 `span_sweep` yields the row sets I_k beside it.  A word keeps both as tuples
@@ -17,9 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import mul, neg
 
 from ._record import _Record, _setattr
 from .errors import InputError, _require_int, _require_size
@@ -32,87 +36,65 @@ from .ratlinalg import (
     _int_rref,
     as_vector,
     clear_denominators,
-    rank,
 )
 
-# Largest fiber dimension 2h accepted.  Forms and prefix actions are dense
-# d x d matrices of exact rationals, checked against it before allocation.
+# Largest fiber dimension 2h accepted.  Prefix actions are dense d x d
+# matrices of exact rationals, checked against it before allocation.
 MAX_DIMENSION = 1000
 
 
 class SymplecticSpace(_Record):
-    """Q^dim with a fixed nondegenerate skew form given by its Gram matrix."""
+    """Q^(2h) with the standard form J, 2x2 blocks [[0, 1], [-1, 0]] in the
+    basis a1, b1, ..., ah, bh: the space is its half dimension h."""
 
-    _fields = ("form",)
+    _fields = ("half_dim",)
 
-    def __init__(self, form: Matrix) -> None:
-        if not form.is_square() or form.rows % 2 != 0:
-            raise InputError("symplectic form must be square of even size")
-        if form.transpose() != -form:
-            raise InputError("symplectic form must be skew-symmetric")
-        if rank(form) != form.rows:
-            raise InputError("symplectic form must be nondegenerate")
-        _setattr(self, "form", form)
-
-    @classmethod
-    def _unchecked(cls, form: Matrix) -> "SymplecticSpace":
-        """The space of a form known to be square of even size, skew and
-        nondegenerate, built without the checks: for `standard` and for block
-        sums of checked forms, which pass them by construction."""
-        space = object.__new__(cls)
-        _setattr(space, "form", form)
-        return space
-
-    @staticmethod
-    def standard(half_dim: int) -> "SymplecticSpace":
-        """Block-diagonal form with 2x2 blocks [[0,1],[-1,0]], basis a1,b1,...,aG,bG."""
+    def __init__(self, half_dim: int) -> None:
         _require_size("half_dim", half_dim)
         if 2 * half_dim > MAX_DIMENSION:
             raise InputError(f"dimension above the ceiling of {MAX_DIMENSION}")
-        n = 2 * half_dim
-        rows = [[0] * n for _ in range(n)]
-        for i in range(half_dim):
-            rows[2 * i][2 * i + 1] = 1
-            rows[2 * i + 1][2 * i] = -1
-        return SymplecticSpace._unchecked(Matrix._exact(tuple(map(tuple, rows)), n))
+        _setattr(self, "half_dim", half_dim)
+
+    @staticmethod
+    def standard(half_dim: int) -> "SymplecticSpace":
+        """The space of half dimension `half_dim`, spelled as its callers read it."""
+        return SymplecticSpace(half_dim)
 
     @property
     def dim(self) -> int:
-        return self.form.rows
-
-    @property
-    def half_dim(self) -> int:
-        return self.form.rows // 2
+        return 2 * self.half_dim
 
     @cached_property
-    def _form_pattern(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
-        """Row i of J as its pairs (j, J_ij) with J_ij != 0, kept by this space."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.form.entries)
+    def form(self) -> Matrix:
+        """J as a dense `Matrix`, built on first read: the steps only apply it."""
+        n = self.dim
+        rows = [[0] * n for _ in range(n)]
+        for i in range(0, n, 2):
+            rows[i][i + 1], rows[i + 1][i] = 1, -1
+        return Matrix._exact(tuple(map(tuple, rows)), n)
 
     def gram(self, us: Sequence[Sequence[Rational]],
              vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
-        """Rows (Q(u, v) for v in vs) for u in us, off J V formed by columns in one
-        pass: row i of J V sums J_ij times column j of V over J's pattern, the
-        column itself (shared) when J_ij is 1, else scaled by a C-level `map`.
-        Each entry is one C-level sum of products of u and a J v."""
+        """Rows (Q(u, v) for v in vs) for u in us: J v once per v, then each
+        entry one C-level sum of products of u and J v."""
         if bad := {*map(len, us), *map(len, vs)} - {self.dim}:
             raise InputError(f"gram of a vector of length {min(bad)} in dimension {self.dim}")
-        cols = tuple(zip(*vs)) or ((),) * self.dim  # with no vs, d empty columns
-        jv = []
-        for row in self._form_pattern:
-            acc = None
-            for j, f in row:
-                t = cols[j] if f == 1 else tuple(map(mul, repeat(f), cols[j]))
-                acc = t if acc is None else tuple(map(add, acc, t))
-            jv.append(acc)
-        jvs = tuple(zip(*jv)) or ((),) * len(vs)  # in dimension 0, one empty J v per v
+        jvs = [_apply_form(v) for v in vs]
         return tuple(tuple(sum(map(mul, u, w)) for w in jvs) for u in us)
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
-        """Q(x, y) = x^T J y over J's pattern where x != 0 (a step's sparse gamma)."""
+        """Q(x, y) = x^T J y, one sum of products of x and J y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
-        return sum(a * sum(f * y[j] for j, f in row) for a, row in zip(x, self._form_pattern) if a)
+        return sum(map(mul, x, _apply_form(y)))
+
+
+def _apply_form(v: Sequence[Rational]) -> list[Rational]:
+    """J v for the standard J, by slices: (J v)_2i = v_2i+1, (J v)_2i+1 = -v_2i."""
+    jv = list(v)
+    jv[0::2] = v[1::2]
+    jv[1::2] = map(neg, v[0::2])
+    return jv
 
 
 class Surface(_Record):
@@ -233,9 +215,9 @@ def prefix_sweep(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> It
     """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, one at a time.
 
     T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of the rows of the
-    previous product where g_i != 0; the other rows are shared with it.  On an
-    integer form every entry stays an int, and any other form stays exact, so
-    the products are built without re-checking their entries.
+    previous product where g_i != 0; the other rows are shared with it.  J g
+    swaps and negates entries of the int vector g, so every entry stays an
+    int and the products are built without re-checking their entries.
     """
     n = space.dim
     phi = Matrix.identity(n)
@@ -244,8 +226,8 @@ def prefix_sweep(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> It
         g = c.homology_class
         rows = list(phi.entries)
         r = [0] * n  # (J g)^T Phi, summed over the rows where (J g)_i != 0
-        for row, phi_i in zip(space._form_pattern, rows):
-            if wi := sum(f * g[j] for j, f in row):
+        for wi, phi_i in zip(_apply_form(g), rows):
+            if wi:
                 r = [a + wi * b for a, b in zip(r, phi_i)]
         for i, gi in enumerate(g):
             if gi:
@@ -323,8 +305,8 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
 
 
 def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
-    """True iff M^T J M, the `gram` matrix of M's columns over J's pattern,
-    is J exactly; False for a matrix of the wrong shape."""
+    """True iff M^T J M, the `gram` matrix of M's columns, is J exactly;
+    False for a matrix of the wrong shape."""
     if m.rows != space.dim or m.cols != space.dim:
         return False
     columns = m.transpose().entries
@@ -378,8 +360,8 @@ def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
-    # a block sum of two checked forms is skew and nondegenerate by construction
-    space = SymplecticSpace._unchecked(a.space.form.block_diag(b.space.form))
+    # the block sum of two standard forms is the standard form
+    space = SymplecticSpace.standard(a.space.half_dim + b.space.half_dim)
     pad_a = [v + (0,) * b.space.dim for v in a.basis]
     pad_b = [(0,) * a.space.dim + v for v in b.basis]
     return Lagrangian.span(space, pad_a + pad_b)

@@ -21,7 +21,9 @@ kernels must agree with them exactly.
 The fiber-sum defect is rebuilt as the library once computed it: the index
 tau(graph A, diagonal, graph B^{-1}) of graph Lagrangians in the doubled
 space (V + V, Q + -Q), each graph validated by `Lagrangian.span`.  The
-library evaluates Meyer's form on V instead and must agree exactly.
+doubled space is taken on the standard form of V + V, with a_i and b_i
+swapped in the second copy, which turns -Q into Q.  The library evaluates
+Meyer's form on V instead and must agree exactly.
 
 Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
 transvection out as a full matrix and multiplying it in, with no call into
@@ -33,9 +35,10 @@ Fractions.  The library asks one int elimination instead.
 
 `is_symplectic` once formed M^T J M by two `Matrix` products; the library
 reads the Gram matrix of M's columns off `SymplecticSpace.gram` instead and
-must give the same verdict.  `gram` itself once formed each J v on its own,
-summed over J's nonzero pattern; it now forms J V by columns and must agree
-entry for entry, down to the type.
+must give the same verdict.  `gram` and `pairing` apply J by one
+swap-and-negate per vector; `reference_gram` writes the dense J out itself
+(`standard_form`) and sums each J v over its nonzero pattern, and the two
+must agree entry for entry, down to the type.
 
 Every matrix product once went through `vec_dot`; the library now multiplies
 all-int operands by a C-level sum of products and must agree entry for entry,
@@ -268,12 +271,23 @@ def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[t
     return tuple(circle[i] for i in chosen), form
 
 
-def dense_prefix_actions(vectors, chiralities, dim: int) -> list[list[list[int]]]:
-    """Phi_0 = Id, ..., Phi_n as int matrices: T_k = Id - c_k g (J g)^T in full,
-    J the standard form with blocks [[0, 1], [-1, 0]], and Phi_k = T_k Phi_{k-1}."""
+def standard_form(dim: int) -> list[list[int]]:
+    """The standard J written out: blocks [[0, 1], [-1, 0]] down the diagonal."""
     j_form = [[0] * dim for _ in range(dim)]
     for i in range(0, dim, 2):
         j_form[i][i + 1], j_form[i + 1][i] = 1, -1
+    return j_form
+
+
+def reference_apply_form(v) -> list:
+    """J v, each entry summed on its own over the nonzero pattern of the dense J."""
+    return [sum(f * v[j] for j, f in enumerate(row) if f) for row in standard_form(len(v))]
+
+
+def dense_prefix_actions(vectors, chiralities, dim: int) -> list[list[list[int]]]:
+    """Phi_0 = Id, ..., Phi_n as int matrices: T_k = Id - c_k g (J g)^T in full,
+    J the `standard_form`, and Phi_k = T_k Phi_{k-1}."""
+    j_form = standard_form(dim)
     phi = [[int(i == k) for k in range(dim)] for i in range(dim)]
     actions = [phi]
     for g, c in zip(vectors, chiralities, strict=True):
@@ -295,16 +309,22 @@ def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
 
 
 def doubled_space(space: SymplecticSpace) -> SymplecticSpace:
-    """(V + V, Q + -Q), the ambient space of graph Lagrangians."""
-    return SymplecticSpace(space.form.block_diag(-space.form))
+    """(V + V, Q + -Q), the ambient space of graph Lagrangians, on the standard
+    form of V + V: `_swap` carries the second copy's -Q to Q."""
+    return SymplecticSpace.standard(2 * space.half_dim)
+
+
+def _swap(y) -> tuple:
+    """y with a_i and b_i exchanged: Q(swap x, swap y) = -Q(x, y)."""
+    return tuple(y[i ^ 1] for i in range(len(y)))
 
 
 def graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
-    """Graph {(x, Mx)} of M in the doubled space, spanned by the rows [I | M^T]
-    and validated by `Lagrangian.span`: it is Lagrangian exactly when M is
-    symplectic."""
+    """Graph {(x, Mx)} of M in the doubled space, spanned by the rows
+    (e_i, swap(M e_i)) and validated by `Lagrangian.span`: it is Lagrangian
+    exactly when M is symplectic."""
     ident = Matrix.identity(m.rows).entries
-    return Lagrangian.span(doubled, [e + r for e, r in zip(ident, m.transpose().entries)])
+    return Lagrangian.span(doubled, [e + _swap(c) for e, c in zip(ident, m.transpose().entries)])
 
 
 def graph_triple(space: SymplecticSpace, a: Matrix, b: Matrix) -> tuple[Lagrangian, ...]:
@@ -340,10 +360,10 @@ def reference_is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
 
 
 def reference_gram(space: SymplecticSpace, us, vs) -> tuple[tuple, ...]:
-    """Rows (Q(u, v) for v in vs) for u in us: each J v summed on its own over
-    the nonzero pattern of J, then each entry one sum of products."""
-    pattern = [[(j, f) for j, f in enumerate(row) if f] for row in space.form.entries]
-    jvs = [[sum(f * v[j] for j, f in row) for row in pattern] for v in vs]
+    """Rows (Q(u, v) for v in vs) for u in us, in dimension `space.dim`: each
+    J v by `reference_apply_form`, then each entry one sum of products."""
+    assert all(len(v) == space.dim for v in (*us, *vs))
+    jvs = [reference_apply_form(v) for v in vs]
     return tuple(tuple(sum(map(mul, u, jv)) for jv in jvs) for u in us)
 
 

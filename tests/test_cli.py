@@ -362,6 +362,21 @@ def test_malformed_matrix_documents_exit_2(capsys, tmp_path):
     assert code == 2 and "matrix 2: not an exact rational: True" in err, err
 
 
+def test_maslov_names_the_matrix_that_spans_no_lagrangian(capsys, tmp_path):
+    good = [[1, 0, 0, 0], [0, 0, 1, 0]]
+    bad = {"spanning set has rank 1, a Lagrangian needs 2": [[1, 0, 0, 0], [2, 0, 0, 0]],
+           "spanning set is not isotropic": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    f = tmp_path / "triple.json"
+    for message, rows in bad.items():
+        for idx in (1, 2, 3):
+            mats = [rows if i == idx else good for i in (1, 2, 3)]
+            f.write_text(json.dumps({"dimension": 4, "matrices": mats}))
+            assert run(capsys, "maslov", str(f)) == (2, "", f"error: matrix {idx}: {message}\n")
+    f.write_text('{"dimension": 2, "matrices": [[[1, 0]], [[0, 1]], [[1, 0], [0, 1]]]}')
+    assert run(capsys, "maslov", str(f)) == (
+        2, "", "error: matrix 3: spanning set has rank 2, a Lagrangian needs 1\n")
+
+
 def test_genus_above_the_ceiling_exits_2(capsys, tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('{"genus": 100000000000000000000, "boundary": 0, "cycles": []}')

@@ -295,43 +295,41 @@ def _fixing_first_vector(rng: random.Random, space: SymplecticSpace) -> Matrix:
 
 def test_meyer_form_matches_graph_triple_oracle():
     """Meyer's form on V against Wall's index of graph Lagrangians in the
-    doubled space, on J, 2J and (3/7)J, identity factors included."""
+    doubled space, identity factors included."""
     rng = random.Random(1973)
-    for scale in (1, 2, Fraction(3, 7)):
-        for _ in range(40):
-            genus = rng.randint(0, 4)
-            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
+    for _ in range(40):
+        genus = rng.randint(0, 4)
+        space = SymplecticSpace.standard(genus)
 
-            def factor():
-                if genus == 0 or rng.random() < 0.15:
-                    return Matrix.identity(space.dim)
-                return random_symplectic(rng, space)
+        def factor():
+            if genus == 0 or rng.random() < 0.15:
+                return Matrix.identity(space.dim)
+            return random_symplectic(rng, space)
 
-            a, b = factor(), factor()
-            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
-    # Fraction entries: conjugates by diag(2, 1/2, ...), symplectic for every
-    # multiple of J.  Singular Id - A: products of twists along cycles with no
-    # b_1 part, which all fix a_1.
+        a, b = factor(), factor()
+        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+    # Fraction entries: conjugates by diag(2, 1/2, ...), symplectic for J.
+    # Singular Id - A: products of twists along cycles with no b_1 part,
+    # which all fix a_1.
     singular = 0
-    for scale in (1, Fraction(3, 7)):
-        for _ in range(15):
-            genus = rng.randint(1, 2)
-            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
-            halves = [Fraction(2) if i % 2 == 0 else Fraction(1, 2) for i in range(space.dim)]
-            diag = Matrix([[x if i == j else 0 for j in range(space.dim)]
-                           for i, x in enumerate(halves)], space.dim)
-            inverse = Matrix([[1 / x if i == j else 0 for j in range(space.dim)]
-                              for i, x in enumerate(halves)], space.dim)
-            a, b = (diag @ random_symplectic(rng, space) @ inverse for _ in range(2))
-            assert any(type(x) is Fraction for row in a.entries for x in row)
-            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
-            a, b = (_fixing_first_vector(rng, space) for _ in range(2))
-            fixed = [row[0] for row in (Matrix.identity(space.dim) - a).entries]
-            singular += not any(fixed)
-            assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
-            assert fiber_sum_defect(space, b, diag @ a @ inverse) == \
-                reference_fiber_sum_defect(space, b, diag @ a @ inverse)
-    assert singular == 30
+    for _ in range(15):
+        genus = rng.randint(1, 2)
+        space = SymplecticSpace.standard(genus)
+        halves = [Fraction(2) if i % 2 == 0 else Fraction(1, 2) for i in range(space.dim)]
+        diag = Matrix([[x if i == j else 0 for j in range(space.dim)]
+                       for i, x in enumerate(halves)], space.dim)
+        inverse = Matrix([[1 / x if i == j else 0 for j in range(space.dim)]
+                          for i, x in enumerate(halves)], space.dim)
+        a, b = (diag @ random_symplectic(rng, space) @ inverse for _ in range(2))
+        assert any(type(x) is Fraction for row in a.entries for x in row)
+        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+        a, b = (_fixing_first_vector(rng, space) for _ in range(2))
+        fixed = [row[0] for row in (Matrix.identity(space.dim) - a).entries]
+        singular += not any(fixed)
+        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+        assert fiber_sum_defect(space, b, diag @ a @ inverse) == \
+            reference_fiber_sum_defect(space, b, diag @ a @ inverse)
+    assert singular == 15
 
 
 def test_meyer_form_self_check_fires(monkeypatch):

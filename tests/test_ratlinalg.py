@@ -309,14 +309,11 @@ def closure_cases(draw):
     a, b = draw(exact_matrices(n, m)), draw(exact_matrices(n, m))
     c, s = draw(exact_matrices(m, k)), draw(exact_matrices(n, n))
     genus = draw(st.integers(0, 2))
-    form = SymplecticSpace.standard(genus).form
-    if draw(st.booleans()):
-        form = form.scale(draw(st.fractions(1, 5, max_denominator=4)))
     vector = st.tuples(*[st.integers(-2, 2)] * (2 * genus))
     cycles = draw(st.lists(st.builds(VanishingCycle, vector, st.sampled_from((1, -1))),
                            max_size=4))
     return (a, b, c, s, draw(EXACT_ENTRIES), draw(st.integers(0, 3)),
-            SymplecticSpace(form), cycles)
+            SymplecticSpace.standard(genus), cycles)
 
 
 @given(closure_cases())

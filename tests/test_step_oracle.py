@@ -19,14 +19,7 @@ import pytest
 from lefsig import InputError, Matrix, SymplecticSpace, Surface, signature, word
 from lefsig.ratlinalg import particular_solution
 
-from .oracles import dense_prefix_actions, fraction_rref, fraction_solve
-
-
-def _standard_form(dim: int) -> list[list[int]]:
-    j_form = [[0] * dim for _ in range(dim)]
-    for i in range(0, dim, 2):
-        j_form[i][i + 1], j_form[i + 1][i] = 1, -1
-    return j_form
+from .oracles import dense_prefix_actions, fraction_rref, fraction_solve, standard_form
 
 
 def _dense_pairing(form, x, y) -> Fraction:
@@ -86,7 +79,7 @@ def test_integer_step_matches_fraction_reference():
         chiralities = [c for _, c in cycles]
         trace = signature(word(Surface(genus, 0), vectors, chiralities))
         actions = dense_prefix_actions(vectors, chiralities, dim)
-        j_form = _standard_form(dim)
+        j_form = standard_form(dim)
         for step, phi, (g, c) in zip(trace.steps, actions[1:], cycles, strict=True):
             want = _reference_step(phi, g, c, j_form)
             assert (step.solvable, step.sigma, step.witness) == want, (vectors, chiralities)
@@ -102,9 +95,9 @@ def test_integer_step_matches_fraction_reference():
     assert all(count > 0 for count in kinds.values()), kinds
 
 
-def _moved_form(rng: random.Random, genus: int) -> Matrix:
-    """M^T J M for a unimodular integral M: J written in another integral basis."""
-    dim = 2 * genus
+def _unimodular(rng: random.Random, dim: int) -> Matrix:
+    """An integral M of determinant 1, a product of row additions: M^T J M is
+    J written in another integral basis."""
     m = Matrix.identity(dim)
     for _ in range(3 * dim):
         i, j = rng.sample(range(dim), 2)
@@ -112,24 +105,27 @@ def _moved_form(rng: random.Random, genus: int) -> Matrix:
         rows = m.to_lists()
         rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
         m = Matrix(rows, dim)
-    return m.transpose() @ SymplecticSpace.standard(genus).form @ m
+    return m
 
 
 def test_pairing_matches_dense_form_on_non_standard_forms():
+    # x^T (M^T J M) y, the dense form of another basis, is Q(M x, M y)
     rng = random.Random(2013)
     for genus in (2, 3, 4):  # at genus 1 every skew form is a multiple of J
         dim = 2 * genus
-        standard = SymplecticSpace.standard(genus).form
-        moved = _moved_form(rng, genus)
+        space = SymplecticSpace.standard(genus)
+        standard = Matrix(standard_form(dim), dim)
+        m = _unimodular(rng, dim)
+        moved = m.transpose() @ standard @ m
         assert sum(1 for row in moved.entries for x in row if x) > dim
-        for form in (standard, standard.scale(Fraction(3, 7)), moved):
-            space = SymplecticSpace(form)
+        for basis, form in ((Matrix.identity(dim), standard), (m, moved)):
             for _ in range(25):
                 x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)]
                 y = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 7)))
                      for _ in range(dim)]
-                assert space.pairing(x, y) == _dense_pairing(form.entries, x, y)
-                assert space.pairing(y, x) == -space.pairing(x, y)
+                mx, my = basis.apply(x), basis.apply(y)
+                assert space.pairing(mx, my) == _dense_pairing(form.entries, x, y)
+                assert space.pairing(my, mx) == -space.pairing(mx, my)
             with pytest.raises(InputError):
                 space.pairing(x[:-1], y)
             with pytest.raises(InputError):

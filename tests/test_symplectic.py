@@ -18,10 +18,11 @@ from lefsig import (
     VanishingCycle,
     direct_sum_lagrangian,
     effective_dimension,
-    fiber_sum_defect,
     is_symplectic,
+    local_sigma,
     map_lagrangian,
     maslov_index,
+    shortcut_dual_preserved,
     signature,
     transvection,
     word,
@@ -49,9 +50,11 @@ from .oracles import (
     dense_prefix_actions,
     doubled_space,
     graph,
+    reference_apply_form,
     reference_gram,
     reference_is_symplectic,
     span_basis,
+    standard_form,
     symplectic_inverse,
 )
 
@@ -76,59 +79,44 @@ def test_dimension_ceiling_is_checked_before_allocating():
             SymplecticSpace.standard(half_dim)
 
 
-def test_standard_form_is_built_without_its_checks(monkeypatch):
-    """`standard` skips the checks its form passes by construction; the
-    constructor keeps them all."""
-    def no_rank(m):
-        raise AssertionError("rank called")
-
-    checked = [SymplecticSpace(Matrix(SymplecticSpace.standard(g).form.to_lists(), 2 * g))
-               for g in range(7)]
-    monkeypatch.setattr(symplectic, "rank", no_rank)
-    for g, want in enumerate(checked):
-        space = SymplecticSpace.standard(g)
-        assert space == want and hash(space) == hash(want)
-        assert space._form_pattern == want._form_pattern
-    monkeypatch.undo()
-    bad = {
-        "square of even size": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
-        "skew-symmetric": [[0, 1], [1, 0]],
-        "nondegenerate": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-    }
-    for message, rows in bad.items():
+def test_constructor_checks_the_half_dimension():
+    """A space is its half dimension: `standard` is the constructor's other
+    spelling, and its one check is an int h >= 0 with 2h <= MAX_DIMENSION."""
+    for h in range(7):
+        space = SymplecticSpace.standard(h)
+        assert space == SymplecticSpace(h) and hash(space) == hash(SymplecticSpace(h))
+        assert space.half_dim == h and space.dim == 2 * h
+    assert SymplecticSpace(MAX_DIMENSION // 2).dim == MAX_DIMENSION
+    for bad, message in ((SymplecticSpace.standard(1).form, "half_dim must be an integer"),
+                         (True, "half_dim must be an integer"),
+                         (-1, "half_dim must be nonnegative"),
+                         (MAX_DIMENSION // 2 + 1, "dimension above the ceiling")):
         with pytest.raises(InputError, match=message):
-            SymplecticSpace(Matrix(rows, len(rows)))
+            SymplecticSpace(bad)
 
 
-def test_direct_sum_space_is_built_without_its_checks(monkeypatch):
-    """`direct_sum_lagrangian` trusts the block sum of two checked forms, as
-    `standard` trusts its own; `SymplecticSpace(form)` keeps every check."""
-    def no_rank(m):
-        raise AssertionError("rank called")
-
+def test_direct_sum_space_is_the_standard_space():
+    """A block sum of standard forms is the standard form, so
+    `direct_sum_lagrangian` lands in `standard(h_a + h_b)` and builds no J."""
     rng = random.Random(31)
-    scaled = SymplecticSpace(Matrix([[0, Fraction(3, 7)], [Fraction(-3, 7), 0]], 2))
-    spaces = [SymplecticSpace.standard(1), SymplecticSpace.standard(2), scaled]
+    spaces = [SymplecticSpace.standard(h) for h in range(1, 4)]
     pairs = [(random_lagrangian(rng, a), random_lagrangian(rng, b))
              for a in spaces for b in spaces for _ in range(3)]
-    checked = [SymplecticSpace(a.space.form.block_diag(b.space.form)) for a, b in pairs]
-    want = [Lagrangian.span(space, [v + (0,) * b.space.dim for v in a.basis]
-                            + [(0,) * a.space.dim + v for v in b.basis])
-            for (a, b), space in zip(pairs, checked)]
-    monkeypatch.setattr(symplectic, "rank", no_rank)
-    for (a, b), space, lag in zip(pairs, checked, want):
+    point = Lagrangian.span(SymplecticSpace.standard(0), [])
+    pairs += [(point, pairs[-1][0]), (pairs[-1][1], point), (point, point)]
+    for a, b in pairs:
+        space = SymplecticSpace.standard(a.space.half_dim + b.space.half_dim)
         got = direct_sum_lagrangian(a, b)
         assert got.space == space and hash(got.space) == hash(space)
-        assert got == lag and hash(got) == hash(lag)
-    monkeypatch.undo()
-    bad = {
-        "square of even size": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
-        "skew-symmetric": [[0, 1], [1, 0]],
-        "nondegenerate": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-    }
-    for message, rows in bad.items():
-        with pytest.raises(InputError, match=message):
-            SymplecticSpace(Matrix(rows, len(rows)))
+        assert "form" not in got.space.__dict__
+        assert got == Lagrangian.span(space, [v + (0,) * b.space.dim for v in a.basis]
+                                      + [(0,) * a.space.dim + v for v in b.basis])
+        assert got.space.form == a.space.form.block_diag(b.space.form)
+    half = SymplecticSpace.standard(MAX_DIMENSION // 4 + 1)
+    lag = Lagrangian(half, tuple(tuple(int(j == 2 * i) for j in range(half.dim))
+                                 for i in range(half.half_dim)))
+    with pytest.raises(InputError, match="dimension above the ceiling"):
+        direct_sum_lagrangian(lag, lag)
 
 
 def test_pairing_is_determinant_in_the_plane():
@@ -139,18 +127,6 @@ def test_pairing_is_determinant_in_the_plane():
     for x, y in (([1], [1, 0]), ([1, 0], [1, 0, 0])):
         with pytest.raises(InputError, match=f"lengths {len(x)} and {len(y)} in dimension 2"):
             sp.pairing(x, y)
-
-
-def test_form_with_list_rows_is_the_standard_form():
-    space = SymplecticSpace(Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]], 2))
-    std = SymplecticSpace.standard(1)
-    assert space == std and hash(space.form) == hash(std.form)
-    ident = Matrix.identity(2)
-    assert is_symplectic(space, ident)
-    twist = transvection(space, VanishingCycle((1, 0)))
-    assert twist == transvection(std, VanishingCycle((1, 0)))
-    assert fiber_sum_defect(space, ident, ident) == fiber_sum_defect(std, ident, ident)
-    assert fiber_sum_defect(space, twist, twist) == fiber_sum_defect(std, twist, twist)
 
 
 def test_transvection_matches_known_twists():
@@ -195,22 +171,16 @@ def test_transvection_products_are_symplectic(vecs, chis):
 
 
 def test_is_symplectic_matches_the_product_oracle():
-    # int and rational symplectic matrices of the standard form, and of a
-    # non-standard rational form P^T J P built by `SymplecticSpace(form)`, each
-    # held to M^T J M == J with one entry bent, and matrices of the wrong shape
+    # int and rational symplectic matrices of the standard form, each held to
+    # M^T J M == J with one entry bent, and matrices of the wrong shape
     rng = random.Random(91)
-    p = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, "1/3"], [0, -1, 0, 0]])
     standard = SymplecticSpace.standard(2)
-    skewed = SymplecticSpace(p.transpose() @ standard.form @ p)
-    assert skewed.form != standard.form
-    assert any(type(x) is Fraction for row in skewed.form.entries for x in row)
     cases = []
     for genus in (1, 2, 3):
         space = SymplecticSpace.standard(genus)
         for _ in range(4):
             phi = random_symplectic(rng, space)
             cases += [(space, phi), (space, handle_scaled(phi))]
-    cases += [(skewed, random_symplectic(rng, skewed)) for _ in range(6)]
     bent_false = 0
     for space, m in cases:
         assert is_symplectic(space, m) and reference_is_symplectic(space, m)
@@ -225,38 +195,14 @@ def test_is_symplectic_matches_the_product_oracle():
     assert is_symplectic(SymplecticSpace.standard(0), Matrix.identity(0))
     for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
               Matrix.zeros(0, 0), Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
-        for space in (standard, skewed):
-            assert not is_symplectic(space, m) and not reference_is_symplectic(space, m)
-
-
-def _unimodular(rng: random.Random, n: int) -> Matrix:
-    """A product of random integer row additions: determinant 1."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((1, -1, 2, -3))
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return Matrix(rows, n)
+        assert not is_symplectic(standard, m) and not reference_is_symplectic(standard, m)
 
 
 def test_gram_matches_the_per_vector_oracle():
-    # J V by columns against each J v summed on its own, values and types,
-    # on standard, block-sum, dense unimodular-congruent and rational forms
+    # J applied by swap-and-negate in `gram`, `pairing` and `_apply_form`
+    # against the dense J written out, values and types, on every standard
+    # space up to genus 6, int and Fraction vectors, empty us and vs
     rng = random.Random(1973)
-    spaces = [SymplecticSpace.standard(h) for h in range(7)]
-    for genus in (1, 2, 3):
-        space = SymplecticSpace.standard(genus)
-        lags = [random_lagrangian(rng, space) for _ in range(2)]
-        spaces.append(direct_sum_lagrangian(*lags).space)
-    for genus in (2, 3):
-        p = _unimodular(rng, 2 * genus)
-        dense = SymplecticSpace(p @ SymplecticSpace.standard(genus).form @ p.transpose())
-        pattern = [[x for x in row if x] for row in dense.form.entries]
-        assert any(len(row) > 1 for row in pattern)
-        assert any(x not in (1, -1) for row in pattern for x in row)
-        spaces.append(dense)
-    spaces.append(SymplecticSpace(Matrix.from_rows([["0", "1"], ["-1", "0"]])))  # Fraction 1s
-    spaces.append(SymplecticSpace(SymplecticSpace.standard(2).form.scale(Fraction(3, 7))))
 
     def vector(d: int, rational: bool) -> tuple:
         if rational:
@@ -266,17 +212,52 @@ def test_gram_matches_the_per_vector_oracle():
     def types(rows):
         return [[type(x) for x in row] for row in rows]
 
-    for space in spaces:
+    for h in range(7):
+        space = SymplecticSpace.standard(h)
         d = space.dim
+        assert space.form.to_lists() == standard_form(d)
         for _ in range(8):
             us = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
             vs = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
             got, want = space.gram(us, vs), reference_gram(space, us, vs)
             assert got == want and types(got) == types(want), (space, us, vs)
+            for v in vs:
+                jv, want_jv = symplectic._apply_form(v), reference_apply_form(v)
+                assert jv == want_jv and types([jv]) == types([want_jv]), v
+            pairs = [(u, v) for u in us for v in vs]
+            got = [space.pairing(u, v) for u, v in pairs]
+            assert got == [want[i][j] for i in range(len(us)) for j in range(len(vs))]
+            assert types([got]) == types([[reference_gram(space, [u], [v])[0][0]
+                                           for u, v in pairs]])
         u = vector(d, False)
         assert space.gram([u], []) == reference_gram(space, [u], []) == ((),)
         assert space.gram([], [u]) == reference_gram(space, [], [u]) == ()
     assert SymplecticSpace.standard(0).gram([(), ()], [()]) == ((0,), (0,))
+    assert SymplecticSpace.standard(0).pairing((), ()) == 0
+
+
+def test_signature_applies_the_form_without_building_it():
+    """The steps and the random-access entries apply J; the dense d x d form is
+    built on first read only.  A genus-500 word of one-handle cycles on its
+    first 15 handles gives the steps of the same cycles at genus 15."""
+    vectors = []
+    for i in range(15):
+        a, b = [0] * 30, [0] * 30
+        a[2 * i], b[2 * i + 1] = 1, 1
+        vectors += [a, b]
+    chiralities = [1, -1] * 15
+    small = signature(word(Surface(15, 0), vectors, chiralities))
+    w = word(Surface(500, 0), [v + [0] * 970 for v in vectors], chiralities)
+    trace = signature(w)
+    assert [(s.solvable, s.sigma) for s in trace.steps] == \
+        [(s.solvable, s.sigma) for s in small.steps]
+    assert trace.total == small.total
+    assert [s.witness[:30] for s in trace.steps if s.witness] == \
+        [s.witness for s in small.steps if s.witness]
+    assert local_sigma(w, 30) == trace.steps[-1]
+    assert shortcut_dual_preserved(w, 30) == shortcut_dual_preserved(small.word, 30)
+    assert "form" not in w.space.__dict__
+    assert w.space.form.rows == 1000 and "form" in w.space.__dict__
 
 
 def test_gram_rejects_a_vector_of_the_wrong_length():
@@ -338,40 +319,6 @@ def test_genus_forty_prefix_actions_match_dense_oracle():
     assert [word_action(w, k) for k in range(len(w) + 1)] == oracle_prefixes(w)
 
 
-def test_non_standard_form_inverse_and_defect():
-    plane = SymplecticSpace(Matrix.from_rows([[0, 2], [-2, 0]]))
-    ident = Matrix.identity(2)
-    assert symplectic_inverse(plane, ident) == ident
-    # scaling the form by 2 scales Meyer's form by 2 and keeps graphs
-    # Lagrangian, so every defect keeps its value
-    std = SymplecticSpace.standard(2)
-    scaled = SymplecticSpace(std.form.scale(2))
-    doubled = doubled_space(scaled)
-    rng = random.Random(5)
-    defects = set()
-    for _ in range(12):
-        a, b = random_symplectic(rng, std), random_symplectic(rng, std)
-        assert symplectic_inverse(scaled, a) @ a == Matrix.identity(4)
-        for lag in (graph(doubled, a), graph(doubled, symplectic_inverse(scaled, a))):
-            assert all(doubled.pairing(u, v) == 0 for u in lag.basis for v in lag.basis)
-        defect = fiber_sum_defect(scaled, a, b)
-        assert defect == fiber_sum_defect(std, a, b)
-        defects.add(defect)
-    assert len(defects) > 1
-    # transvections on 2J and (3/7)J against Id - c g (J g)^T written out
-    for genus in (1, 2, 3):
-        for scale in (2, Fraction(3, 7)):
-            space = SymplecticSpace(SymplecticSpace.standard(genus).form.scale(scale))
-            n = space.dim
-            for chi in (1, -1):
-                for _ in range(4):
-                    g = tuple(rng.randint(-3, 3) for _ in range(n))
-                    jg = [sum(space.form.at(i, j) * g[j] for j in range(n)) for i in range(n)]
-                    dense = Matrix.from_rows(
-                        [[int(i == j) - chi * g[i] * jg[j] for j in range(n)] for i in range(n)])
-                    assert transvection(space, VanishingCycle(g, chi)) == dense, (scale, g, chi)
-
-
 def test_effective_dimension_table():
     assert effective_dimension(Surface(1, 1)) == 2
     assert effective_dimension(Surface(2, 0)) == 4
@@ -396,9 +343,11 @@ def test_graph_lagrangian_basis():
     sp = SymplecticSpace.standard(1)
     m = Matrix.from_rows([[1, 1], [0, 1]])
     doubled = doubled_space(sp)
-    assert graph(doubled, m) == Lagrangian.span(doubled, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    assert doubled == SymplecticSpace.standard(2)
+    # rows (e_i, swap(M e_i)): a_1 and b_1 trade places in the second copy
+    assert graph(doubled, m) == Lagrangian.span(doubled, [(1, 0, 0, 1), (0, 1, 1, 1)])
     conj = graph(doubled, symplectic_inverse(sp, m))
-    assert conj == Lagrangian.span(doubled, [(1, 0, 1, 0), (1, 1, 0, 1)])
+    assert conj == Lagrangian.span(doubled, [(1, 0, 0, 1), (1, 1, 1, 0)])
 
 
 def test_graph_rejects_non_symplectic():
