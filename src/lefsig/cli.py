@@ -36,11 +36,12 @@ from itertools import permutations
 from ._record import _Record, _setattr
 from .cover import correction_terms
 from .engine import StepRecord, _contribution, _steps
-from .errors import InputError, InternalConsistencyError, _require_int
+from .errors import InputError, InternalConsistencyError, _require_range
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
 from .ratlinalg import Matrix, Vector
 from .symplectic import (
+    MAX_DIMENSION,
     Lagrangian,
     MonodromyWord,
     Surface,
@@ -132,9 +133,9 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     obj = _load_object(text)
     _require_keys(obj, {"dimension", "matrices"}, ("dimension", "matrices"), "document")
     dim = obj["dimension"]
-    _require_int("dimension", dim)
-    if dim < 0 or dim % 2 != 0:
-        raise InputError(f"dimension must be even and nonnegative, got {dim}")
+    _require_range("dimension", dim, 0, MAX_DIMENSION)
+    if dim % 2 != 0:
+        raise InputError(f"dimension must be even, got {dim}")
     raw = obj["matrices"]
     if not isinstance(raw, list):
         raise InputError("matrices must be a list")
@@ -235,8 +236,7 @@ def cmd_signature(args: argparse.Namespace) -> int:
 
 def cmd_power(args: argparse.Namespace) -> int:
     doc = parse_fibration_document(_read(args.file))
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
+    _require_range("--n", args.n, 1)
     base = 0
     phi = Matrix.identity(doc.word.space.dim)  # the action of the empty word
     for s in _steps(doc.word):
@@ -302,6 +302,8 @@ def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
 
 def cmd_maslov(args: argparse.Namespace) -> int:
     space, a, b, c = _triple_from_file(args.file)
+    if args.check_axioms:  # additivity sums each Lagrangian with itself, in twice the dimension
+        _require_range("--check-axioms dimension", space.dim, 0, MAX_DIMENSION // 2)
     tau = maslov_index(a, b, c)
     print(f"maslov index: {tau}")
     if not args.check_axioms:

@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from operator import add
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_int
+from .errors import InputError, _require_int, _require_range
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, _product, signature_symmetric
 from .symplectic import SymplecticSpace, is_symplectic
@@ -65,9 +65,7 @@ def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
 def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
     """Correction terms m = 1 .. n-1 of the n-fold cover, streamed in one pass
     over the powers; n and phi are checked before the first term is asked for."""
-    _require_int("n", n)
-    if n < 1:
-        raise InputError("fold count must be >= 1")
+    _require_range("n", n, 1)
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
     sums = zip(range(1, n), correction_sums(space, phi))
@@ -77,9 +75,7 @@ def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[Co
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
     """Signature of the n-fold cyclic cover branched over a regular fiber, on the tree."""
     _require_int("base_sigma", base_sigma)
-    _require_int("n", n)
-    if n < 1:
-        raise InputError("fold count must be >= 1")
+    _require_range("n", n, 1)
     if not phi.is_square() or phi.rows % 2 != 0:
         raise InputError("monodromy matrix must be square of even size")
     space = SymplecticSpace.standard(phi.rows // 2)

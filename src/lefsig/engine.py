@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_int
+from .errors import InputError, _require_range
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
@@ -113,9 +113,7 @@ def _step_rows(phi: Matrix, rhs: Sequence[int], rows: Sequence[int]) -> list[lis
 
 def _cycle(word: MonodromyWord, k: int) -> VanishingCycle:
     """Cycle k (1-indexed) of the word, once k is checked to be a step of it."""
-    _require_int("k", k)
-    if not 1 <= k <= len(word):
-        raise InputError(f"step {k} out of range 1..{len(word)}")
+    _require_range("k", k, 1, len(word))
     return word.cycles[k - 1]
 
 

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for counts.
+
+Every count, index and size a caller passes (a genus, a step k, a fold n, a
+matrix shape) goes through `_require_range`.  The int rule, `_require_int`,
+comes first: the type is exactly `int`, so a bool, a float or a Fraction
+raises `{name} must be an integer, got {value!r}`.  Then the range rule,
+`low <= value`, and `value <= high` when a bound is given, raises
+`{name} {value} out of range {low}..{high}` when bounded and
+`{name} must be >= {low}, got {value}` otherwise.
+"""
 
 
 class LefsigError(Exception):
@@ -23,7 +32,18 @@ def _require_int(name: str, value: object) -> None:
         raise InputError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_size(name: str, value: object) -> None:
+def _require_range(name: str, value: object, low: int, high: int | None = None) -> None:
     _require_int(name, value)
-    if value < 0:
-        raise InputError(f"{name} must be nonnegative, got {value}")
+    if high is None:
+        if value < low:
+            raise InputError(f"{name} must be >= {low}, got {_show(value)}")
+    elif not low <= value <= high:
+        raise InputError(f"{name} {_show(value)} out of range {low}..{high}")
+
+
+def _show(value: int) -> str:
+    """str(value), or its size past CPython's int-to-str digit limit (4300 by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"

@@ -19,7 +19,7 @@ from itertools import islice
 
 from ._record import _Record, _setattr
 from .cover import correction_sums
-from .errors import InputError, _require_int
+from .errors import InputError, _require_range
 from .ratlinalg import Matrix
 from .symplectic import MonodromyWord, Surface, SymplecticSpace, VanishingCycle
 
@@ -33,15 +33,9 @@ class PositiveFamilySpec(_Record):
     _fields = ("genus", "boundary", "repetitions")
 
     def __init__(self, genus: int, boundary: int, repetitions: int) -> None:
-        for name, value in (("genus", genus), ("boundary", boundary),
-                            ("repetitions", repetitions)):
-            _require_int(name, value)
-        if genus < 1:
-            raise InputError("positive family needs genus >= 1")
-        if boundary < 0:
-            raise InputError("boundary count must be nonnegative")
-        if repetitions < 1:
-            raise InputError("repetition count must be >= 1")
+        _require_range("genus", genus, 1)
+        _require_range("boundary", boundary, 0)
+        _require_range("repetitions", repetitions, 1)
         _setattr(self, "genus", genus)
         _setattr(self, "boundary", boundary)
         _setattr(self, "repetitions", repetitions)
@@ -71,13 +65,11 @@ def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:
     determinant, hence signature 0; the verdict is a proof, not a numeric
     estimate.
     """
-    _require_int("n", n)
+    _require_range("n", n, 1)
     if b.rows != 2 or b.cols != 2:
         raise InputError("certificate applies to 2x2 matrices")
     if not all(b.at(i, j) > 0 for i in range(2) for j in range(2)):
         raise InputError("certificate applies to entrywise positive matrices")
-    if n < 1:
-        raise InputError("certificate needs n >= 1")
     total = next(islice(correction_sums(SymplecticSpace.standard(1), b), n - 1, None))
     member = (
         total.at(0, 1) == total.at(1, 0)

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_size
+from .errors import InputError, _require_range
 
 Rational = int | Fraction  # the entry type: never a float or a bool
 Scalar = Rational | str
@@ -80,7 +80,7 @@ class Matrix(_Record):
     _fields = ("entries", "cols")
 
     def __init__(self, entries: Sequence[Sequence[Rational]], cols: int) -> None:
-        _require_size("cols", cols)
+        _require_range("cols", cols, 0)
         entries = tuple(map(tuple, entries))
         for row in entries:
             if len(row) != cols:
@@ -113,13 +113,13 @@ class Matrix(_Record):
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        _require_size("n", n)
+        _require_range("n", n, 0)
         return Matrix._exact(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        _require_size("rows", rows)
-        _require_size("cols", cols)
+        _require_range("rows", rows, 0)
+        _require_range("cols", cols, 0)
         return Matrix._exact(((0,) * cols,) * rows, cols)
 
     @property

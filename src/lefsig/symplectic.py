@@ -26,7 +26,7 @@ from math import gcd
 from operator import mul, neg
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_int, _require_size
+from .errors import InputError, _require_range
 from .ratlinalg import (
     Matrix,
     Rational,
@@ -50,9 +50,7 @@ class SymplecticSpace(_Record):
     _fields = ("half_dim",)
 
     def __init__(self, half_dim: int) -> None:
-        _require_size("half_dim", half_dim)
-        if 2 * half_dim > MAX_DIMENSION:
-            raise InputError(f"dimension above the ceiling of {MAX_DIMENSION}")
+        _require_range("half_dim", half_dim, 0, MAX_DIMENSION // 2)
         _setattr(self, "half_dim", half_dim)
 
     @staticmethod
@@ -103,10 +101,8 @@ class Surface(_Record):
     _fields = ("genus", "boundary")
 
     def __init__(self, genus: int, boundary: int) -> None:
-        _require_int("genus", genus)
-        _require_int("boundary", boundary)
-        if genus < 0 or boundary < 0:
-            raise InputError("genus and boundary count must be nonnegative")
+        _require_range("genus", genus, 0)
+        _require_range("boundary", boundary, 0)
         _setattr(self, "genus", genus)
         _setattr(self, "boundary", boundary)
         if 2 * self.half_dim > MAX_DIMENSION:
@@ -185,16 +181,12 @@ class MonodromyWord(_Record):
         return spanned_rows(self.space.dim, self.cycles)
 
     def repeated(self, n: int) -> "MonodromyWord":
-        _require_int("n", n)
-        if n < 1:
-            raise InputError("repetition count must be >= 1")
+        _require_range("n", n, 1)
         return MonodromyWord(self.surface, self.cycles * n)
 
     def subword(self, start: int, stop: int) -> "MonodromyWord":
-        for name, value, low in (("start", start, 0), ("stop", stop, start)):
-            _require_int(name, value)
-            if not low <= value <= len(self):
-                raise InputError(f"{name} {value} out of range {low}..{len(self)}")
+        _require_range("start", start, 0, len(self))
+        _require_range("stop", stop, start, len(self))
         return MonodromyWord(self.surface, self.cycles[start:stop])
 
 
@@ -298,9 +290,7 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     and the CLI consume, runs its own sweep and leaves this cache unbuilt.
     """
     k = len(word) if upto is None else upto
-    _require_int("upto", k)
-    if not 0 <= k <= len(word):
-        raise InputError(f"prefix length {k} out of range 0..{len(word)}")
+    _require_range("upto", k, 0, len(word))
     return word._prefix_products[k]
 
 

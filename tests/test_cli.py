@@ -330,7 +330,7 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
          "cycle 2: chirality must be +1 or -1, got 0"),
         (_cycles('{"vector": {"a": 1}}'), "cycle 1: vector must be a list"),
         ('{"genus": 1, "boundary": -1, "cycles": []}',
-         "genus and boundary count must be nonnegative"),
+         "boundary must be >= 0, got -1"),
     ]
     for text, needle in cases:
         f = tmp_path / "doc.json"

@@ -195,7 +195,7 @@ def test_input_validation():
             correction_terms(SP2, MATSUMOTO_PHI, n)
     # a fold below 1 used to yield no terms at all
     for n in (0, -5):
-        with pytest.raises(InputError, match="^fold count must be >= 1$"):
+        with pytest.raises(InputError, match=f"^n must be >= 1, got {n}$"):
             correction_terms(SP2, MATSUMOTO_PHI, n)
 
 

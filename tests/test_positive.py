@@ -62,7 +62,7 @@ def test_generate_signature_is_repetition_count():
 def test_family_spec_validation():
     with pytest.raises(InputError, match="genus"):
         PositiveFamilySpec(0, 1, 1)
-    with pytest.raises(InputError, match="nonnegative"):
+    with pytest.raises(InputError, match="^boundary must be >= 0, got -1$"):
         PositiveFamilySpec(1, -1, 1)
     with pytest.raises(InputError, match="repetition"):
         PositiveFamilySpec(1, 1, 0)
@@ -95,7 +95,7 @@ def test_certificate_input_validation():
         signature_zero_certificate(Matrix.identity(4), 1)
     with pytest.raises(InputError, match="positive"):
         signature_zero_certificate(Matrix.from_rows([[1, -2], [3, 4]]), 1)
-    with pytest.raises(InputError, match="n >= 1"):
+    with pytest.raises(InputError, match="^n must be >= 1, got 0$"):
         signature_zero_certificate(BLOCK_ACTION, 0)
     # the count is an int: 2.0 died in `islice` with a bare ValueError, and
     # True was certified as n = 1

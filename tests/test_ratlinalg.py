@@ -215,10 +215,10 @@ def test_matrix_requires_exact_entries():
     assert particular_solution(_system(Matrix(((2, 0), (0, 2)), 2), [1, 1]), 2) \
         == (Fraction(1, 2), Fraction(1, 2))
     # a shape is a nonnegative int, and the message names the field
-    for build, message in ((lambda: Matrix.identity(-1), "n must be nonnegative, got -1"),
-                           (lambda: Matrix((), -3), "cols must be nonnegative, got -3"),
-                           (lambda: Matrix.zeros(2, -1), "cols must be nonnegative, got -1"),
-                           (lambda: Matrix.zeros(-1, 2), "rows must be nonnegative, got -1"),
+    for build, message in ((lambda: Matrix.identity(-1), "n must be >= 0, got -1"),
+                           (lambda: Matrix((), -3), "cols must be >= 0, got -3"),
+                           (lambda: Matrix.zeros(2, -1), "cols must be >= 0, got -1"),
+                           (lambda: Matrix.zeros(-1, 2), "rows must be >= 0, got -1"),
                            (lambda: Matrix.identity(1.0), "n must be an integer, got 1.0"),
                            (lambda: Matrix.zeros(2.0, 2), "rows must be an integer, got 2.0"),
                            (lambda: Matrix.zeros(2, True), "cols must be an integer, got True"),
