@@ -30,7 +30,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
 
 from ._record import _Record, _setattr
@@ -39,7 +39,7 @@ from .engine import StepRecord, _contribution, _steps
 from .errors import InputError, InternalConsistencyError, _require_range
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
-from .ratlinalg import Matrix, Vector
+from .ratlinalg import Matrix
 from .symplectic import (
     MAX_DIMENSION,
     Lagrangian,
@@ -49,7 +49,7 @@ from .symplectic import (
     VanishingCycle,
     direct_sum_lagrangian,
     map_lagrangian,
-    prefix_actions,
+    prefix_sweep,
 )
 
 
@@ -118,7 +118,7 @@ def serialize_fibration_document(doc: FibrationDocument) -> str:
     lines.append(f'  "boundary": {doc.word.surface.boundary},')
     lines.append('  "cycles": [')
     for i, c in enumerate(doc.word.cycles):
-        vec = "[" + ", ".join(str(x) for x in c.homology_class) + "]"
+        vec = _bracket(c.homology_class)
         chi = ', "chirality": -1' if c.chirality == -1 else ""
         comma = "," if i + 1 < len(doc.word.cycles) else ""
         lines.append(f'    {{"vector": {vec}{chi}}}{comma}')
@@ -154,8 +154,9 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     return dim, out
 
 
-def _format_witness(w: Vector | None) -> str:
-    return "-" if w is None else "[" + ", ".join(map(str, w)) + "]"
+def _bracket(items: Iterable[object]) -> str:
+    """Items as `[a, b, c]`: a document's vector, a trace's cycle or witness."""
+    return "[" + ", ".join(map(str, items)) + "]"
 
 
 def _read(path: str) -> str:
@@ -219,12 +220,11 @@ def cmd_signature(args: argparse.Namespace) -> int:
             print(f"{'k':>3}  {'cycle':<24} {'chi':>3}  {'solvable':<8} {'sigma':>5}  witness")
             for s in steps:
                 total += _contribution(s)
-                vec = "[" + ", ".join(str(x) for x in s.cycle.homology_class) + "]"
+                vec = _bracket(s.cycle.homology_class)
                 chi = "+1" if s.cycle.chirality == 1 else "-1"
-                print(
-                    f"{s.index:>3}  {vec:<24} {chi:>3}  "
-                    f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {_format_witness(s.witness)}"
-                )
+                witness = "-" if s.witness is None else _bracket(s.witness)
+                print(f"{s.index:>3}  {vec:<24} {chi:>3}  "
+                      f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {witness}")
         else:
             total = sum(map(_contribution, steps))
     finally:
@@ -291,7 +291,7 @@ def _axiom_checks(space: SymplecticSpace, lags: tuple[Lagrangian, ...],
             if all(x == 0 for x in vec):
                 vec[0] = 1
             cycles.append(VanishingCycle(tuple(vec), rng.choice([1, -1])))
-        m = prefix_actions(space, cycles)[-1]
+        *_, (m, _) = prefix_sweep(space, cycles)
         if maslov_index(*(map_lagrangian(m, lag) for lag in lags)) != tau:
             inv_ok = False
     yield "symplectic invariance", "symplectic invariance", inv_ok

@@ -16,7 +16,7 @@ x = n / delta over a common denominator delta > 0, and since delta > 0,
 sign(1 + c * Q(gamma, n / delta)) = sign(delta + c * Q(gamma, n)).
 
 Only the rows I_k of [Id - Phi_k | gamma_k] are eliminated, I_k the pivot
-coordinates of an echelon basis of gamma_1 .. gamma_k (`span_sweep`).
+coordinates of an echelon basis of gamma_1 .. gamma_k (`prefix_sweep`).
 Id - Phi_k = sum_{j<=k} c_j gamma_j r_j^T maps into
 S_k = span(gamma_1 .. gamma_k), and so does gamma_k;
 projection onto I_k is injective on S_k, so the rows I_k have the null space
@@ -30,13 +30,13 @@ argument.  The total is
 a right twist along a separating curve adds a -1-framed handle (count -1),
 a left one adds a +1-framed handle (count +1).
 
-The steps are one left-to-right stream: step k needs only Phi_k, I_k and
-gamma_k, so `prefix_sweep` and `span_sweep` run side by side and `_step`
-turns each (gamma_k, Phi_k, I_k) into its record, which the caller may drop
-before the next step is computed.  `signature` collects that stream and
-leaves the word's caches empty.  `local_sigma(word, k)` is the random-access
-entry: it runs the same `_step` on the prefix actions and row sets the word
-keeps once they are first asked for.
+The steps are one left-to-right stream: step k needs only gamma_k and the
+step state (Phi_k, I_k), which one `prefix_sweep` yields, and `_step` turns
+each gamma_k and its pair into a record, which the caller may drop before
+the next step is computed.  `signature` collects that stream and leaves the
+word's cache empty.  `local_sigma(word, k)` is the random-access entry: it
+runs the same `_step` on the pair the word keeps, in the one tuple of the
+sweep built when any pair is first asked for.
 
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
@@ -59,7 +59,6 @@ from .symplectic import (
     VanishingCycle,
     _apply_form,
     prefix_sweep,
-    span_sweep,
     transvection,
     word_action,
 )
@@ -133,19 +132,18 @@ def _step(space: SymplecticSpace, k: int, cycle: VanishingCycle, phi_k: Matrix,
 
 def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     """Local contribution record of step k (1-indexed), from the word's kept
-    prefix actions and row sets: the random-access entry to the steps."""
+    pair (Phi_k, I_k): the random-access entry to the steps."""
     cycle = _cycle(word, k)
-    return _step(word.space, k, cycle, word_action(word, k), word._spanned_rows[k])
+    return _step(word.space, k, cycle, *word._sweep[k])
 
 
 def _steps(word: MonodromyWord) -> Iterator[StepRecord]:
-    """The step records of the word in order, from one `prefix_sweep` and one
-    `span_sweep`; nothing is kept on the word or here once a step is yielded."""
+    """The step records of the word in order, from one `prefix_sweep`;
+    nothing is kept on the word or here once a step is yielded."""
     space = word.space
-    cycles = word.cycles
-    sweeps = zip(prefix_sweep(space, cycles), span_sweep(space.dim, cycles))
-    next(sweeps)  # Phi_0 and I_0 precede the first cycle
-    for k, (cycle, (phi_k, rows)) in enumerate(zip(cycles, sweeps), start=1):
+    sweep = prefix_sweep(space, word.cycles)
+    next(sweep)  # (Phi_0, I_0) precedes the first cycle
+    for k, (cycle, (phi_k, rows)) in enumerate(zip(word.cycles, sweep), start=1):
         yield _step(space, k, cycle, phi_k, rows)
 
 
@@ -195,7 +193,8 @@ def shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     if cycle.is_null_homologous:
         raise InputError("dual-preservation shortcut needs a non-null cycle")
     space = word.space
-    rows = _step_rows(word_action(word, k - 1), (0,) * space.dim, word._spanned_rows[k - 1])
+    phi, pivots = word._sweep[k - 1]
+    rows = _step_rows(phi, (0,) * space.dim, pivots)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
     rows.append([-x for x in _apply_form(cycle.homology_class)] + [1])
     return _int_solve(rows, space.dim) is not None

@@ -6,7 +6,9 @@ comes first: the type is exactly `int`, so a bool, a float or a Fraction
 raises `{name} must be an integer, got {value!r}`.  Then the range rule,
 `low <= value`, and `value <= high` when a bound is given, raises
 `{name} {value} out of range {low}..{high}` when bounded and
-`{name} must be >= {low}, got {value}` otherwise.
+`{name} must be >= {low}, got {value}` otherwise.  Every refused value is
+shown through `_show`, which names a value too large for CPython's
+int-to-str digit limit by its type (and an int by its bit length).
 """
 
 
@@ -29,7 +31,7 @@ class InternalConsistencyError(LefsigError):
 
 def _require_int(name: str, value: object) -> None:
     if type(value) is not int:  # a bool, a float or a Fraction is no count
-        raise InputError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {_show(value)}")
 
 
 def _require_range(name: str, value: object, low: int, high: int | None = None) -> None:
@@ -41,9 +43,13 @@ def _require_range(name: str, value: object, low: int, high: int | None = None) 
         raise InputError(f"{name} {_show(value)} out of range {low}..{high}")
 
 
-def _show(value: int) -> str:
-    """str(value), or its size past CPython's int-to-str digit limit (4300 by default)."""
+def _show(value: object) -> str:
+    """repr(value), which is str(value) for an int, or its type (and an int's
+    size) when printing it passes CPython's int-to-str digit limit (4300 by
+    default), so a refusal never escapes as that limit's `ValueError`."""
     try:
-        return str(value)
+        return repr(value)
     except ValueError:
-        return f"<{value.bit_length()}-bit integer>"
+        if type(value) is int:
+            return f"<{value.bit_length()}-bit integer>"
+        return f"<{type(value).__name__} past the digit limit>"

@@ -13,9 +13,11 @@ fibration's monodromy into twists becomes a word of integer vectors, one per
 vanishing cycle.  Chirality -1 marks a left-handed twist, which acts by the
 inverse transvection.
 Every twist action, single or a word's prefixes, comes from one exact
-rank-one sweep, `prefix_sweep`, which yields Phi_0, Phi_1, ... one at a time;
-`span_sweep` yields the row sets I_k beside it.  A word keeps both as tuples
-only for its random-access callers (`word_action`).
+left-to-right sweep, `prefix_sweep`, which yields the step state
+(Phi_0, I_0), (Phi_1, I_1), ... one pair at a time: the prefix action by a
+rank-one update, and the rows I_k a step eliminates by echelon reduction of
+the cycles.  A word keeps the pairs as one tuple only for its random-access
+callers (`word_action`, `engine.local_sigma`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd
 from operator import mul, neg
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_range
+from .errors import InputError, _require_range, _show
 from .ratlinalg import (
     Matrix,
     Rational,
@@ -131,10 +133,10 @@ class VanishingCycle(_Record):
 
     def __init__(self, homology_class: Sequence[int], chirality: int = 1) -> None:
         if type(chirality) is not int or chirality not in (1, -1):  # True, 1.0 pass `in`
-            raise InputError(f"chirality must be +1 or -1, got {chirality!r}")
+            raise InputError(f"chirality must be +1 or -1, got {_show(chirality)}")
         homology_class = tuple(homology_class)  # before the check reads a one-shot iterator
         if bad := [x for x in homology_class if type(x) is not int]:
-            raise InputError(f"vector entries must be integers, got {bad[0]!r}")
+            raise InputError(f"vector entries must be integers, got {_show(bad[0])}")
         _setattr(self, "homology_class", homology_class)
         _setattr(self, "chirality", chirality)
 
@@ -173,12 +175,9 @@ class MonodromyWord(_Record):
         return SymplecticSpace.standard(self.surface.half_dim)
 
     @cached_property
-    def _prefix_products(self) -> tuple[Matrix, ...]:
-        return prefix_actions(self.space, self.cycles)
-
-    @cached_property
-    def _spanned_rows(self) -> tuple[tuple[int, ...], ...]:
-        return spanned_rows(self.space.dim, self.cycles)
+    def _sweep(self) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
+        """Every pair of `prefix_sweep`, kept for the random-access callers."""
+        return tuple(prefix_sweep(self.space, self.cycles))
 
     def repeated(self, n: int) -> "MonodromyWord":
         _require_range("n", n, 1)
@@ -203,17 +202,28 @@ def word(surface: Surface, vectors: Sequence[Sequence[int]],
     )
 
 
-def prefix_sweep(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> Iterator[Matrix]:
-    """Phi_0 = Id, Phi_1, ..., Phi_n with Phi_k = T_k Phi_{k-1}, one at a time.
+def prefix_sweep(space: SymplecticSpace,
+                 cycles: Iterable[VanishingCycle]) -> Iterator[tuple[Matrix, tuple[int, ...]]]:
+    """(Phi_0, I_0) = (Id, ()), (Phi_1, I_1), ..., (Phi_n, I_n), one at a time:
+    Phi_k = T_k Phi_{k-1}, and I_k the sorted pivot coordinates of an echelon
+    basis of gamma_1 .. gamma_k, on which projection is injective on their span.
 
     T_k Phi = Phi - c g ((J g)^T Phi) is a rank-one update of the rows of the
     previous product where g_i != 0; the other rows are shared with it.  J g
     swaps and negates entries of the int vector g, so every entry stays an
     int and the products are built without re-checking their entries.
+
+    Each cycle is `_eliminate`d against the kept basis rows, lowest pivot
+    first (a row is zero left of its pivot), which zeroes it at every pivot;
+    a nonzero remainder joins the basis with its first nonzero coordinate as
+    pivot.  Once I_k holds all dim coordinates the basis stops growing.  A
+    set that did not grow is the previous prefix's.
     """
     n = space.dim
     phi = Matrix.identity(n)
-    yield phi
+    basis: dict[int, list[int]] = {}
+    pivots: tuple[int, ...] = ()
+    yield phi, pivots
     for c in cycles:
         g = c.homology_class
         rows = list(phi.entries)
@@ -226,46 +236,18 @@ def prefix_sweep(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> It
                 s = c.chirality * gi
                 rows[i] = tuple([a - s * b for a, b in zip(rows[i], r)])
         phi = Matrix._exact(tuple(rows), n)
-        yield phi
-
-
-def prefix_actions(space: SymplecticSpace, cycles: Iterable[VanishingCycle]) -> tuple[Matrix, ...]:
-    """Every product of `prefix_sweep`, kept: Phi_0 .. Phi_n."""
-    return tuple(prefix_sweep(space, cycles))
-
-
-def span_sweep(dim: int, cycles: Iterable[VanishingCycle]) -> Iterator[tuple[int, ...]]:
-    """I_0 = (), I_1, ..., I_n one at a time: I_k the sorted pivot coordinates
-    of an echelon basis of gamma_1 .. gamma_k, on which projection is
-    injective on their span.
-
-    Each cycle is `_eliminate`d against the kept basis rows, lowest pivot
-    first (a row is zero left of its pivot), which zeroes it at every pivot;
-    a nonzero remainder joins the basis with its first nonzero coordinate as
-    pivot.  Once I_k holds all dim coordinates the basis stops growing.  A
-    set that did not grow is the previous prefix's.
-    """
-    basis: dict[int, list[int]] = {}
-    pivots: tuple[int, ...] = ()
-    yield pivots
-    for c in cycles:
-        if len(pivots) < dim:
-            g = list(c.homology_class)
+        if len(pivots) < n:
+            rest = list(g)
             for p in pivots:
-                if f := g[p]:
+                if f := rest[p]:
                     top = basis[p]
-                    g = _eliminate(g, top, top[p], f)
-            for p, x in enumerate(g):
+                    rest = _eliminate(rest, top, top[p], f)
+            for p, x in enumerate(rest):
                 if x:
-                    basis[p] = g
+                    basis[p] = rest
                     pivots = tuple(sorted((*pivots, p)))
                     break
-        yield pivots
-
-
-def spanned_rows(dim: int, cycles: Iterable[VanishingCycle]) -> tuple[tuple[int, ...], ...]:
-    """Every set of `span_sweep`, kept: I_0 .. I_n."""
-    return tuple(span_sweep(dim, cycles))
+        yield phi, pivots
 
 
 def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
@@ -273,25 +255,28 @@ def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
 
     Right-handed: x -> x - Q(x, gamma) gamma, i.e. Id - gamma (J gamma)^T.
     Left-handed is the inverse, Id + gamma (J gamma)^T; the two compose to
-    the identity because Q(gamma, gamma) = 0.  It is the one-step sweep.
+    the identity because Q(gamma, gamma) = 0.  It is Phi_1 of the one-step
+    `prefix_sweep`.
     """
     g = cycle.homology_class
     if len(g) != space.dim:
         raise InputError(f"cycle of length {len(g)} in dimension {space.dim}")
-    return prefix_actions(space, (cycle,))[1]
+    _, (phi_1, _) = prefix_sweep(space, (cycle,))
+    return phi_1
 
 
 def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     """Product T_k ... T_1 of the first k transvections (all of them by default).
 
-    The word keeps all its prefix actions once one is asked for, from one
-    `prefix_sweep`: one integer rank-one update per cycle, O(dim^2) work, in a
-    single forward pass.  The engine's step stream, which `engine.signature`
-    and the CLI consume, runs its own sweep and leaves this cache unbuilt.
+    It is Phi_k of the word's one kept sweep, the pairs (Phi_k, I_k) of
+    `prefix_sweep` built in a single forward pass once any of them is asked
+    for: one integer rank-one update per cycle, O(dim^2) work.  The engine's
+    step stream, which `engine.signature` and the CLI consume, runs its own
+    sweep and leaves this cache unbuilt.
     """
     k = len(word) if upto is None else upto
     _require_range("upto", k, 0, len(word))
-    return word._prefix_products[k]
+    return word._sweep[k][0]
 
 
 def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:

@@ -20,6 +20,7 @@ from lefsig import (
     Surface,
     SymplecticSpace,
     VanishingCycle,
+    effective_dimension,
     transvection,
     word,
 )
@@ -117,3 +118,24 @@ def random_word(rng: random.Random, half_dim: int, max_len: int,
     vectors = [[rng.randint(-spread, spread) for _ in range(2 * half_dim)] for _ in range(n)]
     chis = [1 if chiral_only else rng.choice([1, -1]) for _ in range(n)]
     return word(surface, vectors, chis)
+
+
+def stream_word(rng: random.Random) -> MonodromyWord:
+    """A word of 0-12 cycles on genus 1-4 with 0-2 boundary components: null,
+    repeated and non-primitive cycles of both chiralities among random ones."""
+    surface = Surface(rng.randint(1, 4), rng.randint(0, 2))
+    dim = effective_dimension(surface)
+    vectors: list[list[int]] = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.15:
+            v = [0] * dim
+        elif roll < 0.3 and vectors:
+            v = rng.choice(vectors)
+        elif roll < 0.45:
+            f = rng.choice((2, -3))
+            v = [f * rng.randint(-1, 1) for _ in range(dim)]
+        else:
+            v = [rng.randint(-2, 2) for _ in range(dim)]
+        vectors.append(v)
+    return word(surface, vectors, [rng.choice((1, -1)) for _ in vectors])

@@ -14,7 +14,6 @@ from lefsig import (
     MonodromyWord,
     Surface,
     VanishingCycle,
-    effective_dimension,
     fiber_sum_defect,
     local_sigma,
     local_sigma_via_maslov,
@@ -33,6 +32,7 @@ from .fixtures import (
     matsumoto_word,
     positive_word,
     random_word,
+    stream_word,
 )
 from .oracles import fraction_solve, reference_shortcut_dual_preserved
 
@@ -125,43 +125,22 @@ def test_trace_internal_consistency():
                 assert lhs == s.cycle.vector()
 
 
-def _stream_word(rng: random.Random) -> MonodromyWord:
-    """A word of 0-12 cycles on genus 1-4 with 0-2 boundary components: null,
-    repeated and non-primitive cycles of both chiralities among random ones."""
-    surface = Surface(rng.randint(1, 4), rng.randint(0, 2))
-    dim = effective_dimension(surface)
-    vectors: list[list[int]] = []
-    for _ in range(rng.randint(0, 12)):
-        roll = rng.random()
-        if roll < 0.15:
-            v = [0] * dim
-        elif roll < 0.3 and vectors:
-            v = rng.choice(vectors)
-        elif roll < 0.45:
-            f = rng.choice((2, -3))
-            v = [f * rng.randint(-1, 1) for _ in range(dim)]
-        else:
-            v = [rng.randint(-2, 2) for _ in range(dim)]
-        vectors.append(v)
-    return word(surface, vectors, [rng.choice((1, -1)) for _ in vectors])
-
-
 def test_stream_trace_and_random_access_agree():
-    """`signature` collects the step stream without filling the word's
-    caches; `local_sigma` fills them on demand and gives the same records."""
+    """`signature` collects the step stream without building the word's one
+    kept sweep; `local_sigma` builds it on demand, n + 1 pairs (Phi_k, I_k),
+    and gives the same records."""
     rng = random.Random(28)
-    words = [word(Surface(2, 1), [])] + [_stream_word(rng) for _ in range(60)]
+    words = [word(Surface(2, 1), [])] + [stream_word(rng) for _ in range(60)]
     seen = {"null": 0, "repeated": 0, "non-primitive": 0, "left": 0}
     for w in words:
         streamed = tuple(_steps(w))
         trace = signature(w)
-        assert "_prefix_products" not in w.__dict__ and "_spanned_rows" not in w.__dict__
+        assert "_sweep" not in w.__dict__
         assert streamed == trace.steps
         assert trace.total == sum(map(_contribution, streamed))
         assert trace.steps == tuple(local_sigma(w, k) for k in range(1, len(w) + 1))
         if len(w):
-            kept = (w.__dict__["_prefix_products"], w.__dict__["_spanned_rows"])
-            assert list(map(len, kept)) == [len(w) + 1] * 2
+            assert len(w.__dict__["_sweep"]) == len(w) + 1
         vectors = [c.homology_class for c in w.cycles]
         seen["null"] += any(not any(v) for v in vectors)
         seen["repeated"] += len(set(vectors)) < len(vectors)
@@ -393,7 +372,7 @@ def test_step_on_spanned_rows_matches_full_dimension_solve():
             assert (step.solvable, step.sigma, step.witness) == want, (cycles, step.index)
             kinds["unsolvable"] += x is None
             kinds["left"] += c == -1
-            kinds["restricted"] += len(w._spanned_rows[step.index]) < dim
+            kinds["restricted"] += len(w._sweep[step.index][1]) < dim
     assert all(kinds.values()), kinds
 
 

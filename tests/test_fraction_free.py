@@ -18,7 +18,7 @@ from lefsig.ratlinalg import (
     rank,
     signature_symmetric,
 )
-from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
+from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_sweep
 
 from .fixtures import random_lagrangian
 from .oracles import (
@@ -72,7 +72,7 @@ def _step_matrices(rng: random.Random) -> list[Matrix]:
         cycles.append(VanishingCycle(tuple(g), rng.choice((1, -1))))
     return [Matrix([[int(i == j) - x for j, x in enumerate(row)]
                     for i, row in enumerate(phi.entries)], 8)
-            for phi in prefix_actions(space, cycles)[1:]]
+            for phi, _ in list(prefix_sweep(space, cycles))[1:]]
 
 
 def _rhs(rng: random.Random, a: Matrix) -> list:

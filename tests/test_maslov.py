@@ -26,7 +26,7 @@ from lefsig import cover, engine, maslov, symplectic
 from lefsig.symplectic import (
     VanishingCycle,
     direct_sum_lagrangian,
-    prefix_actions,
+    prefix_sweep,
     transvection,
     word_action,
 )
@@ -290,7 +290,8 @@ def _fixing_first_vector(rng: random.Random, space: SymplecticSpace) -> Matrix:
         g[1] = 0
         g[0] = g[0] if any(g) else 1
         cycles.append(VanishingCycle(tuple(g), rng.choice((1, -1))))
-    return prefix_actions(space, cycles)[-1]
+    *_, (phi, _) = prefix_sweep(space, cycles)
+    return phi
 
 
 def test_meyer_form_matches_graph_triple_oracle():

@@ -12,8 +12,10 @@ is cheap to reach.
 
 import io
 import json
+import re
 from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,7 @@ from lefsig import (
     PositiveFamilySpec,
     Surface,
     SymplecticSpace,
+    VanishingCycle,
     cover_signature,
     local_sigma,
     local_sigma_via_maslov,
@@ -145,6 +148,31 @@ def test_a_value_past_the_digit_limit_is_still_an_input_error():
             SymplecticSpace(value)
     with pytest.raises(InputError, match=r"^n must be >= 1, got "):
         W.repeated(-(10**5000))
+
+
+HUGE = 10**5000  # past CPython's int-to-str digit limit (4300 digits by default)
+
+PAST_THE_DIGIT_LIMIT = [  # (message up to the refused value, call)
+    pytest.param("genus must be an integer, got ", lambda: Surface(Fraction(HUGE), 0),
+                 id="Surface.genus"),
+    pytest.param("genus must be an integer, got ",
+                 lambda: PositiveFamilySpec(Fraction(HUGE), 0, 1), id="PositiveFamilySpec.genus"),
+    pytest.param("base_sigma must be an integer, got ",
+                 lambda: cover_signature(Fraction(HUGE), Matrix.identity(2), 2),
+                 id="cover_signature.base_sigma"),
+    pytest.param("chirality must be +1 or -1, got ", lambda: VanishingCycle((1, 0), HUGE),
+                 id="VanishingCycle.chirality"),
+    pytest.param("vector entries must be integers, got ",
+                 lambda: VanishingCycle((Fraction(HUGE), 0)), id="VanishingCycle.entry"),
+]
+
+
+@pytest.mark.parametrize("message, call", PAST_THE_DIGIT_LIMIT)
+def test_a_refused_value_past_the_digit_limit_is_an_input_error(message, call):
+    """The refusal names its field and shows the value, or when printing it
+    would pass the digit limit, its type: never the limit's `ValueError`."""
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        call()
 
 
 def _triple(dim):

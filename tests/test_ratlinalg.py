@@ -19,7 +19,7 @@ from lefsig.ratlinalg import (
     rank,
     signature_symmetric,
 )
-from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_actions
+from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_sweep
 
 from .oracles import kernel_basis, reference_matmul, signature_via_charpoly, span_basis
 
@@ -323,7 +323,7 @@ def test_exact_arithmetic_is_closed(case):
     results = [a + b, a - b, -a, a @ c, a.transpose(), a.scale(factor), a.block_diag(c),
                reduce(matmul, [s] * power, Matrix.identity(s.rows)),
                Matrix.identity(a.rows), Matrix.zeros(a.rows, c.cols)]
-    results += prefix_actions(space, cycles)
+    results += [phi for phi, _ in prefix_sweep(space, cycles)]
     for m in results:
         _assert_closed(m)
 

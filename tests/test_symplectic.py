@@ -45,10 +45,12 @@ from .fixtures import (
     positive_word,
     random_lagrangian,
     random_symplectic,
+    stream_word,
 )
 from .oracles import (
     dense_prefix_actions,
     doubled_space,
+    fraction_rref,
     graph,
     reference_apply_form,
     reference_gram,
@@ -319,6 +321,37 @@ def test_prefix_actions_match_dense_oracle():
 def test_genus_forty_prefix_actions_match_dense_oracle():
     w = random_word(random.Random(40), Surface(40, 0), 6)
     assert [word_action(w, k) for k in range(len(w) + 1)] == oracle_prefixes(w)
+
+
+def test_prefix_sweep_yields_each_prefix_action_and_its_spanned_rows():
+    """For every k the sweep's (Phi_k, I_k): Phi_k is the dense product, I_k
+    contains I_{k-1}, |I_k| is the rank of gamma_1 .. gamma_k, and those
+    cycles restricted to the coordinates I_k keep that rank."""
+    rng = random.Random(32)
+    seen = dict.fromkeys(("null", "repeated", "non-primitive", "left", "filled", "partial"), 0)
+    for _ in range(80):
+        w = stream_word(rng)
+        dim = w.space.dim
+        vectors = [c.homology_class for c in w.cycles]
+        chiralities = [c.chirality for c in w.cycles]
+        dense = dense_prefix_actions(vectors, chiralities, dim)
+        sweep = list(symplectic.prefix_sweep(w.space, w.cycles))
+        assert len(sweep) == len(w) + 1
+        previous: tuple = ()
+        for k, (phi, rows) in enumerate(sweep):
+            assert phi == Matrix.from_rows(dense[k], cols=dim), k
+            assert list(rows) == sorted(set(rows)) and set(previous) <= set(rows), k
+            rank = len(fraction_rref(vectors[:k])[1])
+            assert len(rows) == rank, k
+            assert len(fraction_rref([[v[i] for i in rows] for v in vectors[:k]])[1]) == rank
+            previous = rows
+        seen["null"] += any(not any(v) for v in vectors)
+        seen["repeated"] += len(set(map(tuple, vectors))) < len(vectors)
+        seen["non-primitive"] += any(any(v) and math.gcd(*v) > 1 for v in vectors)
+        seen["left"] += -1 in chiralities
+        seen["filled"] += len(previous) == dim
+        seen["partial"] += 0 < len(previous) < dim
+    assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_effective_dimension_table():
