@@ -1,29 +1,24 @@
 """Ternary Maslov index of Lagrangian triples and the fiber-sum defect.
 
 For Lagrangians A, B, C of a symplectic space (V, Q) of dimension 2n, the
-index is read from Kashiwara's form on the direct sum A + B + C,
-
-    K((a1, b1, c1), (a2, b2, c2)) = Q(a1, b2) + Q(b1, c2) + Q(c1, a2)
-                                    + (the same with indices 1 and 2 swapped),
-
-the polarization of the quadratic form Q(a, b) + Q(b, c) + Q(c, a), doubled
-(G. Lion, M. Vergne, "The Weil representation, Maslov index and theta
-series", 1980).  With the bases of A, B, C as the rows of A, B, C, its
-matrix is
-
-    [[0, P, R^T], [P^T, 0, S], [R, S^T, 0]],  P = A J B^T, S = B J C^T, R = C J A^T,
-
-and tau(A, B, C) is minus the signature of K, computed by one exact
-congruence.  P, S and R are `SymplecticSpace.gram` blocks of the Lagrangians'
-own bases, which are primitive int rows.  Kashiwara's index agrees
-with Wall's, the signature of Psi(b1, b2) = Q(b1, c2) on
-B ∩ (C + A) / ((B ∩ C) + (B ∩ A)), where c2 in C has b2 + c2 in A, up to
-one global sign (S. Cappell, R. Lee, E. Miller, "On the Maslov index",
-Comm. Pure Appl. Math. 47 (1994)).  The minus sign makes the two equal, and fixes the normalization:
-in the plane with Q((x1,x2),(y1,y2)) = x1 y2 - x2 y1,
-tau(span(1,0), span(1,1), span(0,1)) = -1, where K has signature +1.  The
-tests hold the index to Wall's construction, built the long way.
-|tau| <= n is asserted at runtime.
+index is read on Kashiwara's space W = {(x, y) in B x C : x + y in A}, of
+dimension about n.  A is its own Q-orthogonal, so x + y lies in A exactly
+when Q(a_i, x + y) = 0 for each basis row a_i: on the bases of B and C, W is
+the int kernel (`ratlinalg._int_kernel`) of the n x 2n rows gram(A, B + C).
+On W, Q(x1 + y1, x2 + y2) = 0 and Q vanishes on B and on C, so
+Q(y1, x2) = Q(y2, x1): the form Q(y, x), `gram(C, B)` read on the kernel
+rows, is symmetric because A, B and C are Lagrangian, and that it comes out
+symmetric is a runtime self-check, as is |tau| <= n.  tau(A, B, C) is minus
+its signature, by one exact congruence of the form divided by its content.
+The tests keep the 3n x 3n form on A + B + C of G. Lion, M. Vergne ("The
+Weil representation, Maslov index and theta series", 1980) as their oracle.
+Kashiwara's index agrees with Wall's, the signature of Psi(b1, b2) = Q(b1, c2)
+on B ∩ (C + A) / ((B ∩ C) + (B ∩ A)), where c2 in C has b2 + c2 in A, up to
+one global sign (S. Cappell, R. Lee, E. Miller, "On the Maslov index", Comm.
+Pure Appl. Math. 47 (1994)).  The minus sign makes the two equal, and fixes
+the normalization: in the plane with Q((x1,x2),(y1,y2)) = x1 y2 - x2 y1,
+tau(span(1,0), span(1,1), span(0,1)) = -1: W is spanned by ((1, 1), (0, -1)),
+where Q(y, x) = +1.  The tests hold the index to Wall's, built the long way.
 
 The geometric use: gluing two fibrations over half-disks along a fiber costs
 a signature defect, and Meyer's cocycle is its negative.  With boundary
@@ -48,6 +43,8 @@ action, symplectic by construction, to `_meyer_defect` directly.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd
 from operator import mul
 
 from .errors import InputError, InternalConsistencyError
@@ -62,16 +59,21 @@ def _same_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> SymplecticSpace:
 
 
 def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
-    """Minus the signature of Kashiwara's form on A + B + C (module docstring).
-    Zero for the zero-dimensional ambient space, whose form is 0 x 0."""
+    """Minus the signature of Q(y, x) on W = {(x, y) in B x C : x + y in A},
+    the int kernel of the rows gram(A, B + C) (module docstring); zero for
+    the zero-dimensional ambient space."""
     space = _same_space(a, b, c)
     n = space.half_dim
-    p, s, r = (space.gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
-    pt, st, rt = (tuple(zip(*m)) for m in (p, s, r))
-    zero = ((0,) * n,) * n
-    form = tuple(x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))
-                 for x, y, z in zip(*blocks))
-    tau = -signature_symmetric(Matrix._exact(form, 3 * n))
+    kernel = _int_kernel(list(map(list, space.gram(a.basis, b.basis + c.basis))), 2 * n)
+    qcb = tuple(zip(*space.gram(c.basis, b.basis)))  # column j: Q(c_i, b_j) down i
+    qyb = [[sum(map(mul, v[n:], col)) for col in qcb] for v in kernel]  # Q(y, b_j)
+    form = tuple(tuple(sum(map(mul, row, v[:n])) for v in kernel) for row in qyb)
+    if (content := gcd(*chain(*form))) > 1:  # a positive scale: the signature stays
+        form = tuple(tuple(x // content for x in row) for row in form)
+    try:
+        tau = -signature_symmetric(Matrix._exact(form, len(kernel)))
+    except InputError as exc:  # it checks symmetry; Q(y, x) is symmetric on W only
+        raise InternalConsistencyError("the Maslov form did not come out symmetric") from exc
     if abs(tau) > n:
         raise InternalConsistencyError(f"Maslov index {tau} exceeds the half dimension")
     return tau

@@ -36,6 +36,7 @@ from .ratlinalg import (
     Vector,
     _eliminate,
     _int_rref,
+    _product,
     as_vector,
     clear_denominators,
 )
@@ -296,7 +297,10 @@ class Lagrangian(_Record):
     keep the signature of any form evaluated on the rows.  `span` divides each
     pivot row of `_int_rref` by its content, signed by its pivot: the one
     primitive int row on that line with a positive pivot.  The constructor
-    checks only the shape; isotropy, rank and the canonical form are `span`'s."""
+    checks the shape and isotropy, so every Lagrangian is isotropic; rank and
+    the canonical form are `span`'s.  A raw basis that is isotropic but
+    dependent is not caught: `maslov_index` then raises
+    `InternalConsistencyError` or returns a meaningless number."""
 
     _fields = ("space", "basis")
 
@@ -306,6 +310,8 @@ class Lagrangian(_Record):
                 type(row) is tuple and len(row) == d and {int}.issuperset(map(type, row))
                 for row in basis):
             raise InputError(f"basis must be a tuple of {n} tuples of {d} ints")
+        if any(map(any, space.gram(basis, basis))):
+            raise InputError("spanning set is not isotropic")
         _setattr(self, "space", space)
         _setattr(self, "basis", basis)
 
@@ -320,8 +326,6 @@ class Lagrangian(_Record):
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        if any(map(any, space.gram(basis, basis))):
-            raise InputError("spanning set is not isotropic")
         return Lagrangian(space, basis)
 
     @property
@@ -330,8 +334,11 @@ class Lagrangian(_Record):
 
 
 def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
-    """Image of a Lagrangian under a symplectic map of its ambient space."""
-    return Lagrangian.span(lag.space, [m.apply(v) for v in lag.basis])
+    """Image of a Lagrangian under a symplectic map of its ambient space: the
+    rows M v, each entry one row of M against v, by the product of `Matrix @`."""
+    if m.rows != lag.space.dim or m.cols != lag.space.dim:
+        raise InputError(f"{m.rows}x{m.cols} map in ambient dimension {lag.space.dim}")
+    return Lagrangian.span(lag.space, _product(lag.basis, m.entries))
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:

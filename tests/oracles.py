@@ -9,9 +9,13 @@ p(t), the number of negative ones the variations of p(-t).
 Wall's space W = B ∩ (C + A) / ((B ∩ C) + (B ∩ A)) of a Lagrangian triple
 and its form are built here the long way: intersections by a kernel, a
 recombination and a canonicalization, and the radical complement by a greedy
-scan over the standard coordinate vectors.  The library reads the index from
-Kashiwara's form on A + B + C instead and must equal the signature of this
-form.
+scan over the standard coordinate vectors.  The library reads the index off
+Kashiwara's space {(x, y) in B x C : x + y in A} instead and must equal the
+signature of this form.
+
+The index is also kept as the library once read it, from the 3n x 3n
+Lion-Vergne form on A + B + C (`lion_vergne_index`); the library's form on
+Kashiwara's space, of dimension about n, must give the same number.
 
 The exact eliminations are kept here in their Fraction form, as the library
 once ran them: Gauss-Jordan that inverts each pivot, and a congruence that
@@ -74,7 +78,7 @@ from operator import mul
 from lefsig.maslov import maslov_index
 from lefsig.engine import SignatureTrace
 from lefsig.errors import InputError
-from lefsig.ratlinalg import Matrix, Vector, as_vector, vec_dot
+from lefsig.ratlinalg import Matrix, Vector, as_vector, signature_symmetric, vec_dot
 from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
 
 
@@ -269,6 +273,20 @@ def reference_wall_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> tuple[t
     chosen = greedy_complement(u_coords, len(circle))
     form = Matrix(tuple(tuple(psi[i][j] for j in chosen) for i in chosen), len(chosen))
     return tuple(circle[i] for i in chosen), form
+
+
+def lion_vergne_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
+    """Minus the signature of Kashiwara's form on A + B + C, the 3n x 3n
+    matrix [[0, P, R^T], [P^T, 0, S], [R, S^T, 0]] with P = A J B^T,
+    S = B J C^T and R = C J A^T, as the library once computed the index."""
+    space = a.space
+    n = space.half_dim
+    p, s, r = (space.gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
+    pt, st, rt = (tuple(zip(*m)) for m in (p, s, r))
+    zero = ((0,) * n,) * n
+    form = tuple(x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))
+                 for x, y, z in zip(*blocks))
+    return -signature_symmetric(Matrix._exact(form, 3 * n))
 
 
 def standard_form(dim: int) -> list[list[int]]:

@@ -41,6 +41,7 @@ from .fixtures import (
 )
 from .oracles import (
     graph_triple,
+    lion_vergne_index,
     reference_fiber_sum_defect,
     reference_intersect_spans,
     reference_wall_space,
@@ -241,6 +242,15 @@ def test_index_bound_self_check_fires(monkeypatch):
         maslov_index(A_LINE, DIAG, B_LINE)
 
 
+def test_maslov_form_self_check_fires(monkeypatch):
+    """A domain that is not Kashiwara's space gives an asymmetric form, and
+    the runtime check says so."""
+    monkeypatch.setattr(maslov, "_int_kernel",
+                        lambda rows, cols: [list(e) for e in Matrix.identity(cols).entries])
+    with pytest.raises(InternalConsistencyError, match="Maslov form"):
+        maslov_index(A_LINE, DIAG, B_LINE)
+
+
 def _lagrangians_with_repeats(rng, space, count):
     """`count` random Lagrangians; after the first, each is an earlier one
     with probability 0.15."""
@@ -367,3 +377,31 @@ def test_second_route_makes_no_symplectic_checks(monkeypatch):
         with pytest.raises(InputError, match="phi_plus"):
             checked(PLANE, ident, bad)
     assert len(calls) == 6
+
+
+def test_index_matches_lion_vergne_oracle():
+    """The form on Kashiwara's space against the 3n x 3n Lion-Vergne form:
+    seeded triples at genus 0-4 with repeated Lagrangians, the graph triples
+    of random words, and one genus-20 triple."""
+    rng = random.Random(1978)
+    point = SymplecticSpace.standard(0)
+    triples = [(Lagrangian.span(point, []),) * 3]
+    for _ in range(1000):
+        space = SymplecticSpace.standard(rng.randint(1, 4))
+        triples.append(tuple(_lagrangians_with_repeats(rng, space, 3)))
+    for _ in range(15):
+        w = random_word(rng, rng.randint(1, 3), 8, chiral_only=False)
+        triples += [graph_triple(w.space, transvection(w.space, cycle), word_action(w, k - 1))
+                    for k, cycle in enumerate(w.cycles, start=1)
+                    if not cycle.is_null_homologous]
+    # the a-span, the b-span and the diagonal of genus 20, each moved by a random map
+    space = SymplecticSpace.standard(20)
+    spans = [[[int(j - 2 * i in offsets) for j in range(space.dim)] for i in range(20)]
+             for offsets in ((0,), (1,), (0, 1))]
+    triples.append(tuple(map_lagrangian(random_symplectic(rng, space), Lagrangian.span(space, v))
+                         for v in spans))
+    indices = [maslov_index(*triple) for triple in triples]
+    assert indices == [lion_vergne_index(*triple) for triple in triples]
+    assert len(triples) >= 1050
+    assert sum(len(set(t)) < 3 for t in triples) >= 250
+    assert len(set(indices)) >= 5 and indices[-1] != 0

@@ -434,6 +434,10 @@ def test_raw_lagrangian_checks_its_shape():
     ):
         with pytest.raises(InputError, match="basis must be a tuple of 2 tuples of 4 ints"):
             Lagrangian(sp, basis)
+    # a basis of the right shape that is not isotropic used to reach
+    # maslov_index and give a meaningless index
+    with pytest.raises(InputError, match="spanning set is not isotropic"):
+        Lagrangian(sp, ((1, 0, 0, 0), (0, 1, 0, 0)))
     # the one-row basis used to reach maslov_index and die on a ragged matrix
     with pytest.raises(InputError, match="basis"):
         maslov_index(Lagrangian(sp, ((1, 0, 0, 0),)), good, good)
@@ -467,6 +471,25 @@ def test_map_lagrangian_stays_lagrangian():
         m = random_symplectic(rng, sp)
         moved = map_lagrangian(m, lag)
         assert moved.dim == 2  # construction re-validates isotropy
+
+
+def test_map_lagrangian_images_are_one_product():
+    """The images of the basis come from one product; they span what the
+    images M v, one `Matrix.apply` each, span, with Fraction entries too, and
+    a map that is not dim x dim is refused."""
+    rng = random.Random(1966)
+    sp = SymplecticSpace.standard(2)
+    scale = Matrix.from_rows([[2, 0, 0, 0], [0, "1/2", 0, 0], [0, 0, 2, 0], [0, 0, 0, "1/2"]])
+    for _ in range(20):
+        lag = random_lagrangian(rng, sp)
+        for m in (random_symplectic(rng, sp), scale @ random_symplectic(rng, sp)):
+            assert map_lagrangian(m, lag) == Lagrangian.span(sp, [m.apply(v) for v in lag.basis])
+    assert map_lagrangian(scale, Lagrangian.span(sp, [(1, 1, 0, 0), (0, 0, 1, 1)])) == \
+        Lagrangian.span(sp, [(4, 1, 0, 0), (0, 0, 4, 1)])
+    for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
+              Matrix.zeros(0, 4), Matrix.zeros(4, 0)):
+        with pytest.raises(InputError):
+            map_lagrangian(m, lag)
 
 
 def test_surface_validation():
