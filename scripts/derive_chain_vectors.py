@@ -36,7 +36,7 @@ from lefsig import (
 )
 
 SURFACE = Surface(1, 2)
-SPACE = SymplecticSpace.standard(SURFACE.half_dim)
+SPACE = SymplecticSpace(SURFACE.half_dim)
 DELTA = (0, 0, 1, 0)
 _T_DELTA = transvection(SPACE, VanishingCycle(DELTA))
 TARGET = _T_DELTA @ _T_DELTA

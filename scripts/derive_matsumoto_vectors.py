@@ -35,7 +35,7 @@ from lefsig import (
 )
 
 SURFACE = Surface(2, 0)
-SPACE = SymplecticSpace.standard(SURFACE.half_dim)
+SPACE = SymplecticSpace(SURFACE.half_dim)
 PHI = Matrix.from_rows([[0, 1, 0, -1], [-1, 0, 0, 0], [1, 0, 1, 1], [-1, 0, -1, 0]])
 
 

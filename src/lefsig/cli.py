@@ -259,11 +259,11 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def _triple_from_file(path: str) -> tuple[SymplecticSpace, Lagrangian, Lagrangian, Lagrangian]:
     dim, mats = parse_matrix_document(_read(path), expect=3)
-    space = SymplecticSpace.standard(dim // 2)
+    space = SymplecticSpace(dim // 2)
     lags = []
     for idx, m in enumerate(mats, start=1):
         try:
-            lags.append(Lagrangian.span(space, m.entries))
+            lags.append(Lagrangian(space, m.entries))
         except InputError as exc:
             raise InputError(f"matrix {idx}: {exc}") from exc
     return space, lags[0], lags[1], lags[2]
@@ -323,7 +323,7 @@ def cmd_meyer(args: argparse.Namespace) -> int:
     for idx, m in enumerate(mats, start=1):
         if m.rows != dim:
             raise InputError(f"matrix {idx}: expected {dim} rows, got {m.rows}")
-    space = SymplecticSpace.standard(dim // 2)
+    space = SymplecticSpace(dim // 2)
     value = meyer_cocycle(space, mats[0], mats[1])
     print(f"meyer cocycle: {value}")
     return 0

@@ -78,7 +78,7 @@ def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
     _require_range("n", n, 1)
     if not phi.is_square() or phi.rows % 2 != 0:
         raise InputError("monodromy matrix must be square of even size")
-    space = SymplecticSpace.standard(phi.rows // 2)
+    space = SymplecticSpace(phi.rows // 2)
     if not is_symplectic(space, phi):
         raise InputError("monodromy matrix is not symplectic for this space")
     # sigma(w^k), phi^k = later @ power for k the leading bits of n, multiplied once needed

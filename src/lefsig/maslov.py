@@ -8,8 +8,10 @@ the int kernel (`ratlinalg._int_kernel`) of the n x 2n rows gram(A, B + C).
 On W, Q(x1 + y1, x2 + y2) = 0 and Q vanishes on B and on C, so
 Q(y1, x2) = Q(y2, x1): the form Q(y, x), `gram(C, B)` read on the kernel
 rows, is symmetric because A, B and C are Lagrangian, and that it comes out
-symmetric is a runtime self-check, as is |tau| <= n.  tau(A, B, C) is minus
-its signature, by one exact congruence of the form divided by its content.
+symmetric is a runtime self-check, as is |tau| <= n.  The constructor makes
+every `Lagrangian` isotropic and full rank, so a failed check is a bug.
+tau(A, B, C) is minus its signature, by one exact congruence of the form
+divided by its content.
 The tests keep the 3n x 3n form on A + B + C of G. Lion, M. Vergne ("The
 Weil representation, Maslov index and theta series", 1980) as their oracle.
 Kashiwara's index agrees with Wall's, the signature of Psi(b1, b2) = Q(b1, c2)

@@ -15,10 +15,10 @@ Every elimination is one forward pass, `_int_echelon`, read three ways:
 `_int_solve` (the engine's step) back-substitutes x = n / D over one positive
 denominator D, `rank` counts pivots, and `_int_rref` clears each pivot column
 upwards for `_int_kernel` (Meyer's form), which scales each kernel vector by
-a positive lcm, and `Lagrangian.span`, which divides each pivot row by its
-content.  A quotient read out is an int exactly when it is integral.  A solve
-is inconsistent exactly when b's column takes a pivot.  The congruence in
-`signature_symmetric` updates only the live trailing block.
+a positive lcm, and the `Lagrangian` constructor, which divides each pivot
+row by its content.  A quotient read out is an int exactly when it is
+integral.  A solve is inconsistent exactly when b's column takes a pivot.
+The congruence in `signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def _int_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of int rows, in place, up to a scale per row:
     `_int_echelon`, then each pivot column, bottom pivot first, `_eliminate`d
-    from the rows above.  Its readers, `_int_kernel` and `Lagrangian.span`,
-    read only what a row scale keeps."""
+    from the rows above.  Its readers, `_int_kernel` and `Lagrangian`, read
+    only what a row scale keeps."""
     rows, pivots = _int_echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         bottom, c = rows[k], pivots[k]

@@ -56,11 +56,6 @@ class SymplecticSpace(_Record):
         _require_range("half_dim", half_dim, 0, MAX_DIMENSION // 2)
         _setattr(self, "half_dim", half_dim)
 
-    @staticmethod
-    def standard(half_dim: int) -> "SymplecticSpace":
-        """The space of half dimension `half_dim`, spelled as its callers read it."""
-        return SymplecticSpace(half_dim)
-
     @property
     def dim(self) -> int:
         return 2 * self.half_dim
@@ -145,9 +140,6 @@ class VanishingCycle(_Record):
     def is_null_homologous(self) -> bool:
         return not any(self.homology_class)
 
-    def vector(self) -> Vector:
-        return as_vector(self.homology_class)
-
 
 class MonodromyWord(_Record):
     """Ordered vanishing cycles gamma_1 .. gamma_n; the total monodromy acts as
@@ -173,7 +165,7 @@ class MonodromyWord(_Record):
 
     @cached_property
     def space(self) -> SymplecticSpace:
-        return SymplecticSpace.standard(self.surface.half_dim)
+        return SymplecticSpace(self.surface.half_dim)
 
     @cached_property
     def _sweep(self) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
@@ -290,34 +282,20 @@ def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
 
 
 class Lagrangian(_Record):
-    """Maximal isotropic subspace, stored as a canonical basis of primitive
-    int rows: each row of the RREF basis times the positive lcm of its
-    denominators, so every row has a positive pivot.  Equal subspaces get
-    equal bases.  Positive row scales keep isotropy, and as a congruence they
-    keep the signature of any form evaluated on the rows.  `span` divides each
-    pivot row of `_int_rref` by its content, signed by its pivot: the one
-    primitive int row on that line with a positive pivot.  The constructor
-    checks the shape and isotropy, so every Lagrangian is isotropic; rank and
-    the canonical form are `span`'s.  A raw basis that is isotropic but
-    dependent is not caught: `maslov_index` then raises
-    `InternalConsistencyError` or returns a meaningless number."""
+    """Maximal isotropic subspace, the span of `basis`: any spanning set of
+    rational vectors (ints, Fractions or "p/q" strings, tuples or lists).
+    It is stored as its canonical basis: the pivot rows of `_int_rref`, each
+    divided by its content and signed by its pivot, which are the RREF rows
+    with their denominators cleared, primitive with a positive pivot.  Equal
+    subspaces get equal bases and hashes.  Positive row scales keep isotropy
+    and, as a congruence, the signature of any form on the rows.  The vector
+    lengths, the rank half_dim and isotropy are checked, so every Lagrangian
+    is canonical and full rank."""
 
     _fields = ("space", "basis")
 
-    def __init__(self, space: SymplecticSpace, basis: tuple[tuple[int, ...], ...]) -> None:
-        n, d = space.half_dim, space.dim
-        if type(basis) is not tuple or len(basis) != n or not all(
-                type(row) is tuple and len(row) == d and {int}.issuperset(map(type, row))
-                for row in basis):
-            raise InputError(f"basis must be a tuple of {n} tuples of {d} ints")
-        if any(map(any, space.gram(basis, basis))):
-            raise InputError("spanning set is not isotropic")
-        _setattr(self, "space", space)
-        _setattr(self, "basis", basis)
-
-    @staticmethod
-    def span(space: SymplecticSpace, vectors: Sequence[Sequence[Scalar]]) -> "Lagrangian":
-        rows = [clear_denominators(as_vector(v))[1] for v in vectors]
+    def __init__(self, space: SymplecticSpace, basis: Iterable[Sequence[Scalar]]) -> None:
+        rows = [clear_denominators(as_vector(v))[1] for v in basis]
         if bad := [r for r in rows if len(r) != space.dim]:
             raise InputError(f"vector of length {len(bad[0])} in ambient dimension {space.dim}")
         basis = tuple(tuple(x // g for x in r) for r, g in
@@ -326,7 +304,10 @@ class Lagrangian(_Record):
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        return Lagrangian(space, basis)
+        if any(map(any, space.gram(basis, basis))):
+            raise InputError("spanning set is not isotropic")
+        _setattr(self, "space", space)
+        _setattr(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -335,15 +316,16 @@ class Lagrangian(_Record):
 
 def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:
     """Image of a Lagrangian under a symplectic map of its ambient space: the
-    rows M v, each entry one row of M against v, by the product of `Matrix @`."""
+    span of the rows M v, each entry one row of M against v, by the product
+    of `Matrix @`, checked and made canonical by the constructor."""
     if m.rows != lag.space.dim or m.cols != lag.space.dim:
         raise InputError(f"{m.rows}x{m.cols} map in ambient dimension {lag.space.dim}")
-    return Lagrangian.span(lag.space, _product(lag.basis, m.entries))
+    return Lagrangian(lag.space, _product(lag.basis, m.entries))
 
 
 def direct_sum_lagrangian(a: Lagrangian, b: Lagrangian) -> Lagrangian:
     # the block sum of two standard forms is the standard form
-    space = SymplecticSpace.standard(a.space.half_dim + b.space.half_dim)
+    space = SymplecticSpace(a.space.half_dim + b.space.half_dim)
     pad_a = [v + (0,) * b.space.dim for v in a.basis]
     pad_b = [(0,) * a.space.dim + v for v in b.basis]
-    return Lagrangian.span(space, pad_a + pad_b)
+    return Lagrangian(space, pad_a + pad_b)

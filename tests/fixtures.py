@@ -86,8 +86,11 @@ FIXTURE_WORDS = {
 
 def random_symplectic(rng: random.Random, space: SymplecticSpace,
                       twists: int = 4, spread: int = 2) -> Matrix:
-    """Random product of transvections; symplectic by construction."""
+    """Random product of transvections; symplectic by construction.  The
+    identity in dimension 0, where no transvection exists."""
     m = Matrix.identity(space.dim)
+    if not space.dim:
+        return m
     for _ in range(rng.randint(1, twists)):
         vec = [rng.randint(-spread, spread) for _ in range(space.dim)]
         if all(x == 0 for x in vec):
@@ -108,7 +111,7 @@ def random_lagrangian(rng: random.Random, space: SymplecticSpace) -> Lagrangian:
     """Image of the span of a_1, ..., a_G under a random symplectic map."""
     m = random_symplectic(rng, space)
     basis = [m.column(2 * i) for i in range(space.half_dim)]
-    return Lagrangian.span(space, basis)
+    return Lagrangian(space, basis)
 
 
 def random_word(rng: random.Random, half_dim: int, max_len: int,

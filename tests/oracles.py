@@ -24,9 +24,9 @@ kernels must agree with them exactly.
 
 The fiber-sum defect is rebuilt as the library once computed it: the index
 tau(graph A, diagonal, graph B^{-1}) of graph Lagrangians in the doubled
-space (V + V, Q + -Q), each graph validated by `Lagrangian.span`.  The
-doubled space is taken on the standard form of V + V, with a_i and b_i
-swapped in the second copy, which turns -Q into Q.  The library evaluates
+space (V + V, Q + -Q), each graph validated by the `Lagrangian`
+constructor.  The doubled space is taken on the standard form of V + V,
+with a_i and b_i swapped in the second copy, which turns -Q into Q.  The library evaluates
 Meyer's form on V instead and must agree exactly.
 
 Prefix actions Phi_k = T_k ... T_1 are rebuilt on plain ints by writing each
@@ -329,7 +329,7 @@ def symplectic_inverse(space: SymplecticSpace, m: Matrix) -> Matrix:
 def doubled_space(space: SymplecticSpace) -> SymplecticSpace:
     """(V + V, Q + -Q), the ambient space of graph Lagrangians, on the standard
     form of V + V: `_swap` carries the second copy's -Q to Q."""
-    return SymplecticSpace.standard(2 * space.half_dim)
+    return SymplecticSpace(2 * space.half_dim)
 
 
 def _swap(y) -> tuple:
@@ -339,10 +339,10 @@ def _swap(y) -> tuple:
 
 def graph(doubled: SymplecticSpace, m: Matrix) -> Lagrangian:
     """Graph {(x, Mx)} of M in the doubled space, spanned by the rows
-    (e_i, swap(M e_i)) and validated by `Lagrangian.span`: it is Lagrangian
-    exactly when M is symplectic."""
+    (e_i, swap(M e_i)) and validated by the `Lagrangian` constructor: it is
+    Lagrangian exactly when M is symplectic."""
     ident = Matrix.identity(m.rows).entries
-    return Lagrangian.span(doubled, [e + _swap(c) for e, c in zip(ident, m.transpose().entries)])
+    return Lagrangian(doubled, [e + _swap(c) for e, c in zip(ident, m.transpose().entries)])
 
 
 def graph_triple(space: SymplecticSpace, a: Matrix, b: Matrix) -> tuple[Lagrangian, ...]:
@@ -364,7 +364,7 @@ def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     space = word.space
     fixed = word_action(word, k - 1) - Matrix.identity(space.dim)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
-    pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].vector()))
+    pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].homology_class))
     stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
     rows = [list(row) + [int(i == space.dim)] for i, row in enumerate(stacked.entries)]
     return fraction_solve(rows, space.dim) is not None

@@ -61,7 +61,7 @@ def test_criterion_02_positive_family_with_certificates():
         signature(generate(PositiveFamilySpec(1, 1, n))).total == n
         for n in range(1, 21)
     )
-    space = SymplecticSpace.standard(1)
+    space = SymplecticSpace(1)
     corrections_ok = True
     for term in correction_terms(space, BLOCK_ACTION, 20):
         total, member = signature_zero_certificate(BLOCK_ACTION, term.power)
@@ -79,7 +79,7 @@ def test_criterion_03_matsumoto_cover_ladder():
 
 
 def test_criterion_04_separating_twists_vs_chain():
-    space = SymplecticSpace.standard(2)
+    space = SymplecticSpace(2)
     corr = next(correction_terms(space, DELTA_STAR, 2)).sigma
     pair = signature(delta_pair_word()).total
     chain4 = signature(chain_word(4)).total
@@ -136,16 +136,16 @@ def test_criterion_07_repeat_vs_cover_consistency():
 
 
 def test_criterion_08_maslov_axioms():
-    plane = SymplecticSpace.standard(1)
-    norm = maslov_index(Lagrangian.span(plane, [(1, 0)]),
-                        Lagrangian.span(plane, [(1, 1)]),
-                        Lagrangian.span(plane, [(0, 1)]))
+    plane = SymplecticSpace(1)
+    norm = maslov_index(Lagrangian(plane, [(1, 0)]),
+                        Lagrangian(plane, [(1, 1)]),
+                        Lagrangian(plane, [(0, 1)]))
     failures = 0 if norm == -1 else 1
     rng = random.Random(1108)
     even = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     triples = 0
     for half in (1, 2):
-        space = SymplecticSpace.standard(half)
+        space = SymplecticSpace(half)
         for _ in range(100):
             lags = [random_lagrangian(rng, space) for _ in range(3)]
             tau = maslov_index(*lags)
@@ -180,7 +180,7 @@ def test_criterion_09_witness_choice_independence():
                 checked_steps += 1
                 system = Matrix.identity(space.dim) - step.cumulative_action
                 kernel = kernel_basis(system)
-                gamma = step.cycle.vector()
+                gamma = step.cycle.homology_class
                 for _ in range(10):
                     x = step.witness
                     for v in kernel:

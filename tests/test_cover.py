@@ -38,7 +38,7 @@ from .fixtures import (
 )
 from .oracles import kernel_basis, reference_matmul
 
-SP2 = SymplecticSpace.standard(2)
+SP2 = SymplecticSpace(2)
 
 
 def _term(space, phi, m):
@@ -60,7 +60,7 @@ def test_correction_sums_match_power_sums():
              (3, MATSUMOTO_PHI.block_diag(Matrix.identity(2)))]
     types = set()
     for genus, phi in words:
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
         d, j = space.dim, space.form
         for phi in (phi, handle_scaled(phi)):
             power_sum, power = Matrix.zeros(d, d), Matrix.identity(d)
@@ -123,7 +123,7 @@ def test_identity_monodromy_covers_additively():
 def test_correction_matrix_always_symmetric():
     rng = random.Random(81)
     for _ in range(12):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 4)
         for term in correction_terms(space, phi, m + 1):
@@ -135,7 +135,7 @@ def test_fixed_vectors_of_next_power_are_radical():
     rng = random.Random(82)
     checked = 0
     for _ in range(15):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 4)
         term = _term(space, phi, m)
@@ -152,7 +152,7 @@ def test_correction_equals_gluing_defect():
     # gluing phi against phi^m
     rng = random.Random(83)
     for _ in range(10):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         phi = random_symplectic(rng, space)
         m = rng.randint(1, 5)
         assert _term(space, phi, m).sigma == fiber_sum_defect(
@@ -202,7 +202,7 @@ def test_input_validation():
 def _ladder_totals(base_sigma, phi, max_n):
     """The cover totals n * sigma - sum_{m < n} sigma(S_m) for n = 1 .. max_n,
     read off one pass of the ladder."""
-    space = SymplecticSpace.standard(phi.rows // 2)
+    space = SymplecticSpace(phi.rows // 2)
     totals, corrections = [base_sigma], 0
     for term in correction_terms(space, phi, max_n):
         corrections += term.sigma
@@ -218,7 +218,7 @@ def _assert_tree_matches_ladder(base_sigma, phi, max_n):
 def test_cover_total_matches_the_ladder_on_random_phi():
     rng = random.Random(85)
     for trial in range(9):
-        space = SymplecticSpace.standard(1 + trial % 3)
+        space = SymplecticSpace(1 + trial % 3)
         _assert_tree_matches_ladder(rng.randint(-3, 3), random_symplectic(rng, space), 64)
 
 
@@ -258,7 +258,7 @@ def test_cover_total_matches_the_ladder_at_the_edges():
     rng = random.Random(87)
     fractional = 0
     for genus in (1, 2, 3):
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
         # a phi that no word built, a product of transvections, and their
         # `handle_scaled` conjugates
         for phi in (_split_symplectic(rng, genus), random_symplectic(rng, space)):

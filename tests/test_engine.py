@@ -122,7 +122,7 @@ def test_trace_internal_consistency():
             assert s.cumulative_action == word_action(w, k)
             if s.witness is not None:
                 lhs = (Matrix.identity(w.space.dim) - s.cumulative_action).apply(s.witness)
-                assert lhs == s.cycle.vector()
+                assert lhs == s.cycle.homology_class
 
 
 def test_stream_trace_and_random_access_agree():
@@ -184,7 +184,7 @@ def test_sigma_independent_of_solution_choice():
                 for _ in range(3):
                     c = Fraction(rng.randint(-5, 5))
                     shifted = tuple(a + c * b for a, b in zip(s.witness, vec))
-                    q = space.pairing(s.cycle.vector(), shifted)
+                    q = space.pairing(s.cycle.homology_class, shifted)
                     assert sign(1 + s.cycle.chirality * q) == s.sigma
                     checked += 1
     assert checked > 0

@@ -62,7 +62,7 @@ def _random_matrix(rng: random.Random) -> Matrix:
 def _step_matrices(rng: random.Random) -> list[Matrix]:
     """Id - Phi_k of a word on a few handles of a genus-4 fiber: block diagonal
     up to the order of the handles, with zero blocks on the untouched ones."""
-    space = SymplecticSpace.standard(4)
+    space = SymplecticSpace(4)
     handles = rng.sample(range(4), rng.randint(1, 2))
     cycles = []
     for _ in range(rng.randint(2, 7)):
@@ -149,7 +149,7 @@ MANUFACTURED = [
 def _kashiwara_form(rng: random.Random, genus: int) -> Matrix:
     """Kashiwara's form of a random Lagrangian triple: zero diagonal blocks,
     so many rows hold 0 in the pivot column."""
-    space = SymplecticSpace.standard(genus)
+    space = SymplecticSpace(genus)
     a, b, c = (random_lagrangian(rng, space).basis for _ in range(3))
     p, s, r = space.gram(a, b), space.gram(b, c), space.gram(c, a)
     zero = ((0,) * genus,) * genus

@@ -48,10 +48,10 @@ from .oracles import (
     symplectic_inverse,
 )
 
-PLANE = SymplecticSpace.standard(1)
-A_LINE = Lagrangian.span(PLANE, [(1, 0)])
-DIAG = Lagrangian.span(PLANE, [(1, 1)])
-B_LINE = Lagrangian.span(PLANE, [(0, 1)])
+PLANE = SymplecticSpace(1)
+A_LINE = Lagrangian(PLANE, [(1, 0)])
+DIAG = Lagrangian(PLANE, [(1, 1)])
+B_LINE = Lagrangian(PLANE, [(0, 1)])
 
 
 def test_normalization():
@@ -76,14 +76,13 @@ def test_repeated_argument_vanishes():
 
 
 def test_zero_dimensional_space():
-    pt = SymplecticSpace.standard(0)
-    empty = Lagrangian.span(pt, [])
+    pt = SymplecticSpace(0)
+    empty = Lagrangian(pt, [])
     assert maslov_index(empty, empty, empty) == 0
 
 
 def test_mixed_ambient_spaces_rejected():
-    other = Lagrangian.span(SymplecticSpace.standard(2),
-                            [(1, 0, 0, 0), (0, 0, 1, 0)])
+    other = Lagrangian(SymplecticSpace(2), [(1, 0, 0, 0), (0, 0, 1, 0)])
     with pytest.raises(InputError, match="ambient"):
         maslov_index(A_LINE, DIAG, other)
 
@@ -91,7 +90,7 @@ def test_mixed_ambient_spaces_rejected():
 def test_antisymmetry_under_all_permutations():
     rng = random.Random(501)
     for _ in range(15):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         lags = [random_lagrangian(rng, space) for _ in range(3)]
         base = maslov_index(*lags)
         for perm in itertools.permutations(range(3)):
@@ -101,7 +100,7 @@ def test_antisymmetry_under_all_permutations():
 
 def test_symplectic_invariance():
     rng = random.Random(2024)
-    space = SymplecticSpace.standard(2)
+    space = SymplecticSpace(2)
     for _ in range(5):
         lags = [random_lagrangian(rng, space) for _ in range(3)]
         base = maslov_index(*lags)
@@ -113,8 +112,8 @@ def test_symplectic_invariance():
 def test_direct_sum_additivity():
     rng = random.Random(77)
     for _ in range(8):
-        sa = SymplecticSpace.standard(1)
-        sb = SymplecticSpace.standard(rng.choice([1, 2]))
+        sa = SymplecticSpace(1)
+        sb = SymplecticSpace(rng.choice([1, 2]))
         ta = [random_lagrangian(rng, sa) for _ in range(3)]
         tb = [random_lagrangian(rng, sb) for _ in range(3)]
         combined = [direct_sum_lagrangian(x, y) for x, y in zip(ta, tb)]
@@ -124,18 +123,18 @@ def test_direct_sum_additivity():
 def test_index_bounded_by_half_dimension():
     rng = random.Random(303)
     for _ in range(25):
-        space = SymplecticSpace.standard(rng.choice([1, 2, 3]))
+        space = SymplecticSpace(rng.choice([1, 2, 3]))
         lags = [random_lagrangian(rng, space) for _ in range(3)]
         assert abs(maslov_index(*lags)) <= space.half_dim
 
 
 def test_defect_separating_twist_with_itself():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     assert fiber_sum_defect(sp, DELTA_STAR, DELTA_STAR) == 1
 
 
 def test_defect_vanishes_with_identity():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     ident = Matrix.identity(4)
     assert fiber_sum_defect(sp, ident, MATSUMOTO_PHI) == 0
     assert fiber_sum_defect(sp, MATSUMOTO_PHI, ident) == 0
@@ -145,7 +144,7 @@ def test_defect_vanishes_with_identity():
 def test_defect_vanishes_for_inverse_pairs():
     rng = random.Random(7)
     for _ in range(10):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         m = random_symplectic(rng, space)
         assert fiber_sum_defect(space, m, symplectic_inverse(space, m)) == 0
     assert fiber_sum_defect(
@@ -154,7 +153,7 @@ def test_defect_vanishes_for_inverse_pairs():
 
 def test_meyer_is_negated_defect():
     rng = random.Random(19)
-    space = SymplecticSpace.standard(2)
+    space = SymplecticSpace(2)
     for _ in range(6):
         g = random_symplectic(rng, space)
         h = random_symplectic(rng, space)
@@ -165,7 +164,7 @@ def test_meyer_cocycle_identity():
     # c(g, h) + c(gh, k) == c(g, hk) + c(h, k)
     rng = random.Random(4242)
     for _ in range(10):
-        space = SymplecticSpace.standard(rng.choice([1, 2]))
+        space = SymplecticSpace(rng.choice([1, 2]))
         g = random_symplectic(rng, space)
         h = random_symplectic(rng, space)
         k = random_symplectic(rng, space)
@@ -194,7 +193,7 @@ def test_rederived_rules_match_reference():
     lines = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
     triples = []
     for _ in range(30):
-        space = SymplecticSpace.standard(rng.choice([2, 3]))
+        space = SymplecticSpace(rng.choice([2, 3]))
         g = random_symplectic(rng, space)
 
         def block_lagrangian():
@@ -203,7 +202,7 @@ def test_rederived_rules_match_reference():
                 v = [0] * space.dim
                 v[2 * i: 2 * i + 2] = rng.choice(lines)
                 vectors.append(g.apply(v))
-            return Lagrangian.span(space, vectors)
+            return Lagrangian(space, vectors)
 
         a, b, c = block_lagrangian(), block_lagrangian(), block_lagrangian()
         triples += [(a, b, c), (c, b, a), (a, b, a), (a, b, b)]
@@ -267,7 +266,7 @@ def test_cocycle_identity():
     rng = random.Random(1994)
     repeats = 0
     for _ in range(200):
-        space = SymplecticSpace.standard(rng.randint(1, 3))
+        space = SymplecticSpace(rng.randint(1, 3))
         a, b, c, d = quad = _lagrangians_with_repeats(rng, space, 4)
         repeats += len(set(quad)) < 4
         assert (maslov_index(a, b, c) - maslov_index(a, b, d)
@@ -281,7 +280,7 @@ def test_parity_law():
     rng = random.Random(1980)
     odd = meeting = 0
     for _ in range(200):
-        space = SymplecticSpace.standard(rng.randint(1, 3))
+        space = SymplecticSpace(rng.randint(1, 3))
         a, b, c = _lagrangians_with_repeats(rng, space, 3)
         meets = sum(len(reference_intersect_spans(x.basis, y.basis, space.dim))
                     for x, y in ((a, b), (b, c), (c, a)))
@@ -310,7 +309,7 @@ def test_meyer_form_matches_graph_triple_oracle():
     rng = random.Random(1973)
     for _ in range(40):
         genus = rng.randint(0, 4)
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
 
         def factor():
             if genus == 0 or rng.random() < 0.15:
@@ -325,7 +324,7 @@ def test_meyer_form_matches_graph_triple_oracle():
     singular = 0
     for _ in range(15):
         genus = rng.randint(1, 2)
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
         halves = [Fraction(2) if i % 2 == 0 else Fraction(1, 2) for i in range(space.dim)]
         diag = Matrix([[x if i == j else 0 for j in range(space.dim)]
                        for i, x in enumerate(halves)], space.dim)
@@ -346,7 +345,7 @@ def test_meyer_form_matches_graph_triple_oracle():
 def test_meyer_form_self_check_fires(monkeypatch):
     """A domain that is not the kernel of [(Id - A) | (B - Id)] gives an
     asymmetric form, and the runtime check says so."""
-    space = SymplecticSpace.standard(2)
+    space = SymplecticSpace(2)
     monkeypatch.setattr(maslov, "_int_kernel",
                         lambda rows, cols: [list(e) for e in Matrix.identity(cols).entries])
     with pytest.raises(InternalConsistencyError, match="Meyer's form"):
@@ -384,10 +383,10 @@ def test_index_matches_lion_vergne_oracle():
     seeded triples at genus 0-4 with repeated Lagrangians, the graph triples
     of random words, and one genus-20 triple."""
     rng = random.Random(1978)
-    point = SymplecticSpace.standard(0)
-    triples = [(Lagrangian.span(point, []),) * 3]
+    point = SymplecticSpace(0)
+    triples = [(Lagrangian(point, []),) * 3]
     for _ in range(1000):
-        space = SymplecticSpace.standard(rng.randint(1, 4))
+        space = SymplecticSpace(rng.randint(1, 4))
         triples.append(tuple(_lagrangians_with_repeats(rng, space, 3)))
     for _ in range(15):
         w = random_word(rng, rng.randint(1, 3), 8, chiral_only=False)
@@ -395,10 +394,10 @@ def test_index_matches_lion_vergne_oracle():
                     for k, cycle in enumerate(w.cycles, start=1)
                     if not cycle.is_null_homologous]
     # the a-span, the b-span and the diagonal of genus 20, each moved by a random map
-    space = SymplecticSpace.standard(20)
+    space = SymplecticSpace(20)
     spans = [[[int(j - 2 * i in offsets) for j in range(space.dim)] for i in range(20)]
              for offsets in ((0,), (1,), (0, 1))]
-    triples.append(tuple(map_lagrangian(random_symplectic(rng, space), Lagrangian.span(space, v))
+    triples.append(tuple(map_lagrangian(random_symplectic(rng, space), Lagrangian(space, v))
                          for v in spans))
     indices = [maslov_index(*triple) for triple in triples]
     assert indices == [lion_vergne_index(*triple) for triple in triples]

@@ -313,7 +313,7 @@ def closure_cases(draw):
     cycles = draw(st.lists(st.builds(VanishingCycle, vector, st.sampled_from((1, -1))),
                            max_size=4))
     return (a, b, c, s, draw(EXACT_ENTRIES), draw(st.integers(0, 3)),
-            SymplecticSpace.standard(genus), cycles)
+            SymplecticSpace(genus), cycles)
 
 
 @given(closure_cases())

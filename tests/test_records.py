@@ -40,7 +40,7 @@ from .test_cli import subprocess_env
 def _samples():
     """(class, field names, args, other args) for every record, the two
     argument lists making instances that differ."""
-    std = SymplecticSpace.standard(1)
+    std = SymplecticSpace(1)
     cycle = VanishingCycle((1, 0))
     w = MonodromyWord(Surface(1, 0), (cycle, VanishingCycle((0, 1), -1)))
     w2 = MonodromyWord(Surface(1, 0), (cycle,))

@@ -113,7 +113,7 @@ def test_pairing_matches_dense_form_on_non_standard_forms():
     rng = random.Random(2013)
     for genus in (2, 3, 4):  # at genus 1 every skew form is a multiple of J
         dim = 2 * genus
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
         standard = Matrix(standard_form(dim), dim)
         m = _unimodular(rng, dim)
         moved = m.transpose() @ standard @ m

@@ -63,7 +63,7 @@ from .oracles import (
 
 def test_standard_form_squares_to_minus_identity():
     for g in (0, 1, 2, 3):
-        j = SymplecticSpace.standard(g).form
+        j = SymplecticSpace(g).form
         assert j @ j == -Matrix.identity(2 * g)
         assert j.transpose() == -j
 
@@ -78,19 +78,18 @@ def test_dimension_ceiling_is_checked_before_allocating():
         assert str(MAX_DIMENSION + 2) not in str(exc.value)
     for half_dim in (half + 1, 10**20):
         with pytest.raises(InputError, match=rf"^half_dim {half_dim} out of range 0\.\.{half}$"):
-            SymplecticSpace.standard(half_dim)
+            SymplecticSpace(half_dim)
 
 
 def test_constructor_checks_the_half_dimension():
-    """A space is its half dimension: `standard` is the constructor's other
-    spelling, and its one check is an int h >= 0 with 2h <= MAX_DIMENSION."""
+    """A space is its half dimension: its one check is an int h >= 0 with
+    2h <= MAX_DIMENSION."""
     for h in range(7):
-        space = SymplecticSpace.standard(h)
-        assert space == SymplecticSpace(h) and hash(space) == hash(SymplecticSpace(h))
+        space = SymplecticSpace(h)
         assert space.half_dim == h and space.dim == 2 * h
     assert SymplecticSpace(MAX_DIMENSION // 2).dim == MAX_DIMENSION
     half = MAX_DIMENSION // 2
-    for bad, message in ((SymplecticSpace.standard(1).form, "half_dim must be an integer"),
+    for bad, message in ((SymplecticSpace(1).form, "half_dim must be an integer"),
                          (True, "half_dim must be an integer"),
                          (-1, f"half_dim -1 out of range 0..{half}"),
                          (half + 1, f"half_dim {half + 1} out of range 0..{half}")):
@@ -100,22 +99,23 @@ def test_constructor_checks_the_half_dimension():
 
 def test_direct_sum_space_is_the_standard_space():
     """A block sum of standard forms is the standard form, so
-    `direct_sum_lagrangian` lands in `standard(h_a + h_b)` and builds no J."""
+    `direct_sum_lagrangian` lands in `SymplecticSpace(h_a + h_b)` and builds no J."""
     rng = random.Random(31)
-    spaces = [SymplecticSpace.standard(h) for h in range(1, 4)]
+    spaces = [SymplecticSpace(h) for h in range(1, 4)]
     pairs = [(random_lagrangian(rng, a), random_lagrangian(rng, b))
              for a in spaces for b in spaces for _ in range(3)]
-    point = Lagrangian.span(SymplecticSpace.standard(0), [])
+    point = random_lagrangian(rng, SymplecticSpace(0))
+    assert point == Lagrangian(SymplecticSpace(0), [])
     pairs += [(point, pairs[-1][0]), (pairs[-1][1], point), (point, point)]
     for a, b in pairs:
-        space = SymplecticSpace.standard(a.space.half_dim + b.space.half_dim)
+        space = SymplecticSpace(a.space.half_dim + b.space.half_dim)
         got = direct_sum_lagrangian(a, b)
         assert got.space == space and hash(got.space) == hash(space)
         assert "form" not in got.space.__dict__
-        assert got == Lagrangian.span(space, [v + (0,) * b.space.dim for v in a.basis]
-                                      + [(0,) * a.space.dim + v for v in b.basis])
+        assert got == Lagrangian(space, [v + (0,) * b.space.dim for v in a.basis]
+                                 + [(0,) * a.space.dim + v for v in b.basis])
         assert got.space.form == a.space.form.block_diag(b.space.form)
-    half = SymplecticSpace.standard(MAX_DIMENSION // 4 + 1)
+    half = SymplecticSpace(MAX_DIMENSION // 4 + 1)
     lag = Lagrangian(half, tuple(tuple(int(j == 2 * i) for j in range(half.dim))
                                  for i in range(half.half_dim)))
     message = f"^half_dim {2 * half.half_dim} out of range 0..{MAX_DIMENSION // 2}$"
@@ -124,7 +124,7 @@ def test_direct_sum_space_is_the_standard_space():
 
 
 def test_pairing_is_determinant_in_the_plane():
-    sp = SymplecticSpace.standard(1)
+    sp = SymplecticSpace(1)
     assert sp.pairing([1, 0], [0, 1]) == 1
     assert sp.pairing([0, 1], [1, 0]) == -1
     assert sp.pairing([2, 5], [1, 5]) == 5
@@ -134,19 +134,19 @@ def test_pairing_is_determinant_in_the_plane():
 
 
 def test_transvection_matches_known_twists():
-    sp = SymplecticSpace.standard(1)
+    sp = SymplecticSpace(1)
     assert transvection(sp, VanishingCycle((1, 0))) == TWIST_1_0
     assert transvection(sp, VanishingCycle((2, 5))) == TWIST_2_5
     assert transvection(sp, VanishingCycle((1, 5))) == TWIST_1_5
 
 
 def test_transvection_separating_curve():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     assert transvection(sp, VanishingCycle(DELTA)) == DELTA_STAR
 
 
 def test_left_twist_inverts_right_twist():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     for vec in [(1, 0, 0, 0), (0, 1, -1, 1), (2, 3, -1, 5)]:
         r = transvection(sp, VanishingCycle(vec, 1))
         l = transvection(sp, VanishingCycle(vec, -1))
@@ -155,10 +155,10 @@ def test_left_twist_inverts_right_twist():
 
 
 def test_transvection_fixes_its_cycle():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     cycle = VanishingCycle((1, 2, 0, -1))
     t = transvection(sp, cycle)
-    assert t.apply(cycle.vector()) == cycle.vector()
+    assert t.apply(cycle.homology_class) == cycle.homology_class
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -167,7 +167,7 @@ def test_transvection_fixes_its_cycle():
        st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_transvection_products_are_symplectic(vecs, chis):
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     m = Matrix.identity(4)
     for v, c in zip(vecs, chis):
         m = transvection(sp, VanishingCycle(v, c)) @ m
@@ -178,10 +178,10 @@ def test_is_symplectic_matches_the_product_oracle():
     # int and rational symplectic matrices of the standard form, each held to
     # M^T J M == J with one entry bent, and matrices of the wrong shape
     rng = random.Random(91)
-    standard = SymplecticSpace.standard(2)
+    standard = SymplecticSpace(2)
     cases = []
     for genus in (1, 2, 3):
-        space = SymplecticSpace.standard(genus)
+        space = SymplecticSpace(genus)
         for _ in range(4):
             phi = random_symplectic(rng, space)
             cases += [(space, phi), (space, handle_scaled(phi))]
@@ -196,7 +196,7 @@ def test_is_symplectic_matches_the_product_oracle():
             assert is_symplectic(space, bent) == reference_is_symplectic(space, bent)
             bent_false += not is_symplectic(space, bent)
     assert bent_false > 0
-    assert is_symplectic(SymplecticSpace.standard(0), Matrix.identity(0))
+    assert is_symplectic(SymplecticSpace(0), Matrix.identity(0))
     for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
               Matrix.zeros(0, 0), Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
         assert not is_symplectic(standard, m) and not reference_is_symplectic(standard, m)
@@ -217,7 +217,7 @@ def test_gram_matches_the_per_vector_oracle():
         return [[type(x) for x in row] for row in rows]
 
     for h in range(7):
-        space = SymplecticSpace.standard(h)
+        space = SymplecticSpace(h)
         d = space.dim
         assert space.form.to_lists() == standard_form(d)
         for _ in range(8):
@@ -236,8 +236,8 @@ def test_gram_matches_the_per_vector_oracle():
         u = vector(d, False)
         assert space.gram([u], []) == reference_gram(space, [u], []) == ((),)
         assert space.gram([], [u]) == reference_gram(space, [], [u]) == ()
-    assert SymplecticSpace.standard(0).gram([(), ()], [()]) == ((0,), (0,))
-    assert SymplecticSpace.standard(0).pairing((), ()) == 0
+    assert SymplecticSpace(0).gram([(), ()], [()]) == ((0,), (0,))
+    assert SymplecticSpace(0).pairing((), ()) == 0
 
 
 def test_signature_applies_the_form_without_building_it():
@@ -265,7 +265,7 @@ def test_signature_applies_the_form_without_building_it():
 
 
 def test_gram_rejects_a_vector_of_the_wrong_length():
-    plane = SymplecticSpace.standard(1)
+    plane = SymplecticSpace(1)
     assert plane.gram([(1, 0)], [(0, 1)]) == ((1,),)
     for us, vs, length in (([(1,)], [(0, 1)], 1), ([(1, 0, 5)], [(0, 1)], 3),
                            ([(1, 0)], [(0, 1, 7)], 3), ([], [(0, 1), ()], 0)):
@@ -281,7 +281,7 @@ def test_word_action_block():
 
 def test_word_action_matsumoto():
     assert word_action(matsumoto_word()) == MATSUMOTO_PHI
-    assert is_symplectic(SymplecticSpace.standard(2), MATSUMOTO_PHI)
+    assert is_symplectic(SymplecticSpace(2), MATSUMOTO_PHI)
 
 
 def test_cold_word_action_on_ten_thousand_cycles():
@@ -375,30 +375,30 @@ def test_zero_dimensional_word_allows_only_empty_cycles():
 
 
 def test_graph_lagrangian_basis():
-    sp = SymplecticSpace.standard(1)
+    sp = SymplecticSpace(1)
     m = Matrix.from_rows([[1, 1], [0, 1]])
     doubled = doubled_space(sp)
-    assert doubled == SymplecticSpace.standard(2)
+    assert doubled == SymplecticSpace(2)
     # rows (e_i, swap(M e_i)): a_1 and b_1 trade places in the second copy
-    assert graph(doubled, m) == Lagrangian.span(doubled, [(1, 0, 0, 1), (0, 1, 1, 1)])
+    assert graph(doubled, m) == Lagrangian(doubled, [(1, 0, 0, 1), (0, 1, 1, 1)])
     conj = graph(doubled, symplectic_inverse(sp, m))
-    assert conj == Lagrangian.span(doubled, [(1, 0, 0, 1), (1, 1, 1, 0)])
+    assert conj == Lagrangian(doubled, [(1, 0, 0, 1), (1, 1, 1, 0)])
 
 
 def test_graph_rejects_non_symplectic():
-    doubled = doubled_space(SymplecticSpace.standard(1))
+    doubled = doubled_space(SymplecticSpace(1))
     with pytest.raises(InputError, match="isotropic"):
         graph(doubled, Matrix.from_rows([[2, 0], [0, 2]]))
 
 
 def test_lagrangian_span_validates():
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     with pytest.raises(InputError, match="rank"):
-        Lagrangian.span(sp, [(1, 0, 0, 0)])
+        Lagrangian(sp, [(1, 0, 0, 0)])
     with pytest.raises(InputError, match="isotropic"):
-        Lagrangian.span(sp, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        Lagrangian(sp, [(1, 0, 0, 0), (0, 1, 0, 0)])
     # redundant spanning vectors are fine
-    lag = Lagrangian.span(sp, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)])
+    lag = Lagrangian(sp, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)])
     assert lag.dim == 2
     # one subspace from several spanning sets: one basis, one hash
     u, v = (2, 1, 0, -3), (3, 0, 1, 5)  # Q(u, v) = 0 - 3 + 0 + 3 = 0
@@ -409,7 +409,7 @@ def test_lagrangian_span_validates():
         [[f"{x}/4" for x in u], [str(x) for x in v]],
         [v, tuple(a + b for a, b in zip(u, v)), u, tuple(a - 2 * b for a, b in zip(u, v))],
     ]
-    lags = [Lagrangian.span(sp, s) for s in spellings]
+    lags = [Lagrangian(sp, s) for s in spellings]
     assert all(other == lags[0] and hash(other) == hash(lags[0]) for other in lags)
     for other in lags + [lag]:
         for row in other.basis:
@@ -419,37 +419,57 @@ def test_lagrangian_span_validates():
 
 
 def test_raw_lagrangian_checks_its_shape():
-    sp = SymplecticSpace.standard(2)
-    good = Lagrangian.span(sp, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    """`Lagrangian(space, basis)` is the span of any spanning set: each
+    refusal names what is wrong, and every spelling of one subspace gives
+    the one canonical basis and hash."""
+    sp = SymplecticSpace(2)
+    good = Lagrangian(sp, ((1, 0, 0, 0), (0, 0, 1, 0)))
     assert Lagrangian(sp, good.basis) == good
+    for basis, message in (
+        (((1, 0, 0, 0),), "rank 1"),  # too few rows
+        (((1, 0, 0, 0), (0, 0, 1)), "vector of length 3"),  # a short row
+        (((1, 0, 0, 0), (0, 0, 1.0, 0)), "not an exact rational"),  # a float
+        (((1, 0, 0, 0), (0, 0, True, 0)), "not an exact rational"),  # a bool
+        (((1, 0, 0, 0), (0, 1, 0, 0)), "spanning set is not isotropic"),
+    ):
+        with pytest.raises(InputError, match=message):
+            Lagrangian(sp, basis)
+    # isotropic but dependent: it used to reach maslov_index, which raised
+    # InternalConsistencyError in first place and gave a meaningless number
+    # in second or third
+    other = Lagrangian(sp, ((0, 1, 0, 0), (0, 0, 0, 1)))
+    with pytest.raises(InputError, match="^spanning set has rank 1, a Lagrangian needs 2$"):
+        maslov_index(Lagrangian(sp, ((1, 0, 0, 0), (2, 0, 0, 0))), good, other)
     for basis in (
-        ((1, 0, 0, 0),),  # too few rows
-        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)),  # too many
-        ((1, 0, 0, 0), (0, 0, 1)),  # a short row
-        ((1, 0, 0, 0), (0, 0, 1.0, 0)),  # a float
-        ((1, 0, 0, 0), (0, 0, True, 0)),  # a bool
-        ((1, 0, 0, 0), (0, 0, Fraction(1), 0)),  # not an int
+        ((1, 0, 0, 0), (0, 0, Fraction(1), 0)),  # a Fraction row
         ((1, 0, 0, 0), [0, 0, 1, 0]),  # a list row
         [(1, 0, 0, 0), (0, 0, 1, 0)],  # a list of rows
+        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)),  # an extra zero row
+        ((2, 0, 0, 0), (0, 0, 1, 0)),  # scaled: it used to compare unequal
     ):
-        with pytest.raises(InputError, match="basis must be a tuple of 2 tuples of 4 ints"):
-            Lagrangian(sp, basis)
-    # a basis of the right shape that is not isotropic used to reach
-    # maslov_index and give a meaningless index
-    with pytest.raises(InputError, match="spanning set is not isotropic"):
-        Lagrangian(sp, ((1, 0, 0, 0), (0, 1, 0, 0)))
-    # the one-row basis used to reach maslov_index and die on a ragged matrix
-    with pytest.raises(InputError, match="basis"):
-        maslov_index(Lagrangian(sp, ((1, 0, 0, 0),)), good, good)
+        lag = Lagrangian(sp, basis)
+        assert lag == good and hash(lag) == hash(good) and lag.basis == good.basis
+
+
+def test_constructor_gives_back_its_basis():
+    """A canonical basis is a fixed point of the constructor, at genus 0-4
+    and on the images of random Lagrangians under random maps."""
+    rng = random.Random(1789)
+    for _ in range(100):
+        space = SymplecticSpace(rng.randint(0, 4))
+        lag = random_lagrangian(rng, space)
+        for lag in (lag, map_lagrangian(random_symplectic(rng, space), lag)):
+            again = Lagrangian(lag.space, lag.basis)
+            assert again == lag and again.basis == lag.basis
 
 
 def test_lagrangian_basis_is_the_cleared_rref_basis():
-    """`Lagrangian.span` reads its basis off the int elimination; it must be
-    the RREF basis with each row's denominators cleared, as it was defined."""
+    """`Lagrangian` reads its basis off the int elimination; it must be the
+    RREF basis with each row's denominators cleared, as it was defined."""
     rng = random.Random(1976)
     negative_pivots = 0
     for _ in range(200):
-        sp = SymplecticSpace.standard(rng.randint(1, 3))
+        sp = SymplecticSpace(rng.randint(1, 3))
         m = random_symplectic(rng, sp)
         scales = [rng.choice((1, -1, 3, Fraction(-2, 5))) for _ in range(sp.half_dim)]
         vectors = [[c * x for x in m.column(2 * i)] for i, c in enumerate(scales)]
@@ -459,14 +479,14 @@ def test_lagrangian_basis_is_the_cleared_rref_basis():
             vectors.insert(rng.randint(0, len(vectors)), combo)
         negative_pivots += any(next((x for x in v if x), 0) < 0 for v in vectors)
         want = tuple(tuple(clear_denominators(v)[1]) for v in span_basis(vectors, sp.dim))
-        assert Lagrangian.span(sp, vectors).basis == want
+        assert Lagrangian(sp, vectors).basis == want
     assert negative_pivots >= 40
 
 
 def test_map_lagrangian_stays_lagrangian():
     rng = random.Random(11)
-    sp = SymplecticSpace.standard(2)
-    lag = Lagrangian.span(sp, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    sp = SymplecticSpace(2)
+    lag = Lagrangian(sp, [(1, 0, 0, 0), (0, 0, 1, 0)])
     for _ in range(10):
         m = random_symplectic(rng, sp)
         moved = map_lagrangian(m, lag)
@@ -478,14 +498,14 @@ def test_map_lagrangian_images_are_one_product():
     images M v, one `Matrix.apply` each, span, with Fraction entries too, and
     a map that is not dim x dim is refused."""
     rng = random.Random(1966)
-    sp = SymplecticSpace.standard(2)
+    sp = SymplecticSpace(2)
     scale = Matrix.from_rows([[2, 0, 0, 0], [0, "1/2", 0, 0], [0, 0, 2, 0], [0, 0, 0, "1/2"]])
     for _ in range(20):
         lag = random_lagrangian(rng, sp)
         for m in (random_symplectic(rng, sp), scale @ random_symplectic(rng, sp)):
-            assert map_lagrangian(m, lag) == Lagrangian.span(sp, [m.apply(v) for v in lag.basis])
-    assert map_lagrangian(scale, Lagrangian.span(sp, [(1, 1, 0, 0), (0, 0, 1, 1)])) == \
-        Lagrangian.span(sp, [(4, 1, 0, 0), (0, 0, 4, 1)])
+            assert map_lagrangian(m, lag) == Lagrangian(sp, [m.apply(v) for v in lag.basis])
+    assert map_lagrangian(scale, Lagrangian(sp, [(1, 1, 0, 0), (0, 0, 1, 1)])) == \
+        Lagrangian(sp, [(4, 1, 0, 0), (0, 0, 4, 1)])
     for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
               Matrix.zeros(0, 4), Matrix.zeros(4, 0)):
         with pytest.raises(InputError):
@@ -535,11 +555,11 @@ def test_counts_and_indices_are_ints(bad):
                         (lambda: w.repeated(bad), "n"),
                         (lambda: w.subword(bad, 2), "start"),
                         (lambda: w.subword(0, bad), "stop"),
-                        (lambda: SymplecticSpace.standard(bad), "half_dim")):
+                        (lambda: SymplecticSpace(bad), "half_dim")):
         with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
             make()
     with pytest.raises(InputError, match=f"^half_dim -1 out of range 0..{MAX_DIMENSION // 2}$"):
-        SymplecticSpace.standard(-1)
+        SymplecticSpace(-1)
 
 
 @pytest.mark.parametrize("start, stop, message", [
