@@ -38,7 +38,7 @@ from lefsig import (
 SURFACE = Surface(1, 2)
 SPACE = SymplecticSpace(SURFACE.half_dim)
 DELTA = (0, 0, 1, 0)
-_T_DELTA = transvection(SPACE, VanishingCycle(DELTA))
+_T_DELTA = transvection(VanishingCycle(DELTA))
 TARGET = _T_DELTA @ _T_DELTA
 
 
@@ -47,7 +47,7 @@ def search(radius):
     vecs = [v for v in itertools.product(entries, repeat=SPACE.dim) if any(v)]
     print(f"radius {radius}: {len(vecs)} candidate vectors")
     lines = [v for v in vecs if next(x for x in v if x) > 0]
-    tvs = {v: transvection(SPACE, VanishingCycle(v)) for v in lines}
+    tvs = {v: transvection(VanishingCycle(v)) for v in lines}
     q = SPACE.pairing
 
     found = set()

@@ -44,9 +44,9 @@ def search(radius):
     vecs = [v for v in itertools.product(entries, repeat=SPACE.dim) if any(v)]
     print(f"radius {radius}: {len(vecs)} candidate vectors")
     lines = [v for v in vecs if next(x for x in v if x) > 0]
-    tvs = [transvection(SPACE, VanishingCycle(v)) for v in lines]
+    tvs = [transvection(VanishingCycle(v)) for v in lines]
     # (T2 T1)^-1 = T1^-1 T2^-1, each factor the left-handed twist
-    inverses = [transvection(SPACE, VanishingCycle(v, -1)) for v in lines]
+    inverses = [transvection(VanishingCycle(v, -1)) for v in lines]
 
     right = {}
     for i3, t3 in enumerate(tvs):

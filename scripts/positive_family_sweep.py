@@ -34,7 +34,7 @@ def main():
     print(f"{'n':>3} {'engine':>7} {'cover':>6}  certificate")
     certified = True  # every m < n so far; each m is certified once, at n = m + 1
     sigs = []  # sigma(S_m) for every m < n so far, off one pass of the ladder
-    terms = correction_terms(block.space, phi, args.max_n)
+    terms = correction_terms(phi, args.max_n)
     for n in range(1, args.max_n + 1):
         engine_total = signature(generate(PositiveFamilySpec(args.genus, 1, n))).total
         cover_total = cover_signature(base, phi, n)

@@ -25,7 +25,6 @@ from .symplectic import (
     SymplecticSpace,
     VanishingCycle,
     direct_sum_lagrangian,
-    effective_dimension,
     is_symplectic,
     map_lagrangian,
     transvection,
@@ -50,7 +49,6 @@ __all__ = [
     "VanishingCycle",
     "cover_signature",
     "direct_sum_lagrangian",
-    "effective_dimension",
     "fiber_sum_defect",
     "generate",
     "is_symplectic",

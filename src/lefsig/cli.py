@@ -242,7 +242,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     for s in _steps(doc.word):
         base += _contribution(s)
         phi = s.cumulative_action
-    sigmas = [t.sigma for t in correction_terms(doc.word.space, phi, args.n)]
+    sigmas = [t.sigma for t in correction_terms(phi, args.n)]
     total = args.n * base - sum(sigmas)
     if args.json:
         terms = [f'{{\n      "power": {m},\n      "sigma": {s}\n    }}'
@@ -323,9 +323,7 @@ def cmd_meyer(args: argparse.Namespace) -> int:
     for idx, m in enumerate(mats, start=1):
         if m.rows != dim:
             raise InputError(f"matrix {idx}: expected {dim} rows, got {m.rows}")
-    space = SymplecticSpace(dim // 2)
-    value = meyer_cocycle(space, mats[0], mats[1])
-    print(f"meyer cocycle: {value}")
+    print(f"meyer cocycle: {meyer_cocycle(mats[0], mats[1])}")
     return 0
 
 

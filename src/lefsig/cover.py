@@ -16,7 +16,8 @@ so the ambient signature already is the quotient signature.  The generator
 X_m = phi^T X_{m-1} from X_0 = J, so X_m = (phi^m)^T J: because J^T = -J for
 every symplectic form, J phi^m = -X_m^T and the new summand is X_m + X_m^T.
 S_m is symmetric by construction, and `signature_symmetric` checks it once.
-`correction_terms` streams the terms, so a caller that keeps only the
+`correction_terms`, which checks phi by `symplectic._space_of` as
+`cover_signature` does, streams the terms, so a caller that keeps only the
 signatures holds one S_m at a time.  The ladder runs on tuple rows and wraps
 only the S_m it hands out in a `Matrix`: a term is one `ratlinalg._product`
 (the rule of `Matrix @`) and one pass of adds.
@@ -34,10 +35,10 @@ from collections.abc import Iterator
 from operator import add
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_int, _require_range
+from .errors import _require_int, _require_range
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, _product, signature_symmetric
-from .symplectic import SymplecticSpace, is_symplectic
+from .symplectic import SymplecticSpace, _space_of
 
 
 class CorrectionTerm(_Record):
@@ -51,24 +52,23 @@ class CorrectionTerm(_Record):
         _setattr(self, "sigma", sigma)
 
 
-def correction_sums(space: SymplecticSpace, phi: Matrix) -> Iterator[Matrix]:
+def correction_sums(phi: Matrix) -> Iterator[Matrix]:
     """Yield S_1, S_2, ... forever: X <- phi^T X from X = J, S <- S + X + X^T; phi unchecked."""
-    d = space.dim
+    d = phi.rows
     phi_columns = phi.transpose().entries
-    x_t, total = space.form.transpose().entries, ((0,) * d,) * d
+    x_t, total = SymplecticSpace(d // 2).form.transpose().entries, ((0,) * d,) * d
     while True:
         x_t = _product(x_t, phi_columns)  # X^T <- X^T phi, the columns of X as rows
         total = tuple(tuple(map(add, s, map(add, r, c))) for s, r, c in zip(total, zip(*x_t), x_t))
         yield Matrix._exact(total, d)
 
 
-def correction_terms(space: SymplecticSpace, phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
+def correction_terms(phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
     """Correction terms m = 1 .. n-1 of the n-fold cover, streamed in one pass
     over the powers; n and phi are checked before the first term is asked for."""
     _require_range("n", n, 1)
-    if not is_symplectic(space, phi):
-        raise InputError("monodromy matrix is not symplectic for this space")
-    sums = zip(range(1, n), correction_sums(space, phi))
+    _space_of(phi, "phi")
+    sums = zip(range(1, n), correction_sums(phi))
     return (CorrectionTerm(m, total, signature_symmetric(total)) for m, total in sums)
 
 
@@ -76,20 +76,16 @@ def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
     """Signature of the n-fold cyclic cover branched over a regular fiber, on the tree."""
     _require_int("base_sigma", base_sigma)
     _require_range("n", n, 1)
-    if not phi.is_square() or phi.rows % 2 != 0:
-        raise InputError("monodromy matrix must be square of even size")
-    space = SymplecticSpace(phi.rows // 2)
-    if not is_symplectic(space, phi):
-        raise InputError("monodromy matrix is not symplectic for this space")
+    _space_of(phi, "phi")
     # sigma(w^k), phi^k = later @ power for k the leading bits of n, multiplied once needed
     sigma, power, later = base_sigma, phi, None
     for bit in bin(n)[3:]:
         if later is not None:
             power = later @ power
-        sigma = 2 * sigma - _meyer_defect(space, power, power)
+        sigma = 2 * sigma - _meyer_defect(power, power)
         later = power
         if bit == "1":
             power = power @ power
-            sigma += base_sigma - _meyer_defect(space, phi, power)
+            sigma += base_sigma - _meyer_defect(phi, power)
             later = phi
     return sigma

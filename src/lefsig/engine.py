@@ -171,12 +171,8 @@ def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:
     `local_sigma`.
     """
     cycle = _cycle(word, k)
-    space = word.space
-    defect = _meyer_defect(  # both factors are symplectic by construction
-        space,
-        transvection(space, cycle),
-        word_action(word, k - 1),
-    )
+    # both factors are symplectic by construction, of the word's dimension
+    defect = _meyer_defect(transvection(cycle), word_action(word, k - 1))
     return cycle.chirality * defect
 
 

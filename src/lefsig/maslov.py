@@ -37,10 +37,11 @@ in (V + V, Q + -Q), which the tests hold it to on the standard form of
 V + V: swapping a_i and b_i in the second copy turns -Q into Q.  The kernel
 rows (x, y) come off one int elimination (`ratlinalg._int_kernel`) scaled by
 positive lcms, a congruence; u = A x + y, w = (Id - B) y and F = gram(u, w)
-follow on ints, and F's symmetry is the one self-check.  Only
-`fiber_sum_defect` (and so `meyer_cocycle` and `lefsig meyer`) checks that A
-and B are symplectic; the second route passes a transvection and a prefix
-action, symplectic by construction, to `_meyer_defect` directly.
+follow on ints, and F's symmetry is the one self-check.  V is read off the
+matrices: `fiber_sum_defect` (so `meyer_cocycle` and `lefsig meyer`) checks
+A and B by `symplectic._space_of` and refuses two sizes; the second route
+passes a transvection and a prefix action of one size, symplectic by
+construction, to `_meyer_defect` directly.
 """
 
 from __future__ import annotations
@@ -51,20 +52,16 @@ from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 from .ratlinalg import Matrix, _int_kernel, clear_denominators, signature_symmetric
-from .symplectic import Lagrangian, SymplecticSpace, is_symplectic
-
-
-def _same_space(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> SymplecticSpace:
-    if a.space != b.space or b.space != c.space:
-        raise InputError("Lagrangian triple must share one ambient space")
-    return a.space
+from .symplectic import Lagrangian, SymplecticSpace, _space_of
 
 
 def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     """Minus the signature of Q(y, x) on W = {(x, y) in B x C : x + y in A},
     the int kernel of the rows gram(A, B + C) (module docstring); zero for
     the zero-dimensional ambient space."""
-    space = _same_space(a, b, c)
+    space = a.space
+    if b.space != space or c.space != space:
+        raise InputError("Lagrangian triple must share one ambient space")
     n = space.half_dim
     kernel = _int_kernel(list(map(list, space.gram(a.basis, b.basis + c.basis))), 2 * n)
     qcb = tuple(zip(*space.gram(c.basis, b.basis)))  # column j: Q(c_i, b_j) down i
@@ -81,33 +78,33 @@ def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     return tau
 
 
-def fiber_sum_defect(space: SymplecticSpace, phi_minus: Matrix, phi_plus: Matrix) -> int:
+def fiber_sum_defect(phi_minus: Matrix, phi_plus: Matrix) -> int:
     """Signature defect of gluing fibrations with boundary monodromies
     phi_minus (later piece) and phi_plus (earlier piece), as Meyer's form
     (module docstring).  The glued total monodromy is phi_minus @ phi_plus.
     """
-    for name, m in (("phi_minus", phi_minus), ("phi_plus", phi_plus)):
-        if not is_symplectic(space, m):
-            raise InputError(f"{name} is not symplectic for this space")
-    return _meyer_defect(space, phi_minus, phi_plus)
+    if _space_of(phi_minus, "phi_minus") != _space_of(phi_plus, "phi_plus"):
+        raise InputError(f"sizes differ: phi_minus {phi_minus.rows}, phi_plus {phi_plus.rows}")
+    return _meyer_defect(phi_minus, phi_plus)
 
 
-def _meyer_defect(space: SymplecticSpace, a: Matrix, b: Matrix) -> int:
-    """`fiber_sum_defect` without its checks, for A and B known to be symplectic."""
-    d = space.dim
+def _meyer_defect(a: Matrix, b: Matrix) -> int:
+    """`fiber_sum_defect` without its checks, for symplectic A and B of one size."""
+    d = a.rows
     kernel = _int_kernel([clear_denominators([(i == j) - x for j, x in enumerate(ra)]
                                              + [x - (i == j) for j, x in enumerate(rb)])[1]
                           for i, (ra, rb) in enumerate(zip(a.entries, b.entries))], 2 * d)
     xs, ys = [v[:d] for v in kernel], [v[d:] for v in kernel]
     us = [[sum(map(mul, ra, x)) + yi for ra, yi in zip(a.entries, y)] for x, y in zip(xs, ys)]
     ws = [[yi - sum(map(mul, rb, y)) for rb, yi in zip(b.entries, y)] for y in ys]
-    form = Matrix._exact(space.gram(us, ws), len(kernel))
+    form = Matrix._exact(SymplecticSpace(d // 2).gram(us, ws), len(kernel))
     try:
         return signature_symmetric(form)
     except InputError as exc:  # it checks symmetry; F is symmetric on the kernel only
         raise InternalConsistencyError("Meyer's form did not come out symmetric") from exc
 
 
-def meyer_cocycle(space: SymplecticSpace, m1: Matrix, m2: Matrix) -> int:
-    """Meyer's 2-cocycle on the symplectic group: minus the fiber-sum defect."""
-    return -fiber_sum_defect(space, m1, m2)
+def meyer_cocycle(m1: Matrix, m2: Matrix) -> int:
+    """Meyer's 2-cocycle on the symplectic group: minus the fiber-sum defect,
+    whose checks name m1 phi_minus and m2 phi_plus."""
+    return -fiber_sum_defect(m1, m2)

@@ -21,7 +21,7 @@ from ._record import _Record, _setattr
 from .cover import correction_sums
 from .errors import InputError, _require_range
 from .ratlinalg import Matrix
-from .symplectic import MonodromyWord, Surface, SymplecticSpace, VanishingCycle
+from .symplectic import MonodromyWord, Surface, VanishingCycle
 
 BLOCK_VECTORS: tuple[tuple[int, int], ...] = ((1, 0), (2, 5), (1, 5))
 
@@ -70,7 +70,7 @@ def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:
         raise InputError("certificate applies to 2x2 matrices")
     if not all(b.at(i, j) > 0 for i in range(2) for j in range(2)):
         raise InputError("certificate applies to entrywise positive matrices")
-    total = next(islice(correction_sums(SymplecticSpace(1), b), n - 1, None))
+    total = next(islice(correction_sums(b), n - 1, None))
     member = (
         total.at(0, 1) == total.at(1, 0)
         and total.at(0, 0) < 0

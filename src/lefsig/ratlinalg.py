@@ -23,6 +23,7 @@ The congruence in `signature_symmetric` updates only the live trailing block.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
@@ -30,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import _Record, _setattr
-from .errors import InputError, _require_range
+from .errors import InputError, _require_range, _show
 
 Rational = int | Fraction  # the entry type: never a float or a bool
 Scalar = Rational | str
@@ -53,12 +54,22 @@ def as_rational(x: Scalar) -> Rational:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational literal: {x!r}") from exc
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            shown = repr(x) if not 0 < limit < len(x) else (
+                f"{len(x)} characters, past the int-to-str digit limit of {limit}")
+            raise InputError(f"not a rational literal: {shown}") from exc
     raise InputError(f"not an exact rational: {x!r}")
 
 
+def _as_tuple(v: Iterable) -> tuple:
+    """tuple(v) of a caller's vector; a str or a non-iterable is refused."""
+    if isinstance(v, str) or not hasattr(type(v), "__iter__"):
+        raise InputError(f"expected a vector, got {_show(v)}")
+    return tuple(v)
+
+
 def as_vector(entries: Iterable[Scalar]) -> Vector:
-    v = tuple(entries)
+    v = _as_tuple(entries)
     return v if _EXACT.issuperset(map(type, v)) else tuple(as_rational(x) for x in v)
 
 
@@ -81,7 +92,7 @@ class Matrix(_Record):
 
     def __init__(self, entries: Sequence[Sequence[Rational]], cols: int) -> None:
         _require_range("cols", cols, 0)
-        entries = tuple(map(tuple, entries))
+        entries = tuple(map(_as_tuple, entries))
         for row in entries:
             if len(row) != cols:
                 raise InputError(
@@ -104,7 +115,7 @@ class Matrix(_Record):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        data = tuple(map(as_vector, rows))
         if cols is None:
             if not data:
                 raise InputError("cannot infer column count of an empty matrix")

@@ -4,14 +4,16 @@ The first homology of a genus-g surface with b boundary components (capped
 off to its closed genus g+b-1 counterpart when b > 0) carries the standard
 symplectic intersection form: in the basis a1, b1, ..., ah, bh its Gram
 matrix J has 2x2 blocks [[0, 1], [-1, 0]] down the diagonal.  That is the
-only form here, so a `SymplecticSpace` is its half dimension h.  The pairing,
-the Gram blocks and the sweep apply J, one swap-and-negate of each pair,
-(J v)_2i = v_2i+1 and (J v)_2i+1 = -v_2i (`_apply_form`); the dense `form`
-is built only for a caller that reads it.  A Dehn twist along a simple
-closed curve acts on homology as a transvection; a factorization of a
-fibration's monodromy into twists becomes a word of integer vectors, one per
-vanishing cycle.  Chirality -1 marks a left-handed twist, which acts by the
-inverse transvection.
+only form here, so a `SymplecticSpace` is its half dimension h, and the
+space of a matrix or a cycle is its size: `_space_of` is the one check of a
+caller's monodromy matrix.  The pairing, the Gram blocks and the sweep apply
+J, one swap-and-negate of each pair, (J v)_2i = v_2i+1 and
+(J v)_2i+1 = -v_2i (`_apply_form`); the dense `form` is built only for a
+caller that reads it.  A Dehn twist along a simple closed curve acts on
+homology as a transvection; a factorization of a fibration's monodromy into
+twists becomes a word of integer vectors, one per vanishing cycle.
+Chirality -1 marks a left-handed twist, which acts by the inverse
+transvection.
 Every twist action, single or a word's prefixes, comes from one exact
 left-to-right sweep, `prefix_sweep`, which yields the step state
 (Phi_0, I_0), (Phi_1, I_1), ... one pair at a time: the prefix action by a
@@ -34,6 +36,7 @@ from .ratlinalg import (
     Rational,
     Scalar,
     Vector,
+    _as_tuple,
     _eliminate,
     _int_rref,
     _product,
@@ -108,18 +111,11 @@ class Surface(_Record):
 
     @property
     def half_dim(self) -> int:
+        """g, or g+b-1 for b > 0: a bordered fiber is capped off to the closed
+        genus g+b-1 surface, and the signature only depends on classes there."""
         if self.boundary == 0:
             return self.genus
         return self.genus + self.boundary - 1
-
-
-def effective_dimension(surface: Surface) -> int:
-    """Dimension of the homology the algorithm works in: 2g, or 2(g+b-1) for b > 0.
-
-    A bordered fiber is capped off to the closed surface of genus g+b-1; the
-    signature only depends on classes there.
-    """
-    return 2 * surface.half_dim
 
 
 class VanishingCycle(_Record):
@@ -130,7 +126,7 @@ class VanishingCycle(_Record):
     def __init__(self, homology_class: Sequence[int], chirality: int = 1) -> None:
         if type(chirality) is not int or chirality not in (1, -1):  # True, 1.0 pass `in`
             raise InputError(f"chirality must be +1 or -1, got {_show(chirality)}")
-        homology_class = tuple(homology_class)  # before the check reads a one-shot iterator
+        homology_class = _as_tuple(homology_class)  # before the check reads a one-shot iterator
         if bad := [x for x in homology_class if type(x) is not int]:
             raise InputError(f"vector entries must be integers, got {_show(bad[0])}")
         _setattr(self, "homology_class", homology_class)
@@ -149,14 +145,11 @@ class MonodromyWord(_Record):
 
     def __init__(self, surface: Surface, cycles: Iterable[VanishingCycle]) -> None:
         cycles = tuple(cycles)  # a list would not hash; an iterator is read once
-        dim = effective_dimension(surface)
-        for i, c in enumerate(cycles):
+        dim = 2 * surface.half_dim
+        for i, c in enumerate(cycles, start=1):
             if len(c.homology_class) != dim:
-                raise InputError(
-                    f"cycle {i + 1}: vector has length {len(c.homology_class)}, "
-                    f"expected {dim} (genus {surface.genus}, "
-                    f"boundary {surface.boundary})"
-                )
+                raise InputError(f"cycle {i}: vector has length {len(c.homology_class)}, expected "
+                                 f"{dim} (genus {surface.genus}, boundary {surface.boundary})")
         _setattr(self, "surface", surface)
         _setattr(self, "cycles", cycles)
 
@@ -243,18 +236,18 @@ def prefix_sweep(space: SymplecticSpace,
         yield phi, pivots
 
 
-def transvection(space: SymplecticSpace, cycle: VanishingCycle) -> Matrix:
-    """Homology action of the twist along `cycle`.
+def transvection(cycle: VanishingCycle) -> Matrix:
+    """Homology action of the twist along `cycle`, in the space of its length.
 
     Right-handed: x -> x - Q(x, gamma) gamma, i.e. Id - gamma (J gamma)^T.
     Left-handed is the inverse, Id + gamma (J gamma)^T; the two compose to
     the identity because Q(gamma, gamma) = 0.  It is Phi_1 of the one-step
     `prefix_sweep`.
     """
-    g = cycle.homology_class
-    if len(g) != space.dim:
-        raise InputError(f"cycle of length {len(g)} in dimension {space.dim}")
-    _, (phi_1, _) = prefix_sweep(space, (cycle,))
+    d = len(cycle.homology_class)
+    if d % 2:
+        raise InputError(f"cycle has odd length {d}")
+    _, (phi_1, _) = prefix_sweep(SymplecticSpace(d // 2), (cycle,))
     return phi_1
 
 
@@ -272,13 +265,22 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
     return word._sweep[k][0]
 
 
-def is_symplectic(space: SymplecticSpace, m: Matrix) -> bool:
-    """True iff M^T J M, the `gram` matrix of M's columns, is J exactly;
-    False for a matrix of the wrong shape."""
-    if m.rows != space.dim or m.cols != space.dim:
+def is_symplectic(m: Matrix) -> bool:
+    """True iff M is square of even size 2h and M^T J M, the `gram` matrix of
+    its columns, is J exactly; a size past the fiber ceiling is an `InputError`."""
+    if not m.is_square() or m.rows % 2:
         return False
+    space = SymplecticSpace(m.rows // 2)
     columns = m.transpose().entries
     return space.gram(columns, columns) == space.form.entries
+
+
+def _space_of(m: Matrix, name: str) -> SymplecticSpace:
+    """The space of a caller's monodromy matrix, read off its size 2h; a matrix
+    that `is_symplectic` rejects is an `InputError` naming the argument."""
+    if not is_symplectic(m):
+        raise InputError(f"{name} ({m.rows}x{m.cols}) is not symplectic")
+    return SymplecticSpace(m.rows // 2)
 
 
 class Lagrangian(_Record):

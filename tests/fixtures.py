@@ -20,7 +20,6 @@ from lefsig import (
     Surface,
     SymplecticSpace,
     VanishingCycle,
-    effective_dimension,
     transvection,
     word,
 )
@@ -95,7 +94,7 @@ def random_symplectic(rng: random.Random, space: SymplecticSpace,
         vec = [rng.randint(-spread, spread) for _ in range(space.dim)]
         if all(x == 0 for x in vec):
             vec[rng.randrange(space.dim)] = 1
-        m = transvection(space, VanishingCycle(tuple(vec), rng.choice([1, -1]))) @ m
+        m = transvection(VanishingCycle(tuple(vec), rng.choice([1, -1]))) @ m
     return m
 
 
@@ -127,7 +126,7 @@ def stream_word(rng: random.Random) -> MonodromyWord:
     """A word of 0-12 cycles on genus 1-4 with 0-2 boundary components: null,
     repeated and non-primitive cycles of both chiralities among random ones."""
     surface = Surface(rng.randint(1, 4), rng.randint(0, 2))
-    dim = effective_dimension(surface)
+    dim = 2 * surface.half_dim
     vectors: list[list[int]] = []
     for _ in range(rng.randint(0, 12)):
         roll = rng.random()

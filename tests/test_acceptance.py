@@ -61,9 +61,8 @@ def test_criterion_02_positive_family_with_certificates():
         signature(generate(PositiveFamilySpec(1, 1, n))).total == n
         for n in range(1, 21)
     )
-    space = SymplecticSpace(1)
     corrections_ok = True
-    for term in correction_terms(space, BLOCK_ACTION, 20):
+    for term in correction_terms(BLOCK_ACTION, 20):
         total, member = signature_zero_certificate(BLOCK_ACTION, term.power)
         if term.sigma != 0 or not member or total != term.matrix:
             corrections_ok = False
@@ -79,8 +78,7 @@ def test_criterion_03_matsumoto_cover_ladder():
 
 
 def test_criterion_04_separating_twists_vs_chain():
-    space = SymplecticSpace(2)
-    corr = next(correction_terms(space, DELTA_STAR, 2)).sigma
+    corr = next(correction_terms(DELTA_STAR, 2)).sigma
     pair = signature(delta_pair_word()).total
     chain4 = signature(chain_word(4)).total
     ok = corr == 1 and pair == -1 and chain4 == -7 and chain4 - pair == -6

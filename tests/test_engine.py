@@ -271,8 +271,7 @@ def test_split_defect_formula():
         for split in range(len(w) + 1):
             prefix = w.subword(0, split)
             suffix = w.subword(split, len(w))
-            defect = fiber_sum_defect(
-                w.space, word_action(suffix), word_action(prefix))
+            defect = fiber_sum_defect(word_action(suffix), word_action(prefix))
             assert full == signature(prefix).total + signature(suffix).total - defect
 
 
@@ -287,10 +286,10 @@ def test_partial_fiber_sum_trees_give_the_signature():
         if hi - lo == 1:
             cycle = w.cycles[lo]
             leaf = -cycle.chirality if cycle.is_null_homologous else 0
-            return leaf, transvection(w.space, cycle)
+            return leaf, transvection(cycle)
         cut = rng.randint(lo + 1, hi - 1)
         (sigma_u, phi_u), (sigma_v, phi_v) = tree(w, lo, cut), tree(w, cut, hi)
-        return sigma_u + sigma_v - fiber_sum_defect(w.space, phi_v, phi_u), phi_v @ phi_u
+        return sigma_u + sigma_v - fiber_sum_defect(phi_v, phi_u), phi_v @ phi_u
 
     nulls = 0
     for trial in range(150):

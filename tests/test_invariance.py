@@ -58,11 +58,11 @@ def move(rng: random.Random, w: MonodromyWord, kind: str,
         i = rng.randrange(len(cycles) - 1)
         a, b = cycles[i], cycles[i + 1]
         if kind == "hurwitz":
-            moved = transvection(space, b).apply(a.homology_class)
+            moved = transvection(b).apply(a.homology_class)
             cycles[i:i + 2] = [b, VanishingCycle(moved, a.chirality)]
         else:
             inverse = VanishingCycle(a.homology_class, -a.chirality)
-            moved = transvection(space, inverse).apply(b.homology_class)
+            moved = transvection(inverse).apply(b.homology_class)
             cycles[i:i + 2] = [VanishingCycle(moved, b.chirality), a]
     return MonodromyWord(w.surface, tuple(cycles)), conjugator
 

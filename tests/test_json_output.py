@@ -26,7 +26,7 @@ from lefsig.cli import (
     serialize_fibration_document,
 )
 from lefsig.cover import correction_terms
-from lefsig.symplectic import MonodromyWord, effective_dimension
+from lefsig.symplectic import MonodromyWord
 
 from .fixtures import DATA_DIR
 from .oracles import power_payload, signature_payload
@@ -49,7 +49,7 @@ def _random_word(rng: random.Random) -> MonodromyWord:
     """Small cycles of both chiralities, with null cycles, repeats and a
     cycle followed by its inverse twist (an inconsistent next step)."""
     surface = Surface(rng.randint(0, 3), rng.randint(0, 2))
-    dim = effective_dimension(surface)
+    dim = 2 * surface.half_dim
     cycles: list[VanishingCycle] = []
     for _ in range(rng.randint(0, 8)):
         roll = rng.random()
@@ -106,7 +106,7 @@ def test_power_json_matches_the_encoder(capsys, name):
     w = parse_fibration_document((DATA_DIR / name).read_text()).word
     base = signature(w).total
     for n in range(1, 61):  # n = 1 has no correction terms: "corrections": []
-        sigmas = [t.sigma for t in correction_terms(w.space, word_action(w), n)]
+        sigmas = [t.sigma for t in correction_terms(word_action(w), n)]
         expected = json.dumps(power_payload(base, n, sigmas), indent=2) + "\n"
         assert _stdout(capsys, "power", path, "--n", str(n), "--json") == expected, n
 
@@ -116,7 +116,7 @@ def test_power_json_on_random_words(capsys, tmp_path):
     for _ in range(30):
         w = _random_word(rng)
         n = rng.randint(1, 12)
-        sigmas = [t.sigma for t in correction_terms(w.space, word_action(w), n)]
+        sigmas = [t.sigma for t in correction_terms(word_action(w), n)]
         expected = json.dumps(power_payload(signature(w).total, n, sigmas), indent=2) + "\n"
         assert _stdout(capsys, "power", _write(tmp_path, w), "--n", str(n), "--json") == expected
 

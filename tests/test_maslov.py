@@ -129,16 +129,14 @@ def test_index_bounded_by_half_dimension():
 
 
 def test_defect_separating_twist_with_itself():
-    sp = SymplecticSpace(2)
-    assert fiber_sum_defect(sp, DELTA_STAR, DELTA_STAR) == 1
+    assert fiber_sum_defect(DELTA_STAR, DELTA_STAR) == 1
 
 
 def test_defect_vanishes_with_identity():
-    sp = SymplecticSpace(2)
     ident = Matrix.identity(4)
-    assert fiber_sum_defect(sp, ident, MATSUMOTO_PHI) == 0
-    assert fiber_sum_defect(sp, MATSUMOTO_PHI, ident) == 0
-    assert fiber_sum_defect(sp, ident, ident) == 0
+    assert fiber_sum_defect(ident, MATSUMOTO_PHI) == 0
+    assert fiber_sum_defect(MATSUMOTO_PHI, ident) == 0
+    assert fiber_sum_defect(ident, ident) == 0
 
 
 def test_defect_vanishes_for_inverse_pairs():
@@ -146,9 +144,8 @@ def test_defect_vanishes_for_inverse_pairs():
     for _ in range(10):
         space = SymplecticSpace(rng.choice([1, 2]))
         m = random_symplectic(rng, space)
-        assert fiber_sum_defect(space, m, symplectic_inverse(space, m)) == 0
-    assert fiber_sum_defect(
-        PLANE, BLOCK_ACTION, symplectic_inverse(PLANE, BLOCK_ACTION)) == 0
+        assert fiber_sum_defect(m, symplectic_inverse(space, m)) == 0
+    assert fiber_sum_defect(BLOCK_ACTION, symplectic_inverse(PLANE, BLOCK_ACTION)) == 0
 
 
 def test_meyer_is_negated_defect():
@@ -157,7 +154,7 @@ def test_meyer_is_negated_defect():
     for _ in range(6):
         g = random_symplectic(rng, space)
         h = random_symplectic(rng, space)
-        assert meyer_cocycle(space, g, h) == -fiber_sum_defect(space, g, h)
+        assert meyer_cocycle(g, h) == -fiber_sum_defect(g, h)
 
 
 def test_meyer_cocycle_identity():
@@ -168,18 +165,16 @@ def test_meyer_cocycle_identity():
         g = random_symplectic(rng, space)
         h = random_symplectic(rng, space)
         k = random_symplectic(rng, space)
-        lhs = meyer_cocycle(space, g, h) + meyer_cocycle(space, g @ h, k)
-        rhs = meyer_cocycle(space, g, h @ k) + meyer_cocycle(space, h, k)
+        lhs = meyer_cocycle(g, h) + meyer_cocycle(g @ h, k)
+        rhs = meyer_cocycle(g, h @ k) + meyer_cocycle(h, k)
         assert lhs == rhs
 
 
 def test_defect_requires_symplectic_inputs():
     with pytest.raises(InputError, match="phi_minus"):
-        fiber_sum_defect(PLANE, Matrix.from_rows([[2, 0], [0, 2]]),
-                         Matrix.identity(2))
+        fiber_sum_defect(Matrix.from_rows([[2, 0], [0, 2]]), Matrix.identity(2))
     with pytest.raises(InputError, match="phi_plus"):
-        fiber_sum_defect(PLANE, Matrix.identity(2),
-                         Matrix.from_rows([[1, 1], [1, 1]]))
+        fiber_sum_defect(Matrix.identity(2), Matrix.from_rows([[1, 1], [1, 1]]))
 
 
 def test_rederived_rules_match_reference():
@@ -215,7 +210,7 @@ def test_rederived_rules_match_reference():
         for k, cycle in enumerate(w.cycles, start=1):
             if cycle.is_null_homologous:
                 continue
-            triples.append(graph_triple(w.space, transvection(w.space, cycle),
+            triples.append(graph_triple(w.space, transvection(cycle),
                                         word_action(w, k - 1)))
             graph_triples += 1
     assert graph_triples >= 30
@@ -317,7 +312,7 @@ def test_meyer_form_matches_graph_triple_oracle():
             return random_symplectic(rng, space)
 
         a, b = factor(), factor()
-        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+        assert fiber_sum_defect(a, b) == reference_fiber_sum_defect(space, a, b)
     # Fraction entries: conjugates by diag(2, 1/2, ...), symplectic for J.
     # Singular Id - A: products of twists along cycles with no b_1 part,
     # which all fix a_1.
@@ -332,12 +327,12 @@ def test_meyer_form_matches_graph_triple_oracle():
                           for i, x in enumerate(halves)], space.dim)
         a, b = (diag @ random_symplectic(rng, space) @ inverse for _ in range(2))
         assert any(type(x) is Fraction for row in a.entries for x in row)
-        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
+        assert fiber_sum_defect(a, b) == reference_fiber_sum_defect(space, a, b)
         a, b = (_fixing_first_vector(rng, space) for _ in range(2))
         fixed = [row[0] for row in (Matrix.identity(space.dim) - a).entries]
         singular += not any(fixed)
-        assert fiber_sum_defect(space, a, b) == reference_fiber_sum_defect(space, a, b)
-        assert fiber_sum_defect(space, b, diag @ a @ inverse) == \
+        assert fiber_sum_defect(a, b) == reference_fiber_sum_defect(space, a, b)
+        assert fiber_sum_defect(b, diag @ a @ inverse) == \
             reference_fiber_sum_defect(space, b, diag @ a @ inverse)
     assert singular == 15
 
@@ -345,11 +340,10 @@ def test_meyer_form_matches_graph_triple_oracle():
 def test_meyer_form_self_check_fires(monkeypatch):
     """A domain that is not the kernel of [(Id - A) | (B - Id)] gives an
     asymmetric form, and the runtime check says so."""
-    space = SymplecticSpace(2)
     monkeypatch.setattr(maslov, "_int_kernel",
                         lambda rows, cols: [list(e) for e in Matrix.identity(cols).entries])
     with pytest.raises(InternalConsistencyError, match="Meyer's form"):
-        fiber_sum_defect(space, MATSUMOTO_PHI, DELTA_STAR)
+        fiber_sum_defect(MATSUMOTO_PHI, DELTA_STAR)
 
 
 def test_second_route_makes_no_symplectic_checks(monkeypatch):
@@ -358,9 +352,9 @@ def test_second_route_makes_no_symplectic_checks(monkeypatch):
     `meyer_cocycle` still check both of their inputs."""
     calls = []
 
-    def counting(space, m):
+    def counting(m):
         calls.append(m)
-        return is_symplectic(space, m)
+        return is_symplectic(m)
 
     for module in (lefsig, symplectic, maslov, engine, cover):
         monkeypatch.setattr(module, "is_symplectic", counting, raising=False)
@@ -372,9 +366,9 @@ def test_second_route_makes_no_symplectic_checks(monkeypatch):
     bad, ident = Matrix.from_rows([[2, 0], [0, 2]]), Matrix.identity(2)
     for checked in (fiber_sum_defect, meyer_cocycle):
         with pytest.raises(InputError, match="phi_minus"):
-            checked(PLANE, bad, ident)
+            checked(bad, ident)
         with pytest.raises(InputError, match="phi_plus"):
-            checked(PLANE, ident, bad)
+            checked(ident, bad)
     assert len(calls) == 6
 
 
@@ -390,7 +384,7 @@ def test_index_matches_lion_vergne_oracle():
         triples.append(tuple(_lagrangians_with_repeats(rng, space, 3)))
     for _ in range(15):
         w = random_word(rng, rng.randint(1, 3), 8, chiral_only=False)
-        triples += [graph_triple(w.space, transvection(w.space, cycle), word_action(w, k - 1))
+        triples += [graph_triple(w.space, transvection(cycle), word_action(w, k - 1))
                     for k, cycle in enumerate(w.cycles, start=1)
                     if not cycle.is_null_homologous]
     # the a-span, the b-span and the diagonal of genus 20, each moved by a random map

@@ -17,7 +17,6 @@ from lefsig import (
     word_action,
 )
 from lefsig.cover import correction_terms
-from lefsig.symplectic import SymplecticSpace
 
 from .fixtures import BLOCK_ACTION, CERTIFICATE_N1, POSITIVE_VECTORS
 
@@ -82,7 +81,7 @@ def test_certificate_holds_through_n19():
 
 
 def test_certificate_matrix_is_the_correction_matrix():
-    terms = list(correction_terms(SymplecticSpace(1), BLOCK_ACTION, 10))
+    terms = list(correction_terms(BLOCK_ACTION, 10))
     for n in (1, 2, 5, 9):
         total, _ = signature_zero_certificate(BLOCK_ACTION, n)
         term = terms[n - 1]

@@ -94,7 +94,7 @@ RANGES = [  # (field, low, high or None, call of the value and a scratch directo
     pytest.param("k", 1, 3, lambda v, _: shortcut_dual_preserved(W, v),
                  id="shortcut_dual_preserved"),
     pytest.param("n", 1, None,
-                 lambda v, _: list(correction_terms(SymplecticSpace(2), MATSUMOTO_PHI, v)),
+                 lambda v, _: list(correction_terms(MATSUMOTO_PHI, v)),
                  id="correction_terms"),
     pytest.param("n", 1, None, lambda v, _: cover_signature(0, MATSUMOTO_PHI, v),
                  id="cover_signature"),

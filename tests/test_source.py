@@ -110,8 +110,8 @@ PUBLIC_API = [
     "BLOCK_VECTORS", "CorrectionTerm", "InputError", "InternalConsistencyError",
     "Lagrangian", "LefsigError", "Matrix", "MonodromyWord", "PositiveFamilySpec",
     "SignatureTrace", "StepRecord", "Surface", "SymplecticSpace", "VanishingCycle",
-    "cover_signature", "direct_sum_lagrangian", "effective_dimension",
-    "fiber_sum_defect", "generate", "is_symplectic", "local_sigma",
+    "cover_signature", "direct_sum_lagrangian", "fiber_sum_defect", "generate",
+    "is_symplectic", "local_sigma",
     "local_sigma_via_maslov", "map_lagrangian", "maslov_index", "meyer_cocycle",
     "shortcut_dual_preserved", "signature", "signature_symmetric",
     "signature_zero_certificate", "transvection", "word", "word_action",

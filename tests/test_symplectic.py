@@ -17,7 +17,6 @@ from lefsig import (
     SymplecticSpace,
     VanishingCycle,
     direct_sum_lagrangian,
-    effective_dimension,
     is_symplectic,
     local_sigma,
     map_lagrangian,
@@ -70,8 +69,8 @@ def test_standard_form_squares_to_minus_identity():
 
 def test_dimension_ceiling_is_checked_before_allocating():
     half = MAX_DIMENSION // 2
-    assert effective_dimension(Surface(half, 0)) == MAX_DIMENSION
-    assert effective_dimension(Surface(1, half)) == MAX_DIMENSION
+    assert Surface(half, 0).half_dim == half
+    assert Surface(1, half).half_dim == half
     for genus, boundary in ((half + 1, 0), (1, half + 1), (10**20, 0), (int("9" * 4300), 3)):
         with pytest.raises(InputError, match="genus and boundary") as exc:
             Surface(genus, boundary)
@@ -134,30 +133,26 @@ def test_pairing_is_determinant_in_the_plane():
 
 
 def test_transvection_matches_known_twists():
-    sp = SymplecticSpace(1)
-    assert transvection(sp, VanishingCycle((1, 0))) == TWIST_1_0
-    assert transvection(sp, VanishingCycle((2, 5))) == TWIST_2_5
-    assert transvection(sp, VanishingCycle((1, 5))) == TWIST_1_5
+    assert transvection(VanishingCycle((1, 0))) == TWIST_1_0
+    assert transvection(VanishingCycle((2, 5))) == TWIST_2_5
+    assert transvection(VanishingCycle((1, 5))) == TWIST_1_5
 
 
 def test_transvection_separating_curve():
-    sp = SymplecticSpace(2)
-    assert transvection(sp, VanishingCycle(DELTA)) == DELTA_STAR
+    assert transvection(VanishingCycle(DELTA)) == DELTA_STAR
 
 
 def test_left_twist_inverts_right_twist():
-    sp = SymplecticSpace(2)
     for vec in [(1, 0, 0, 0), (0, 1, -1, 1), (2, 3, -1, 5)]:
-        r = transvection(sp, VanishingCycle(vec, 1))
-        l = transvection(sp, VanishingCycle(vec, -1))
+        r = transvection(VanishingCycle(vec, 1))
+        l = transvection(VanishingCycle(vec, -1))
         assert r @ l == Matrix.identity(4)
         assert l @ r == Matrix.identity(4)
 
 
 def test_transvection_fixes_its_cycle():
-    sp = SymplecticSpace(2)
     cycle = VanishingCycle((1, 2, 0, -1))
-    t = transvection(sp, cycle)
+    t = transvection(cycle)
     assert t.apply(cycle.homology_class) == cycle.homology_class
 
 
@@ -167,11 +162,10 @@ def test_transvection_fixes_its_cycle():
        st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_transvection_products_are_symplectic(vecs, chis):
-    sp = SymplecticSpace(2)
     m = Matrix.identity(4)
     for v, c in zip(vecs, chis):
-        m = transvection(sp, VanishingCycle(v, c)) @ m
-    assert is_symplectic(sp, m)
+        m = transvection(VanishingCycle(v, c)) @ m
+    assert is_symplectic(m)
 
 
 def test_is_symplectic_matches_the_product_oracle():
@@ -187,19 +181,22 @@ def test_is_symplectic_matches_the_product_oracle():
             cases += [(space, phi), (space, handle_scaled(phi))]
     bent_false = 0
     for space, m in cases:
-        assert is_symplectic(space, m) and reference_is_symplectic(space, m)
+        assert is_symplectic(m) and reference_is_symplectic(space, m)
         for _ in range(3):
             rows = m.to_lists()
             rows[rng.randrange(space.dim)][rng.randrange(space.dim)] += rng.choice(
                 [1, -1, Fraction(1, 2)])
             bent = Matrix(rows, space.dim)
-            assert is_symplectic(space, bent) == reference_is_symplectic(space, bent)
-            bent_false += not is_symplectic(space, bent)
+            assert is_symplectic(bent) == reference_is_symplectic(space, bent)
+            bent_false += not is_symplectic(bent)
     assert bent_false > 0
-    assert is_symplectic(SymplecticSpace(0), Matrix.identity(0))
-    for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
-              Matrix.zeros(0, 0), Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
-        assert not is_symplectic(standard, m) and not reference_is_symplectic(standard, m)
+    # the space is the size: an identity of every even size is symplectic, a
+    # matrix that is not square of even size is not
+    for m in (Matrix.identity(0), Matrix.identity(2), Matrix.identity(6), Matrix.zeros(0, 0)):
+        assert is_symplectic(m) and reference_is_symplectic(SymplecticSpace(m.rows // 2), m)
+    for m in (Matrix.zeros(4, 2), Matrix.zeros(2, 4), Matrix.identity(3),
+              Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
+        assert not is_symplectic(m) and not reference_is_symplectic(standard, m)
 
 
 def test_gram_matches_the_per_vector_oracle():
@@ -281,7 +278,7 @@ def test_word_action_block():
 
 def test_word_action_matsumoto():
     assert word_action(matsumoto_word()) == MATSUMOTO_PHI
-    assert is_symplectic(SymplecticSpace(2), MATSUMOTO_PHI)
+    assert is_symplectic(MATSUMOTO_PHI)
 
 
 def test_cold_word_action_on_ten_thousand_cycles():
@@ -293,7 +290,7 @@ def test_cold_word_action_on_ten_thousand_cycles():
 
 def random_word(rng, surface, n, spread=2):
     """n random cycles of both chiralities, one of them null-homologous."""
-    dim = effective_dimension(surface)
+    dim = 2 * surface.half_dim
     vecs = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(n)]
     vecs[rng.randrange(n)] = [0] * dim
     chis = [1, -1] + [rng.choice([1, -1]) for _ in range(n - 2)]
@@ -302,7 +299,7 @@ def random_word(rng, surface, n, spread=2):
 
 
 def oracle_prefixes(w):
-    dim = effective_dimension(w.surface)
+    dim = 2 * w.surface.half_dim
     oracle = dense_prefix_actions([c.homology_class for c in w.cycles],
                                   [c.chirality for c in w.cycles], dim)
     return [Matrix.from_rows(phi, cols=dim) for phi in oracle]
@@ -354,13 +351,13 @@ def test_prefix_sweep_yields_each_prefix_action_and_its_spanned_rows():
     assert all(n >= 10 for n in seen.values()), seen
 
 
-def test_effective_dimension_table():
-    assert effective_dimension(Surface(1, 1)) == 2
-    assert effective_dimension(Surface(2, 0)) == 4
-    assert effective_dimension(Surface(1, 2)) == 4
-    assert effective_dimension(Surface(0, 1)) == 0
-    assert effective_dimension(Surface(0, 0)) == 0
-    assert effective_dimension(Surface(0, 3)) == 4
+def test_half_dim_table():
+    assert Surface(1, 1).half_dim == 1
+    assert Surface(2, 0).half_dim == 2
+    assert Surface(1, 2).half_dim == 2
+    assert Surface(0, 1).half_dim == 0
+    assert Surface(0, 0).half_dim == 0
+    assert Surface(0, 3).half_dim == 2
 
 
 def test_word_rejects_wrong_vector_length():
