@@ -15,6 +15,7 @@ of B vanish; the cover route then reproduces n * sigma(block) with no loss.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 
 from ._record import _Record, _setattr
@@ -65,7 +66,7 @@ def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:
     determinant, hence signature 0; the verdict is a proof, not a numeric
     estimate.
     """
-    _require_range("n", n, 1)
+    _require_range("n", n, 1, sys.maxsize)
     if b.rows != 2 or b.cols != 2:
         raise InputError("certificate applies to 2x2 matrices")
     if not all(b.at(i, j) > 0 for i in range(2) for j in range(2)):

@@ -11,14 +11,14 @@ fraction-free: they clear denominators, run on Python ints and bring in a
 Fraction only when a result is read out.  A deterministic first-nonzero pivot
 rule keeps every witness reproducible.  Dimensions reach the fiber ceiling of 1000.
 
-Every elimination is one forward pass, `_int_echelon`, read three ways:
+Every elimination is one forward pass, `_int_echelon`, read two ways:
 `_int_solve` (the engine's step) back-substitutes x = n / D over one positive
-denominator D, `rank` counts pivots, and `_int_rref` clears each pivot column
-upwards for `_int_kernel` (Meyer's form), which scales each kernel vector by
-a positive lcm, and the `Lagrangian` constructor, which divides each pivot
-row by its content.  A quotient read out is an int exactly when it is
-integral.  A solve is inconsistent exactly when b's column takes a pivot.
-The congruence in `signature_symmetric` updates only the live trailing block.
+denominator D, and `_int_rref` clears each pivot column upwards for
+`_int_kernel` (Meyer's form), which scales each kernel vector by a positive
+lcm, and the `Lagrangian` constructor, which divides each pivot row by its
+content.  A quotient read out is an int exactly when it is integral.  A
+solve is inconsistent exactly when b's column takes a pivot.  The congruence
+in `signature_symmetric` updates only the live trailing block.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def as_rational(x: Scalar) -> Rational:
 
 
 def _as_tuple(v: Iterable) -> tuple:
-    """tuple(v) of a caller's vector; a str or a non-iterable is refused."""
+    """tuple(v) of a caller's vector or container of vectors; a str or a
+    non-iterable is refused."""
     if isinstance(v, str) or not hasattr(type(v), "__iter__"):
         raise InputError(f"expected a vector, got {_show(v)}")
     return tuple(v)
@@ -92,11 +93,11 @@ class Matrix(_Record):
 
     def __init__(self, entries: Sequence[Sequence[Rational]], cols: int) -> None:
         _require_range("cols", cols, 0)
-        entries = tuple(map(_as_tuple, entries))
+        entries = tuple(map(_as_tuple, _as_tuple(entries)))
         for row in entries:
             if len(row) != cols:
                 raise InputError(
-                    f"ragged matrix: row of length {len(row)}, expected {cols}"
+                    f"ragged matrix: row of length {len(row)}, expected {_show(cols)}"
                 )
             if not _EXACT.issuperset(map(type, row)):
                 raise InputError("matrix entries must be ints or Fractions; use Matrix.from_rows")
@@ -115,7 +116,7 @@ class Matrix(_Record):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
-        data = tuple(map(as_vector, rows))
+        data = tuple(map(as_vector, _as_tuple(rows)))
         if cols is None:
             if not data:
                 raise InputError("cannot infer column count of an empty matrix")
@@ -124,13 +125,13 @@ class Matrix(_Record):
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        _require_range("n", n, 0)
+        _require_range("n", n, 0, sys.maxsize)
         return Matrix._exact(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        _require_range("rows", rows, 0)
-        _require_range("cols", cols, 0)
+        _require_range("rows", rows, 0, sys.maxsize)
+        _require_range("cols", cols, 0, sys.maxsize)
         return Matrix._exact(((0,) * cols,) * rows, cols)
 
     @property
@@ -142,9 +143,6 @@ class Matrix(_Record):
 
     def at(self, i: int, j: int) -> Rational:
         return self.entries[i][j]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix._exact(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols,
@@ -164,31 +162,10 @@ class Matrix(_Record):
             self.cols,
         )
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._exact(tuple(tuple(-a for a in row) for row in self.entries), self.cols)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        f = as_rational(c)
-        return Matrix._exact(tuple(tuple(f * a for a in row) for row in self.entries), self.cols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix._exact(_product(self.entries, other.transpose().entries), other.cols)
-
-    def apply(self, v: Sequence[Scalar]) -> Vector:
-        x = as_vector(v)
-        if len(x) != self.cols:
-            raise InputError(f"vector of length {len(x)} against {self.rows}x{self.cols}")
-        return tuple(vec_dot(row, x) for row in self.entries)
-
-    def block_diag(self, other: "Matrix") -> "Matrix":
-        top = tuple(row + (0,) * other.cols for row in self.entries)
-        bot = tuple((0,) * self.cols + row for row in other.entries)
-        return Matrix._exact(top + bot, self.cols + other.cols)
-
-    def to_lists(self) -> list[list[Rational]]:
-        return [list(row) for row in self.entries]
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -313,13 +290,6 @@ def _int_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
     return kernel
 
 
-def particular_solution(rows: list[list[int]], cols: int) -> Vector | None:
-    """`_int_solve` of the int rows [A | b], reduced in place, read out as
-    quotients n / D: each entry an int exactly when it is integral."""
-    solved = _int_solve(rows, cols)
-    return None if solved is None else tuple(_divide(solved[1], solved[0]))
-
-
 def _swap_sym(m: list[list[Rational]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
     for row in m:
@@ -383,7 +353,3 @@ def signature_symmetric(s: Matrix) -> int:
 
 def sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
-
-
-def rank(a: Matrix) -> int:
-    return len(_int_echelon([clear_denominators(row)[1] for row in a.entries])[1])

@@ -24,6 +24,7 @@ callers (`word_action`, `engine.local_sigma`).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd
@@ -76,6 +77,7 @@ class SymplecticSpace(_Record):
              vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
         """Rows (Q(u, v) for v in vs) for u in us: J v once per v, then each
         entry one C-level sum of products of u and J v."""
+        us, vs = _as_tuple(us), _as_tuple(vs)
         if bad := {*map(len, us), *map(len, vs)} - {self.dim}:
             raise InputError(f"gram of a vector of length {min(bad)} in dimension {self.dim}")
         jvs = [_apply_form(v) for v in vs]
@@ -166,25 +168,20 @@ class MonodromyWord(_Record):
         return tuple(prefix_sweep(self.space, self.cycles))
 
     def repeated(self, n: int) -> "MonodromyWord":
-        _require_range("n", n, 1)
+        _require_range("n", n, 1, sys.maxsize)
         return MonodromyWord(self.surface, self.cycles * n)
-
-    def subword(self, start: int, stop: int) -> "MonodromyWord":
-        _require_range("start", start, 0, len(self))
-        _require_range("stop", stop, start, len(self))
-        return MonodromyWord(self.surface, self.cycles[start:stop])
 
 
 def word(surface: Surface, vectors: Sequence[Sequence[int]],
          chiralities: Sequence[int] | None = None) -> MonodromyWord:
     """Convenience constructor from raw integer vectors."""
-    if chiralities is None:
-        chiralities = [1] * len(vectors)
+    vectors = _as_tuple(vectors)
+    chiralities = (1,) * len(vectors) if chiralities is None else _as_tuple(chiralities)
     if len(chiralities) != len(vectors):
         raise InputError("one chirality per cycle required")
     return MonodromyWord(
         surface,
-        tuple(VanishingCycle(tuple(v), c) for v, c in zip(vectors, chiralities)),
+        tuple(VanishingCycle(v, c) for v, c in zip(vectors, chiralities)),
     )
 
 
@@ -297,7 +294,7 @@ class Lagrangian(_Record):
     _fields = ("space", "basis")
 
     def __init__(self, space: SymplecticSpace, basis: Iterable[Sequence[Scalar]]) -> None:
-        rows = [clear_denominators(as_vector(v))[1] for v in basis]
+        rows = [clear_denominators(as_vector(v))[1] for v in _as_tuple(basis)]
         if bad := [r for r in rows if len(r) != space.dim]:
             raise InputError(f"vector of length {len(bad[0])} in ambient dimension {space.dim}")
         basis = tuple(tuple(x // g for x in r) for r, g in
@@ -310,10 +307,6 @@ class Lagrangian(_Record):
             raise InputError("spanning set is not isotropic")
         _setattr(self, "space", space)
         _setattr(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def map_lagrangian(m: Matrix, lag: Lagrangian) -> Lagrangian:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
 from pathlib import Path
 
 from lefsig import (
@@ -98,10 +97,20 @@ def random_symplectic(rng: random.Random, space: SymplecticSpace,
     return m
 
 
+def block_sum(*blocks: Matrix) -> Matrix:
+    """The block-diagonal matrix of the blocks, in order."""
+    cols = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows += [(0,) * left + row + (0,) * (cols - left - b.cols) for row in b.entries]
+        left += b.cols
+    return Matrix(rows, cols)
+
+
 def handle_scaled(phi: Matrix) -> Matrix:
     """phi conjugated by diag(2, 1/2) on each handle: symplectic for the
     standard form when phi is, with rational entries, and the same covers."""
-    scale, unscale = (reduce(Matrix.block_diag, [Matrix.from_rows(m)] * (phi.rows // 2))
+    scale, unscale = (block_sum(*[Matrix.from_rows(m)] * (phi.rows // 2))
                       for m in ([[2, 0], [0, Fraction(1, 2)]], [[Fraction(1, 2), 0], [0, 2]]))
     return unscale @ phi @ scale
 
@@ -109,7 +118,7 @@ def handle_scaled(phi: Matrix) -> Matrix:
 def random_lagrangian(rng: random.Random, space: SymplecticSpace) -> Lagrangian:
     """Image of the span of a_1, ..., a_G under a random symplectic map."""
     m = random_symplectic(rng, space)
-    basis = [m.column(2 * i) for i in range(space.half_dim)]
+    basis = m.transpose().entries[0::2]
     return Lagrangian(space, basis)
 
 

@@ -95,7 +95,7 @@ def span_basis(vectors, dim: int) -> tuple[Vector, ...]:
 def kernel_basis(a: Matrix) -> tuple[Vector, ...]:
     """Basis of the right kernel of A, one vector per free column f: 1 at f,
     minus the RREF's column f at the pivot columns, 0 elsewhere."""
-    reduced, pivots = fraction_rref(a.to_lists())
+    reduced, pivots = fraction_rref(a.entries)
     kernel = []
     for f in sorted(set(range(a.cols)) - set(pivots)):
         v = [Fraction(int(j == f)) for j in range(a.cols)]
@@ -125,10 +125,12 @@ def charpoly(m: Matrix) -> list[Fraction]:
     n = m.rows
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    mk = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
+    mk = m
     for k in range(1, n + 1):
-        mk = m @ (mk + ident.scale(coeffs[n - k + 1])) if k > 1 else m
+        if k > 1:  # M_k = M (M_{k-1} + c_{n-k+1} I)
+            c = coeffs[n - k + 1]
+            mk = m @ Matrix([[x + c * (i == j) for j, x in enumerate(row)]
+                             for i, row in enumerate(mk.entries)], n)
         trace = sum((mk.at(i, i) for i in range(n)), Fraction(0))
         coeffs[n - k] = -trace / k
     return coeffs
@@ -184,7 +186,7 @@ def fraction_signature_symmetric(s: Matrix) -> int:
     complement of its diagonal pivot and counts the pivot's sign; a vanishing
     trailing diagonal gets a manufactured pivot by a row+column addition."""
     assert s == s.transpose()
-    return congruence_signature(s.to_lists())
+    return congruence_signature([list(row) for row in s.entries])
 
 
 def congruence_signature(m: list[list]) -> int:
@@ -364,7 +366,8 @@ def reference_shortcut_dual_preserved(word: MonodromyWord, k: int) -> bool:
     space = word.space
     fixed = word_action(word, k - 1) - Matrix.identity(space.dim)
     # Q(gamma, y) = gamma^T J y = -(J gamma)^T y as a functional of y
-    pairing_row = tuple(-x for x in space.form.apply(word.cycles[k - 1].homology_class))
+    pairing_row = tuple(-vec_dot(row, word.cycles[k - 1].homology_class)
+                        for row in space.form.entries)
     stacked = Matrix(fixed.entries + (pairing_row,), space.dim)
     rows = [list(row) + [int(i == space.dim)] for i, row in enumerate(stacked.entries)]
     return fraction_solve(rows, space.dim) is not None
@@ -387,7 +390,7 @@ def reference_gram(space: SymplecticSpace, us, vs) -> tuple[tuple, ...]:
 
 def reference_matmul(a: Matrix, b: Matrix) -> tuple[tuple, ...]:
     """The entries of a @ b, each one `vec_dot` of a row and a column."""
-    columns = [b.column(j) for j in range(b.cols)]
+    columns = b.transpose().entries
     return tuple(tuple(vec_dot(row, col) for col in columns) for row in a.entries)
 
 

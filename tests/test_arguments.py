@@ -8,10 +8,13 @@ one of odd size and one that is not symplectic, and checks the
 The pairs also refuse two sizes, and a size past the fiber ceiling is the
 range rule's refusal, as for `SymplecticSpace`.  A vector is read through
 `ratlinalg.as_vector`'s rule: a str or a non-iterable is an `InputError`,
-never a bare `TypeError` or one entry per character.
+never a bare `TypeError` or one entry per character.  A caller's container
+of vectors follows the same rule, and a count that no sequence can hold (past
+`sys.maxsize`) is the range rule's refusal, not a bare `OverflowError`.
 """
 
 import json
+import re
 import sys
 
 import pytest
@@ -19,18 +22,23 @@ import pytest
 from lefsig import (
     Lagrangian,
     Matrix,
+    Surface,
     SymplecticSpace,
     VanishingCycle,
     cover_signature,
     fiber_sum_defect,
     is_symplectic,
     meyer_cocycle,
+    signature_zero_certificate,
     symplectic,
     transvection,
+    word,
 )
 from lefsig.cli import main
 from lefsig.cover import correction_terms
 from lefsig.errors import InputError
+
+from .fixtures import BLOCK_ACTION
 
 I0, I2, I4 = Matrix.identity(0), Matrix.identity(2), Matrix.identity(4)
 NOT_SYMPLECTIC = [Matrix.zeros(2, 4), Matrix.zeros(4, 2), Matrix.identity(3),
@@ -93,11 +101,11 @@ def test_a_size_past_the_fiber_ceiling_follows_the_range_rule(monkeypatch):
 VECTOR_ARGUMENTS = [  # (the refused vector, call); each died with a bare TypeError or misread it
     pytest.param("1", lambda: Lagrangian(SymplecticSpace(2), (1, 0, 0, 0)), id="Lagrangian.flat"),
     pytest.param("1", lambda: Matrix((1, 2), 2), id="Matrix"),
-    pytest.param("5", lambda: I2.apply(5), id="apply.int"),
+    pytest.param("5", lambda: word(Surface(1, 0), [5]), id="word.int"),
     pytest.param("5", lambda: VanishingCycle(5), id="VanishingCycle"),
     pytest.param("'10'", lambda: Lagrangian(SymplecticSpace(1), ["10"]), id="Lagrangian.str"),
     pytest.param("'12'", lambda: Matrix.from_rows(["12", "34"]), id="from_rows"),
-    pytest.param("'12'", lambda: I2.apply("12"), id="apply.str"),
+    pytest.param("'12'", lambda: word(Surface(1, 0), ["12"]), id="word.str"),
 ]
 
 
@@ -108,7 +116,43 @@ def test_a_vector_that_is_a_str_or_no_iterable_is_refused(shown, call):
     assert str(exc.value) == f"expected a vector, got {shown}"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                    reason="no int-to-str digit limit")
+HUGE_COLS = "ragged matrix: row of length {}, expected <16610-bit integer>"
+
+BARE_ERRORS = [  # (call, the refusal as a regular expression); each died with a bare error
+    pytest.param(lambda: Matrix.from_rows(5), "expected a vector, got 5", id="from_rows"),
+    pytest.param(lambda: Matrix(5, 2), "expected a vector, got 5", id="Matrix"),
+    pytest.param(lambda: Lagrangian(SymplecticSpace(1), 5), "expected a vector, got 5",
+                 id="Lagrangian"),
+    pytest.param(lambda: word(Surface(1, 0), 5), "expected a vector, got 5", id="word.vectors"),
+    pytest.param(lambda: word(Surface(1, 0), [[1, 0]], 5), "expected a vector, got 5",
+                 id="word.chiralities"),
+    pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], 5), "expected a vector, got 5",
+                 id="gram"),
+    pytest.param(lambda: signature_zero_certificate(BLOCK_ACTION, 10**5000),
+                 rf"n .+ out of range 1\.\.{sys.maxsize}", id="signature_zero_certificate"),
+    pytest.param(lambda: word(Surface(1, 0), [[1, 0]]).repeated(10**30),
+                 rf"n {10**30} out of range 1\.\.{sys.maxsize}", id="repeated"),
+    pytest.param(lambda: Matrix.identity(10**30), rf"n {10**30} out of range 0\.\.{sys.maxsize}",
+                 id="identity"),
+    pytest.param(lambda: Matrix.zeros(10**30, 0),
+                 rf"rows {10**30} out of range 0\.\.{sys.maxsize}", id="zeros"),
+    pytest.param(lambda: Matrix(((1, 0), (0, 1)), 10**5000), HUGE_COLS.format(2),
+                 id="Matrix.cols", marks=NO_DIGIT_LIMIT),
+    pytest.param(lambda: Matrix.from_rows([[1]], 10**5000), HUGE_COLS.format(1),
+                 id="from_rows.cols", marks=NO_DIGIT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("call, refusal", BARE_ERRORS)
+def test_a_container_or_count_is_refused_not_a_bare_error(call, refusal):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert re.fullmatch(refusal, str(exc.value)), str(exc.value)
+
+
+@NO_DIGIT_LIMIT
 def test_a_literal_past_the_digit_limit_is_named_not_echoed(tmp_path, capsys):
     doc = tmp_path / "pair.json"
     doc.write_text(json.dumps({"dimension": 2, "matrices": [[["1" * 5000, 0], [0, 1]], [

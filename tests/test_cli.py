@@ -208,7 +208,7 @@ def test_maslov_axioms_on_a_graph_triple_in_dimension_eight(capsys, tmp_path):
     def swap(y):
         return [y[i ^ 1] for i in range(n)]
 
-    cols_later, cols_earlier = (word_action(word(surface, w)).transpose().to_lists()
+    cols_later, cols_earlier = ([list(c) for c in word_action(word(surface, w)).transpose().entries]
                                 for w in (later, earlier))
     triple = [[unit[i] + swap(cols_later[i]) for i in range(n)],
               [unit[i] + swap(unit[i]) for i in range(n)],

@@ -10,15 +10,15 @@ dependent rows, inconsistent right-hand sides, entries near 10^30, and 0-row
 and 0-column shapes.
 
 Every quotient the library reads out is an int exactly when it is integral:
-`particular_solution` and the engine's witnesses follow one type rule,
-whatever the pivots were.
+`_divide` of the solve's (D, n) and the engine's witnesses follow one type
+rule, whatever the pivots were.
 """
 
 import random
 from fractions import Fraction
 
 from lefsig import Surface, signature, word
-from lefsig.ratlinalg import _int_echelon, _int_rref, _int_solve, particular_solution
+from lefsig.ratlinalg import _divide, _int_echelon, _int_rref, _int_solve
 
 from .oracles import fraction_rref, fraction_solve
 
@@ -90,10 +90,13 @@ def test_read_out_quotients_are_ints_exactly_when_integral():
     integral_fraction_pivot = 0
     for _ in range(400):
         rows, cols = _system(rng)
-        got = particular_solution([list(r) for r in rows], cols)
-        assert got == fraction_solve(rows, cols)
-        if got is None:
+        solved = _int_solve([list(r) for r in rows], cols)
+        want = fraction_solve(rows, cols)
+        if solved is None:
+            assert want is None
             continue
+        got = _divide(solved[1], solved[0])
+        assert tuple(got) == want
         assert _canonical(got)
         # an integral entry behind a non-unit pivot: once a Fraction(2, 1)
         reduced, pivots = _int_echelon([list(r) for r in rows])

@@ -24,6 +24,7 @@ from lefsig import (
     word_action,
 )
 from lefsig.engine import _contribution, _steps
+from lefsig.ratlinalg import vec_dot
 
 from .fixtures import (
     FIXTURE_WORDS,
@@ -121,7 +122,8 @@ def test_trace_internal_consistency():
             assert s.index == k
             assert s.cumulative_action == word_action(w, k)
             if s.witness is not None:
-                lhs = (Matrix.identity(w.space.dim) - s.cumulative_action).apply(s.witness)
+                fixed = Matrix.identity(w.space.dim) - s.cumulative_action
+                lhs = tuple(vec_dot(row, s.witness) for row in fixed.entries)
                 assert lhs == s.cycle.homology_class
 
 
@@ -256,8 +258,8 @@ def test_split_check_and_additivity():
     assert word_action(w) == Matrix.identity(4)
     total = signature(w).total
     for split in (0, 4, 11, 20, 40):
-        prefix = w.subword(0, split)
-        suffix = w.subword(split, len(w))
+        prefix = MonodromyWord(w.surface, w.cycles[:split])
+        suffix = MonodromyWord(w.surface, w.cycles[split:])
         assert signature(prefix).total + signature(suffix).total == total
 
 
@@ -269,8 +271,8 @@ def test_split_defect_formula():
         w = random_word(rng, rng.choice([1, 2]), 7, chiral_only=False)
         full = signature(w).total
         for split in range(len(w) + 1):
-            prefix = w.subword(0, split)
-            suffix = w.subword(split, len(w))
+            prefix = MonodromyWord(w.surface, w.cycles[:split])
+            suffix = MonodromyWord(w.surface, w.cycles[split:])
             defect = fiber_sum_defect(word_action(suffix), word_action(prefix))
             assert full == signature(prefix).total + signature(suffix).total - defect
 

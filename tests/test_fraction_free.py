@@ -13,14 +13,15 @@ from fractions import Fraction
 from lefsig import ratlinalg
 from lefsig.ratlinalg import (
     Matrix,
+    _divide,
+    _int_solve,
     clear_denominators,
-    particular_solution,
-    rank,
     signature_symmetric,
+    vec_dot,
 )
 from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_sweep
 
-from .fixtures import random_lagrangian
+from .fixtures import block_sum, random_lagrangian
 from .oracles import (
     fraction_rref,
     fraction_signature_symmetric,
@@ -78,8 +79,8 @@ def _step_matrices(rng: random.Random) -> list[Matrix]:
 def _rhs(rng: random.Random, a: Matrix) -> list:
     """A random b, and one in the column space of A so some solves succeed."""
     free = [_entry(rng, "frac") for _ in range(a.rows)]
-    inside = a.apply([rng.randint(-3, 3) for _ in range(a.cols)])
-    return [free, list(inside)]
+    x = [rng.randint(-3, 3) for _ in range(a.cols)]
+    return [free, [vec_dot(row, x) for row in a.entries]]
 
 
 def _assert_rref_matches(rows: list[list]) -> None:
@@ -105,19 +106,19 @@ def test_integer_kernel_matches_fraction_oracle():
         # cleared, which leaves the solution as it is
         for b in rhs:
             system = [list(row) + [y] for row, y in zip(a.entries, b)]
-            cleared = [clear_denominators(row)[1] for row in system]
-            assert particular_solution(cleared, a.cols) == fraction_solve(system, a.cols), a
-        # the int readers: Meyer's kernel is the RREF kernel with each vector's
-        # denominators cleared, and rank counts the Fraction elimination's pivots
+            solved = _int_solve([clear_denominators(row)[1] for row in system], a.cols)
+            want = fraction_solve(system, a.cols)
+            assert (None if solved is None else tuple(_divide(solved[1], solved[0]))) == want, a
+        # the int reader of Meyer's kernel: the RREF kernel with each vector's
+        # denominators cleared
         rows = [clear_denominators(row)[1] for row in a.entries]
         assert ratlinalg._int_kernel(rows, a.cols) == \
             [clear_denominators(v)[1] for v in kernel_basis(a)], a
-        assert rank(a) == len(fraction_rref(a.to_lists())[1])
         aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a.entries)]
         _assert_rref_matches(aug)
         limit = rng.randint(0, a.cols)  # a leading block of columns
         _assert_rref_matches([row[:limit] for row in aug])
-        _assert_rref_matches(a.to_lists())
+        _assert_rref_matches(a.entries)
 
 
 def _random_symmetric(rng: random.Random, n: int) -> Matrix:
@@ -131,7 +132,7 @@ def _random_symmetric(rng: random.Random, n: int) -> Matrix:
             m[i][i] = 0
     if rng.random() < 0.2:  # negative definite: every pivot is negative
         a = Matrix([[_entry(rng, "int") or 1 for _ in range(n)] for _ in range(n)], n)
-        return -(a.transpose() @ a + Matrix.identity(n))
+        return Matrix.zeros(n, n) - (a.transpose() @ a + Matrix.identity(n))
     return Matrix(m, n)
 
 
@@ -166,12 +167,11 @@ def _zero_column_cases(rng: random.Random) -> list[Matrix]:
     for _ in range(40):
         left = _random_symmetric(rng, rng.randint(1, 4))
         right = _random_symmetric(rng, rng.randint(1, 4))
-        cases.append(left.block_diag(right))
+        cases.append(block_sum(left, right))
         diag = [rng.choice((1, 1, -1, 2, -2, 3)) for _ in range(rng.randint(1, 5))]
         cases.append(Matrix([[x if i == j else 0 for j in range(len(diag))]
                              for i, x in enumerate(diag)], len(diag)))
-    cases += [Matrix(rows, len(rows)).block_diag(Matrix(rows, len(rows)))
-              for rows in MANUFACTURED]
+    cases += [block_sum(Matrix(rows, len(rows)), Matrix(rows, len(rows))) for rows in MANUFACTURED]
     cases += [_kashiwara_form(rng, rng.randint(1, 3)) for _ in range(30)]
     return cases
 
@@ -183,5 +183,7 @@ def test_bareiss_congruence_matches_oracles():
     cases += _zero_column_cases(rng)
     for s in cases:
         sig = signature_via_charpoly(s)
-        for t, want in ((s, sig), (-s, -sig), (s.scale(Fraction(-5, 3)), -sig)):
+        negated = Matrix.zeros(s.rows, s.cols) - s
+        scaled = Matrix([[Fraction(-5, 3) * x for x in row] for row in s.entries], s.cols)
+        for t, want in ((s, sig), (negated, -sig), (scaled, -sig)):
             assert signature_symmetric(t) == fraction_signature_symmetric(t) == want, t

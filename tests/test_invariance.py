@@ -32,6 +32,7 @@ from lefsig import (
     word_action,
 )
 from lefsig.cli import parse_fibration_document
+from lefsig.ratlinalg import vec_dot
 
 from .fixtures import DATA_DIR, random_symplectic, random_word
 
@@ -47,7 +48,8 @@ def move(rng: random.Random, w: MonodromyWord, kind: str,
     space = w.space
     if kind == "conjugate":
         m = random_symplectic(rng, space, twists=2, spread=1)
-        cycles = [VanishingCycle(m.apply(c.homology_class), c.chirality) for c in cycles]
+        cycles = [VanishingCycle([vec_dot(row, c.homology_class) for row in m.entries],
+                                 c.chirality) for c in cycles]
         conjugator = m @ conjugator
     elif kind == "cancel":
         g = tuple(rng.randint(-2, 2) for _ in range(space.dim))
@@ -58,11 +60,11 @@ def move(rng: random.Random, w: MonodromyWord, kind: str,
         i = rng.randrange(len(cycles) - 1)
         a, b = cycles[i], cycles[i + 1]
         if kind == "hurwitz":
-            moved = transvection(b).apply(a.homology_class)
+            moved = [vec_dot(row, a.homology_class) for row in transvection(b).entries]
             cycles[i:i + 2] = [b, VanishingCycle(moved, a.chirality)]
         else:
             inverse = VanishingCycle(a.homology_class, -a.chirality)
-            moved = transvection(inverse).apply(b.homology_class)
+            moved = [vec_dot(row, b.homology_class) for row in transvection(inverse).entries]
             cycles[i:i + 2] = [VanishingCycle(moved, b.chirality), a]
     return MonodromyWord(w.surface, tuple(cycles)), conjugator
 

@@ -23,6 +23,7 @@ from lefsig import (
 )
 import lefsig
 from lefsig import cover, engine, maslov, symplectic
+from lefsig.ratlinalg import vec_dot
 from lefsig.symplectic import (
     VanishingCycle,
     direct_sum_lagrangian,
@@ -196,7 +197,7 @@ def test_rederived_rules_match_reference():
             for i in range(space.half_dim):
                 v = [0] * space.dim
                 v[2 * i: 2 * i + 2] = rng.choice(lines)
-                vectors.append(g.apply(v))
+                vectors.append([vec_dot(row, v) for row in g.entries])
             return Lagrangian(space, vectors)
 
         a, b, c = block_lagrangian(), block_lagrangian(), block_lagrangian()

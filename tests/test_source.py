@@ -15,7 +15,11 @@ The scripts in `scripts/` are the package's own callers; an import of a
 third-party module there would make a dependency the package does not declare.
 
 `lefsig.__all__` is pinned so that a name deleted from a module cannot linger
-as a stale export, and a new public name is a deliberate edit here.
+as a stale export, and a new public name is a deliberate edit here.  So are
+the public names `lefsig.ratlinalg` defines and the public attributes of
+`Matrix`, `MonodromyWord` and `Lagrangian`, operator methods included: an entry
+point that nothing outside the tests calls is gone, and it cannot come back
+unnoticed.
 
 Every annotation in the package resolves: with postponed evaluation an
 annotation naming a module that is imported only inside a function reads fine
@@ -30,6 +34,7 @@ import typing
 from pathlib import Path
 
 import lefsig
+from lefsig import Lagrangian, Matrix, MonodromyWord
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "lefsig").glob("*.py"))
@@ -121,6 +126,42 @@ PUBLIC_API = [
 def test_public_api_is_pinned_and_resolves():
     assert sorted(lefsig.__all__) == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(lefsig, name)] == []
+
+
+RATLINALG_API = [
+    "Matrix", "Rational", "Scalar", "Vector", "as_rational", "as_vector", "clear_denominators",
+    "sign", "signature_symmetric", "vec_dot",
+]
+CLASS_API = {
+    Matrix: ["__add__", "__init__", "__matmul__", "__sub__", "at", "from_rows", "identity",
+             "is_square", "rows", "transpose", "zeros"],
+    MonodromyWord: ["__init__", "__len__", "repeated", "space"],
+    Lagrangian: ["__init__"],
+}
+
+
+def _defined_names(path: Path) -> list[str]:
+    """The names a module's top level defines or assigns, not those it imports."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_ratlinalg_names_and_class_attributes_are_pinned():
+    module = ROOT / "src" / "lefsig" / "ratlinalg.py"
+    public = [n for n in _defined_names(module) if not n.startswith("_")]
+    assert [n for n in public if not hasattr(lefsig.ratlinalg, n)] == []
+    found = {f"ratlinalg.{n}" for n in public}
+    pinned = {f"ratlinalg.{n}" for n in RATLINALG_API}
+    for cls, names in CLASS_API.items():
+        found |= {f"{cls.__name__}.{n}" for n, v in vars(cls).items()
+                  if n[0] != "_" or n.endswith("__") and inspect.isfunction(v)}
+        pinned |= {f"{cls.__name__}.{n}" for n in names}
+    assert (sorted(found - pinned), sorted(pinned - found)) == ([], [])
 
 
 def _annotated_functions():

@@ -6,9 +6,9 @@ takes Phi_k from `oracles.dense_prefix_actions`, reduces [Id - Phi_k | gamma_k]
 over Fractions with `oracles.fraction_solve`, and signs 1 + c * gamma^T J x
 with J written out densely.  The words mix left twists, null cycles, repeated
 cycles and cancelling pairs, so rank-deficient and inconsistent steps occur.
-The step's right-hand-column readout (`particular_solution`) must also equal
-the oracle's, down to the type of each entry: an int exactly where it is
-integral.
+The step's right-hand-column readout (`_int_solve`'s (D, n), `_divide`d) must
+also equal the oracle's, down to the type of each entry: an int exactly where
+it is integral.
 """
 
 import random
@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from lefsig import InputError, Matrix, SymplecticSpace, Surface, signature, word
-from lefsig.ratlinalg import particular_solution
+from lefsig.ratlinalg import _divide, _int_solve, vec_dot
 
 from .oracles import dense_prefix_actions, fraction_rref, fraction_solve, standard_form
 
@@ -85,8 +85,9 @@ def test_integer_step_matches_fraction_reference():
             assert (step.solvable, step.sigma, step.witness) == want, (vectors, chiralities)
             a = [[int(i == j) - phi[i][j] for j in range(dim)] for i in range(dim)]
             system = [row + [x] for row, x in zip(a, g)]
-            assert repr(particular_solution([list(r) for r in system], dim)) == repr(
-                _read_out(fraction_solve(system, dim))), (vectors, chiralities)
+            solved = _int_solve([list(r) for r in system], dim)
+            got = None if solved is None else tuple(_divide(solved[1], solved[0]))
+            assert repr(got) == repr(_read_out(fraction_solve(system, dim))), (vectors, chiralities)
             kinds["unsolvable"] += not step.solvable
             kinds["null"] += not any(g)
             kinds["left"] += c == -1
@@ -102,7 +103,7 @@ def _unimodular(rng: random.Random, dim: int) -> Matrix:
     for _ in range(3 * dim):
         i, j = rng.sample(range(dim), 2)
         t = rng.choice((1, -1, 2))
-        rows = m.to_lists()
+        rows = list(m.entries)
         rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
         m = Matrix(rows, dim)
     return m
@@ -123,7 +124,7 @@ def test_pairing_matches_dense_form_on_non_standard_forms():
                 x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)]
                 y = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 7)))
                      for _ in range(dim)]
-                mx, my = basis.apply(x), basis.apply(y)
+                mx, my = ([vec_dot(row, v) for row in basis.entries] for v in (x, y))
                 assert space.pairing(mx, my) == _dense_pairing(form.entries, x, y)
                 assert space.pairing(my, mx) == -space.pairing(mx, my)
             with pytest.raises(InputError):

@@ -28,7 +28,7 @@ from lefsig import (
     word_action,
 )
 from lefsig import symplectic
-from lefsig.ratlinalg import clear_denominators
+from lefsig.ratlinalg import clear_denominators, vec_dot
 from lefsig.symplectic import MAX_DIMENSION
 
 from .fixtures import (
@@ -39,6 +39,7 @@ from .fixtures import (
     TWIST_1_0,
     TWIST_1_5,
     TWIST_2_5,
+    block_sum,
     handle_scaled,
     matsumoto_word,
     positive_word,
@@ -62,9 +63,9 @@ from .oracles import (
 
 def test_standard_form_squares_to_minus_identity():
     for g in (0, 1, 2, 3):
-        j = SymplecticSpace(g).form
-        assert j @ j == -Matrix.identity(2 * g)
-        assert j.transpose() == -j
+        j, zero = SymplecticSpace(g).form, Matrix.zeros(2 * g, 2 * g)
+        assert j @ j == zero - Matrix.identity(2 * g)
+        assert j.transpose() == zero - j
 
 
 def test_dimension_ceiling_is_checked_before_allocating():
@@ -113,7 +114,7 @@ def test_direct_sum_space_is_the_standard_space():
         assert "form" not in got.space.__dict__
         assert got == Lagrangian(space, [v + (0,) * b.space.dim for v in a.basis]
                                  + [(0,) * a.space.dim + v for v in b.basis])
-        assert got.space.form == a.space.form.block_diag(b.space.form)
+        assert got.space.form == block_sum(a.space.form, b.space.form)
     half = SymplecticSpace(MAX_DIMENSION // 4 + 1)
     lag = Lagrangian(half, tuple(tuple(int(j == 2 * i) for j in range(half.dim))
                                  for i in range(half.half_dim)))
@@ -153,7 +154,7 @@ def test_left_twist_inverts_right_twist():
 def test_transvection_fixes_its_cycle():
     cycle = VanishingCycle((1, 2, 0, -1))
     t = transvection(cycle)
-    assert t.apply(cycle.homology_class) == cycle.homology_class
+    assert tuple(vec_dot(row, cycle.homology_class) for row in t.entries) == cycle.homology_class
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -183,7 +184,7 @@ def test_is_symplectic_matches_the_product_oracle():
     for space, m in cases:
         assert is_symplectic(m) and reference_is_symplectic(space, m)
         for _ in range(3):
-            rows = m.to_lists()
+            rows = [list(row) for row in m.entries]
             rows[rng.randrange(space.dim)][rng.randrange(space.dim)] += rng.choice(
                 [1, -1, Fraction(1, 2)])
             bent = Matrix(rows, space.dim)
@@ -195,7 +196,7 @@ def test_is_symplectic_matches_the_product_oracle():
     for m in (Matrix.identity(0), Matrix.identity(2), Matrix.identity(6), Matrix.zeros(0, 0)):
         assert is_symplectic(m) and reference_is_symplectic(SymplecticSpace(m.rows // 2), m)
     for m in (Matrix.zeros(4, 2), Matrix.zeros(2, 4), Matrix.identity(3),
-              Matrix.identity(4).transpose().block_diag(Matrix.zeros(0, 1))):
+              block_sum(Matrix.identity(4), Matrix.zeros(0, 1))):
         assert not is_symplectic(m) and not reference_is_symplectic(standard, m)
 
 
@@ -216,7 +217,7 @@ def test_gram_matches_the_per_vector_oracle():
     for h in range(7):
         space = SymplecticSpace(h)
         d = space.dim
-        assert space.form.to_lists() == standard_form(d)
+        assert space.form == Matrix(standard_form(d), d)
         for _ in range(8):
             us = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
             vs = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
@@ -396,7 +397,7 @@ def test_lagrangian_span_validates():
         Lagrangian(sp, [(1, 0, 0, 0), (0, 1, 0, 0)])
     # redundant spanning vectors are fine
     lag = Lagrangian(sp, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)])
-    assert lag.dim == 2
+    assert len(lag.basis) == 2
     # one subspace from several spanning sets: one basis, one hash
     u, v = (2, 1, 0, -3), (3, 0, 1, 5)  # Q(u, v) = 0 - 3 + 0 + 3 = 0
     spellings = [
@@ -469,7 +470,8 @@ def test_lagrangian_basis_is_the_cleared_rref_basis():
         sp = SymplecticSpace(rng.randint(1, 3))
         m = random_symplectic(rng, sp)
         scales = [rng.choice((1, -1, 3, Fraction(-2, 5))) for _ in range(sp.half_dim)]
-        vectors = [[c * x for x in m.column(2 * i)] for i, c in enumerate(scales)]
+        columns = m.transpose().entries
+        vectors = [[c * x for x in columns[2 * i]] for i, c in enumerate(scales)]
         for _ in range(rng.randint(0, 2)):
             coeffs = [rng.randint(-2, 2) for _ in vectors]
             combo = [sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(sp.dim)]
@@ -487,12 +489,12 @@ def test_map_lagrangian_stays_lagrangian():
     for _ in range(10):
         m = random_symplectic(rng, sp)
         moved = map_lagrangian(m, lag)
-        assert moved.dim == 2  # construction re-validates isotropy
+        assert len(moved.basis) == 2  # construction re-validates isotropy
 
 
 def test_map_lagrangian_images_are_one_product():
     """The images of the basis come from one product; they span what the
-    images M v, one `Matrix.apply` each, span, with Fraction entries too, and
+    images M v, one `vec_dot` per row of M each, span, with Fraction entries too, and
     a map that is not dim x dim is refused."""
     rng = random.Random(1966)
     sp = SymplecticSpace(2)
@@ -500,7 +502,8 @@ def test_map_lagrangian_images_are_one_product():
     for _ in range(20):
         lag = random_lagrangian(rng, sp)
         for m in (random_symplectic(rng, sp), scale @ random_symplectic(rng, sp)):
-            assert map_lagrangian(m, lag) == Lagrangian(sp, [m.apply(v) for v in lag.basis])
+            images = [[vec_dot(row, v) for row in m.entries] for v in lag.basis]
+            assert map_lagrangian(m, lag) == Lagrangian(sp, images)
     assert map_lagrangian(scale, Lagrangian(sp, [(1, 1, 0, 0), (0, 0, 1, 1)])) == \
         Lagrangian(sp, [(4, 1, 0, 0), (0, 0, 4, 1)])
     for m in (Matrix.identity(2), Matrix.identity(6), Matrix.zeros(4, 2), Matrix.zeros(2, 4),
@@ -550,28 +553,8 @@ def test_counts_and_indices_are_ints(bad):
     w = word(Surface(1, 0), [(1, 0), (0, 1), (1, 1)])
     for make, field in ((lambda: word_action(w, bad), "upto"),
                         (lambda: w.repeated(bad), "n"),
-                        (lambda: w.subword(bad, 2), "start"),
-                        (lambda: w.subword(0, bad), "stop"),
                         (lambda: SymplecticSpace(bad), "half_dim")):
         with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
             make()
     with pytest.raises(InputError, match=f"^half_dim -1 out of range 0..{MAX_DIMENSION // 2}$"):
         SymplecticSpace(-1)
-
-
-@pytest.mark.parametrize("start, stop, message", [
-    (-5, 99, "start -5 out of range 0..3"),
-    (-1, 3, "start -1 out of range 0..3"),
-    (4, 4, "start 4 out of range 0..3"),
-    (2, 1, "stop 1 out of range 2..3"),
-    (0, 99, "stop 99 out of range 0..3"),
-    (0, -1, "stop -1 out of range 0..3"),
-])
-def test_subword_bounds_are_checked(start, stop, message):
-    """Bounds used to be taken with Python's slice rules: `subword(-5, 99)`
-    returned the whole word and `subword(-1, 3)` the last cycle."""
-    w = word(Surface(1, 0), [(1, 0), (0, 1), (1, 1)])
-    with pytest.raises(InputError, match=f"^{message}$"):
-        w.subword(start, stop)
-    assert w.subword(0, 3) == w and len(w.subword(3, 3)) == len(w.subword(1, 1)) == 0
-    assert w.subword(1, 2).cycles == w.cycles[1:2]
