@@ -3,17 +3,20 @@
 A record's `__init__` checks its arguments and assigns each field once
 through `_setattr`; `_fields` names the fields in order.  As with a frozen
 standard-library data class, `==` compares the tuple of field values within
-one class only, `hash` hashes it, the repr is `Name(field=value, ...)`, and
-assignment or deletion raises `AttributeError`.  `cached_property` values
-live in the instance `__dict__`, outside that tuple.  Records are written out
-by hand, not generated, because every CLI call is a fresh process: the
-data-class module imports `inspect`, and its decorator `exec`s new methods at
-each start.  That tuple is a record's identity, `Matrix` included: one
-`operator.attrgetter` over `_fields`, built once per class, reads it in C,
-where a `getattr` loop would be several times slower.
+one class only, `hash` hashes it, the repr is `Name(field=value, ...)`, each
+value shown by `errors._show`, and assignment or deletion raises
+`AttributeError`.  `cached_property` values live in the instance `__dict__`,
+outside that tuple.  Records are written out by hand, not generated, because
+every CLI call is a fresh process: the data-class module imports `inspect`,
+and its decorator `exec`s new methods at each start.  That tuple is a
+record's identity, `Matrix` included: one `operator.attrgetter` over
+`_fields`, built once per class, reads it in C, where a `getattr` loop would
+be several times slower.
 """
 
 from operator import attrgetter
+
+from .errors import _show
 
 _setattr = object.__setattr__  # a record's own writes, past the read-only __setattr__
 
@@ -37,7 +40,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_show(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -14,13 +14,13 @@ Fibration documents are JSON objects {"genus": g, "boundary": b, "cycles":
 are {"dimension": d, "matrices": [[[...]], ...]} with integer or "p/q" string
 entries.  Exit codes: 0 success, 2 bad input, 3 internal consistency failure.
 
-`signature --json` and `power --json` write their JSON directly, one f-string
-per step or correction term, byte for byte as the standard JSON encoder lays
-it out at indent 2: every value is an int, a bool, null or a witness string
-of `-0-9/`, so nothing needs escaping.  The golden transcript and the oracle
-payloads in tests/oracles.py pin the layout byte for byte.  `signature`,
-`power` and `generate` keep only what they print from the engine's stream of
-steps, never every record at once.
+`signature`, `power` and `generate` read the engine's stream of integer step
+readouts and keep only what they print, with no record made and no witness
+divided out.  `signature --json` and `power --json` write their JSON
+directly, one f-string per step or correction term, byte for byte as the
+standard JSON encoder lays it out at indent 2 (the golden transcript and
+tests/oracles.py pin it): every value is an int, a bool, null or a witness
+string of `-0-9/`, which `_quotients` writes as `str(Fraction)` would.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
+from math import gcd
 
 from ._record import _Record, _setattr
 from .cover import correction_terms
-from .engine import StepRecord, _contribution, _steps
+from .engine import _readouts, _term
 from .errors import InputError, InternalConsistencyError, _require_range
 from .maslov import maslov_index, meyer_cocycle
 from .positive import PositiveFamilySpec, generate
@@ -111,20 +112,12 @@ def serialize_fibration_document(doc: FibrationDocument) -> str:
     """Canonical serialization: fixed key order, one cycle per line, chirality
     emitted only when -1.  parse(serialize(doc)) == doc and serialize is the
     identity on its own output, so documents have one normal form."""
-    lines = ["{"]
-    if doc.name is not None:
-        lines.append(f'  "name": {json.dumps(doc.name)},')
-    lines.append(f'  "genus": {doc.word.surface.genus},')
-    lines.append(f'  "boundary": {doc.word.surface.boundary},')
-    lines.append('  "cycles": [')
-    for i, c in enumerate(doc.word.cycles):
-        vec = _bracket(c.homology_class)
-        chi = ', "chirality": -1' if c.chirality == -1 else ""
-        comma = "," if i + 1 < len(doc.word.cycles) else ""
-        lines.append(f'    {{"vector": {vec}{chi}}}{comma}')
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    surface, chi = doc.word.surface, {1: "", -1: ', "chirality": -1'}
+    name = "" if doc.name is None else f'  "name": {json.dumps(doc.name)},\n'
+    cycles = ",".join(f'\n    {{"vector": {_bracket(c.homology_class)}{chi[c.chirality]}}}'
+                      for c in doc.word.cycles)  # each on its own line, in `_json_list`'s layout
+    return (f'{{\n{name}  "genus": {surface.genus},\n  "boundary": {surface.boundary},\n'
+            f'  "cycles": [{cycles}\n  ]\n}}\n')
 
 
 def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, list[Matrix]]:
@@ -176,61 +169,63 @@ def _json_list(items: Sequence[str], pad: str) -> str:
     return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]" if items else "[]"
 
 
-def _step_json(s: StepRecord) -> str:
+def _quotients(solved: tuple[int, list[int]]) -> list[str]:
+    """The witness n / D entry by entry, as `str(Fraction(x, D))` writes it:
+    with g = gcd(x, D), `x//D` when g == D, else `x//g/D//g`."""
+    d, n = solved
+    return [str(x // d) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in n]
+
+
+def _step_json(k: int, cycle: VanishingCycle, solvable: bool, sigma: int,
+               witness: list[str] | None) -> str:
     p = " " * 6
-    witness = "null" if s.witness is None else _json_list([f'"{x}"' for x in s.witness], p)
-    return (f'{{\n{p}"index": {s.index},\n'
-            f'{p}"vector": {_json_list(list(map(str, s.cycle.homology_class)), p)},\n'
-            f'{p}"chirality": {s.cycle.chirality},\n'
-            f'{p}"solvable": {"true" if s.solvable else "false"},\n'
-            f'{p}"sigma": {s.sigma},\n{p}"witness": {witness}\n    }}')
+    witness = "null" if witness is None else _json_list([f'"{x}"' for x in witness], p)
+    return (f'{{\n{p}"index": {k},\n'
+            f'{p}"vector": {_json_list(list(map(str, cycle.homology_class)), p)},\n'
+            f'{p}"chirality": {cycle.chirality},\n'
+            f'{p}"solvable": {"true" if solvable else "false"},\n'
+            f'{p}"sigma": {sigma},\n{p}"witness": {witness}\n    }}')
 
 
 def cmd_signature(args: argparse.Namespace) -> int:
-    """Each form keeps only what it prints from the stream of steps: the
-    total; the total and one row at a time; or, since the JSON layout puts
-    the total first, the total, the null count and each step's text."""
+    """Each form keeps only what it prints from the stream of readouts: the
+    total; the total and one row at a time; or, since the JSON layout puts the
+    total first, the total, the null count and each step's text."""
     doc = parse_fibration_document(_read(args.file))
-    steps = _steps(doc.word)
-    total = 0
+    if not (args.json or args.trace):
+        print(f"signature: {sum(_term(c, r[1]) for _, c, _, r in _readouts(doc.word))}")
+        return 0
+    total, nulls, texts = 0, 0, []
     # witnesses may pass CPython's int-to-str digit limit (4300 by default, none
     # before 3.10.7): lift it while they are written, never while input is parsed
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.json:
-            nulls = 0
-            texts = []
-            for s in steps:
-                total += _contribution(s)
-                nulls += s.cycle.is_null_homologous
-                texts.append(_step_json(s))
-            write = sys.stdout.write  # `_json_list`'s layout, one step text at a time
-            write(f'{{\n  "signature": {total},\n'
-                  f'  "null_homologous_count": {nulls},\n  "steps": [')
-            sep = "\n    "
-            for text in texts:
-                write(sep)
-                write(text)
-                sep = ",\n    "
-            write("\n  ]\n}\n" if texts else "]\n}\n")
-            return 0
-        if args.trace:
+        if not args.json:
             print(f"{'k':>3}  {'cycle':<24} {'chi':>3}  {'solvable':<8} {'sigma':>5}  witness")
-            for s in steps:
-                total += _contribution(s)
-                vec = _bracket(s.cycle.homology_class)
-                chi = "+1" if s.cycle.chirality == 1 else "-1"
-                witness = "-" if s.witness is None else _bracket(s.witness)
-                print(f"{s.index:>3}  {vec:<24} {chi:>3}  "
-                      f"{'yes' if s.solvable else 'no':<8} {s.sigma:>5}  {witness}")
-        else:
-            total = sum(map(_contribution, steps))
+        for k, cycle, _, (solvable, sigma, solved) in _readouts(doc.word):
+            total += _term(cycle, sigma)
+            nulls += cycle.is_null_homologous
+            witness = None if solved is None else _quotients(solved)
+            if args.json:
+                texts.append(_step_json(k, cycle, solvable, sigma, witness))
+                continue
+            vec = _bracket(cycle.homology_class)
+            print(f"{k:>3}  {vec:<24} {cycle.chirality:>+3}  {'yes' if solvable else 'no':<8} "
+                  f"{sigma:>5}  {'-' if witness is None else _bracket(witness)}")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    print(f"signature: {total}")
+    if not args.json:
+        print(f"signature: {total}")
+        return 0
+    write = sys.stdout.write  # `_json_list`'s layout, one step text at a time
+    write(f'{{\n  "signature": {total},\n  "null_homologous_count": {nulls},\n  "steps": [')
+    for i, text in enumerate(texts):
+        write(",\n    " if i else "\n    ")
+        write(text)
+    write("\n  ]\n}\n" if texts else "]\n}\n")
     return 0
 
 
@@ -239,9 +234,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     _require_range("--n", args.n, 1)
     base = 0
     phi = Matrix.identity(doc.word.space.dim)  # the action of the empty word
-    for s in _steps(doc.word):
-        base += _contribution(s)
-        phi = s.cumulative_action
+    for _, cycle, phi, readout in _readouts(doc.word):  # Phi_n is the last step's
+        base += _term(cycle, readout[1])
     sigmas = [t.sigma for t in correction_terms(phi, args.n)]
     total = args.n * base - sum(sigmas)
     if args.json:
@@ -328,10 +322,8 @@ def cmd_meyer(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = PositiveFamilySpec(args.genus, args.boundary, args.n)
-    word = generate(spec)
-    doc = FibrationDocument(word, name=f"positive block x{args.n}")
-    text = serialize_fibration_document(doc)
+    word = generate(PositiveFamilySpec(args.genus, args.boundary, args.n))
+    text = serialize_fibration_document(FibrationDocument(word, f"positive block x{args.n}"))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -339,7 +331,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     # round-trip through the parser before certifying, as a self-check
     reparsed = parse_fibration_document(text)
-    print(f"signature: {sum(map(_contribution, _steps(reparsed.word)))}")
+    print(f"signature: {sum(_term(c, r[1]) for _, c, _, r in _readouts(reparsed.word))}")
     return 0
 
 

@@ -30,13 +30,13 @@ argument.  The total is
 a right twist along a separating curve adds a -1-framed handle (count -1),
 a left one adds a +1-framed handle (count +1).
 
-The steps are one left-to-right stream: step k needs only gamma_k and the
-step state (Phi_k, I_k), which one `prefix_sweep` yields, and `_step` turns
-each gamma_k and its pair into a record, which the caller may drop before
-the next step is computed.  `signature` collects that stream and leaves the
-word's cache empty.  `local_sigma(word, k)` is the random-access entry: it
-runs the same `_step` on the pair the word keeps, in the one tuple of the
-sweep built when any pair is first asked for.
+The steps are one left-to-right stream, `_readouts`: step k needs only
+gamma_k and the step state (Phi_k, I_k), which one `prefix_sweep` yields,
+and `_readout` reads it in ints, (solvable, sigma_k, (delta, n)), which the
+CLI writes out as they are.  Records are for library readers: `signature`
+collects them and leaves the word's cache empty, `local_sigma(word, k)` reads
+the pair the word keeps (the sweep's one tuple, built on first use), and
+`_record` is the one place a witness is divided out into Fractions.
 
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
@@ -48,6 +48,7 @@ purpose: it shares no row selection with the step solve.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from operator import mul
 
 from ._record import _Record, _setattr
 from .errors import InputError, _require_range
@@ -55,13 +56,14 @@ from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
     MonodromyWord,
-    SymplecticSpace,
     VanishingCycle,
     _apply_form,
     prefix_sweep,
     transvection,
     word_action,
 )
+
+Readout = tuple[bool, int, tuple[int, list[int]] | None]  # (solvable, sigma, (delta, n))
 
 
 class StepRecord(_Record):
@@ -116,42 +118,55 @@ def _cycle(word: MonodromyWord, k: int) -> VanishingCycle:
     return word.cycles[k - 1]
 
 
-def _step(space: SymplecticSpace, k: int, cycle: VanishingCycle, phi_k: Matrix,
-          rows: Sequence[int]) -> StepRecord:
-    """The record of step k from Phi_k and the row set I_k (module docstring)."""
+def _readout(cycle: VanishingCycle, phi_k: Matrix, rows: Sequence[int]) -> Readout:
+    """(solvable, sigma_k, (delta, n)) of step k on ints, (delta, n) None on a null
+    or unsolvable step; Q needs no length check: the lengths are the word's."""
     if cycle.is_null_homologous:
-        return StepRecord(k, cycle, True, 0, None, phi_k)
+        return True, 0, None
     gamma = cycle.homology_class
-    solved = _int_solve(_step_rows(phi_k, gamma, rows), space.dim)
+    solved = _int_solve(_step_rows(phi_k, gamma, rows), phi_k.cols)
     if solved is None:
-        return StepRecord(k, cycle, False, 0, None, phi_k)
-    delta, numerators = solved
-    sigma = sign(delta + cycle.chirality * space.pairing(gamma, numerators))
-    return StepRecord(k, cycle, True, sigma, tuple(_divide(numerators, delta)), phi_k)
+        return False, 0, None
+    q = sum(map(mul, gamma, _apply_form(solved[1])))  # Q(gamma, n)
+    return True, sign(solved[0] + cycle.chirality * q), solved
+
+
+def _record(k: int, cycle: VanishingCycle, phi_k: Matrix, readout: Readout) -> StepRecord:
+    """The record of step k: its readout, with the witness n / delta divided out."""
+    solvable, sigma, solved = readout
+    witness = None if solved is None else tuple(_divide(solved[1], solved[0]))
+    return StepRecord(k, cycle, solvable, sigma, witness, phi_k)
 
 
 def local_sigma(word: MonodromyWord, k: int) -> StepRecord:
     """Local contribution record of step k (1-indexed), from the word's kept
     pair (Phi_k, I_k): the random-access entry to the steps."""
     cycle = _cycle(word, k)
-    return _step(word.space, k, cycle, *word._sweep[k])
+    phi_k, rows = word._sweep[k]
+    return _record(k, cycle, phi_k, _readout(cycle, phi_k, rows))
+
+
+def _readouts(word: MonodromyWord) -> Iterator[tuple[int, VanishingCycle, Matrix, Readout]]:
+    """(k, gamma_k, Phi_k, readout of step k) in order, from one `prefix_sweep`;
+    nothing is kept on the word or here once a step is yielded."""
+    sweep = prefix_sweep(word.space, word.cycles)
+    next(sweep)  # (Phi_0, I_0) precedes the first cycle
+    for k, (cycle, (phi_k, rows)) in enumerate(zip(word.cycles, sweep), start=1):
+        yield k, cycle, phi_k, _readout(cycle, phi_k, rows)
 
 
 def _steps(word: MonodromyWord) -> Iterator[StepRecord]:
-    """The step records of the word in order, from one `prefix_sweep`;
-    nothing is kept on the word or here once a step is yielded."""
-    space = word.space
-    sweep = prefix_sweep(space, word.cycles)
-    next(sweep)  # (Phi_0, I_0) precedes the first cycle
-    for k, (cycle, (phi_k, rows)) in enumerate(zip(word.cycles, sweep), start=1):
-        yield _step(space, k, cycle, phi_k, rows)
+    """The step records of the word in order, one per readout."""
+    return (_record(*step) for step in _readouts(word))
+
+
+def _term(cycle: VanishingCycle, sigma: int) -> int:
+    """The step's term of the total: -c_k sigma_k, or -c_k on a null cycle."""
+    return -cycle.chirality * (1 if cycle.is_null_homologous else sigma)
 
 
 def _contribution(step: StepRecord) -> int:
-    """The step's term of the total: -c_k sigma_k, or -c_k on a null cycle."""
-    if step.cycle.is_null_homologous:  # its sigma is 0
-        return -step.cycle.chirality
-    return -step.cycle.chirality * step.sigma
+    return _term(step.cycle, step.sigma)
 
 
 def signature(word: MonodromyWord) -> SignatureTrace:

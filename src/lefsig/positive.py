@@ -49,12 +49,8 @@ def generate(spec: PositiveFamilySpec) -> MonodromyWord:
     is the same as in the genus-one case: one per repetition.
     """
     surface = Surface(spec.genus, spec.boundary)
-    dim = 2 * surface.half_dim
-    cycles = []
-    for _ in range(spec.repetitions):
-        for v in BLOCK_VECTORS:
-            cycles.append(VanishingCycle(v + (0,) * (dim - 2)))
-    return MonodromyWord(surface, tuple(cycles))
+    block = tuple(VanishingCycle(v + (0,) * (2 * surface.half_dim - 2)) for v in BLOCK_VECTORS)
+    return MonodromyWord(surface, block * spec.repetitions)
 
 
 def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:

@@ -24,11 +24,11 @@ in `signature_symmetric` updates only the live trailing block.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from ._record import _Record, _setattr
 from .errors import InputError, _require_range, _show
@@ -149,29 +149,23 @@ class Matrix(_Record):
                              self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix._exact(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
-            self.cols,
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix._exact(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
-            self.cols,
-        )
+        return self._entrywise(sub, other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix._exact(_product(self.entries, other.transpose().entries), other.cols)
 
-    def _require_same_shape(self, other: "Matrix") -> None:
+    def _entrywise(self, op: Callable[[Rational, Rational], Rational],
+                   other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        rows = tuple(tuple(map(op, r, s)) for r, s in zip(self.entries, other.entries))
+        return Matrix._exact(rows, self.cols)
 
 
 def _product(rows: Sequence[Vector], columns: Sequence[Vector]) -> tuple[Vector, ...]:

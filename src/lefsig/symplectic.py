@@ -85,6 +85,7 @@ class SymplecticSpace(_Record):
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
         """Q(x, y) = x^T J y, one sum of products of x and J y."""
+        x, y = _as_tuple(x), _as_tuple(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
         return sum(map(mul, x, _apply_form(y)))
@@ -146,9 +147,11 @@ class MonodromyWord(_Record):
     _fields = ("surface", "cycles")
 
     def __init__(self, surface: Surface, cycles: Iterable[VanishingCycle]) -> None:
-        cycles = tuple(cycles)  # a list would not hash; an iterator is read once
+        cycles = _as_tuple(cycles)  # a list would not hash; an iterator is read once
         dim = 2 * surface.half_dim
         for i, c in enumerate(cycles, start=1):
+            if not isinstance(c, VanishingCycle):
+                raise InputError(f"cycle {i}: expected a VanishingCycle, got {_show(c)}")
             if len(c.homology_class) != dim:
                 raise InputError(f"cycle {i}: vector has length {len(c.homology_class)}, expected "
                                  f"{dim} (genus {surface.genus}, boundary {surface.boundary})")
@@ -179,10 +182,7 @@ def word(surface: Surface, vectors: Sequence[Sequence[int]],
     chiralities = (1,) * len(vectors) if chiralities is None else _as_tuple(chiralities)
     if len(chiralities) != len(vectors):
         raise InputError("one chirality per cycle required")
-    return MonodromyWord(
-        surface,
-        tuple(VanishingCycle(v, c) for v, c in zip(vectors, chiralities)),
-    )
+    return MonodromyWord(surface, map(VanishingCycle, vectors, chiralities))
 
 
 def prefix_sweep(space: SymplecticSpace,

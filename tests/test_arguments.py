@@ -9,8 +9,12 @@ The pairs also refuse two sizes, and a size past the fiber ceiling is the
 range rule's refusal, as for `SymplecticSpace`.  A vector is read through
 `ratlinalg.as_vector`'s rule: a str or a non-iterable is an `InputError`,
 never a bare `TypeError` or one entry per character.  A caller's container
-of vectors follows the same rule, and a count that no sequence can hold (past
-`sys.maxsize`) is the range rule's refusal, not a bare `OverflowError`.
+of vectors follows the same rule, as do `MonodromyWord`'s container of cycles
+(each item a `VanishingCycle`, or the refusal names its index) and both
+arguments of `SymplecticSpace.pairing`.  A count that no sequence can hold
+(past `sys.maxsize`) is the range rule's refusal, not a bare
+`OverflowError`.  A record's repr names a value past the int-to-str digit
+limit by its size instead of raising that limit's `ValueError`.
 """
 
 import json
@@ -22,6 +26,7 @@ import pytest
 from lefsig import (
     Lagrangian,
     Matrix,
+    MonodromyWord,
     Surface,
     SymplecticSpace,
     VanishingCycle,
@@ -130,6 +135,14 @@ BARE_ERRORS = [  # (call, the refusal as a regular expression); each died with a
                  id="word.chiralities"),
     pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], 5), "expected a vector, got 5",
                  id="gram"),
+    pytest.param(lambda: SymplecticSpace(1).pairing(5, [1, 0]), "expected a vector, got 5",
+                 id="pairing.x"),
+    pytest.param(lambda: SymplecticSpace(1).pairing([1, 0], "10"), "expected a vector, got '10'",
+                 id="pairing.y"),
+    pytest.param(lambda: MonodromyWord(Surface(1, 0), 5), "expected a vector, got 5",
+                 id="MonodromyWord.cycles"),
+    pytest.param(lambda: MonodromyWord(Surface(1, 0), [VanishingCycle((1, 0)), 5]),
+                 "cycle 2: expected a VanishingCycle, got 5", id="MonodromyWord.cycle"),
     pytest.param(lambda: signature_zero_certificate(BLOCK_ACTION, 10**5000),
                  rf"n .+ out of range 1\.\.{sys.maxsize}", id="signature_zero_certificate"),
     pytest.param(lambda: word(Surface(1, 0), [[1, 0]]).repeated(10**30),
@@ -150,6 +163,16 @@ def test_a_container_or_count_is_refused_not_a_bare_error(call, refusal):
     with pytest.raises(InputError) as exc:
         call()
     assert re.fullmatch(refusal, str(exc.value)), str(exc.value)
+
+
+@NO_DIGIT_LIMIT
+def test_a_record_repr_names_a_value_past_the_digit_limit_by_its_size():
+    # a 0-row matrix takes any column count, and messages and tracebacks print records
+    assert repr(Matrix((), 10**5000)) == "Matrix(entries=(), cols=<16610-bit integer>)"
+    assert repr(VanishingCycle((10**5000, 0))) == (
+        "VanishingCycle(homology_class=<tuple past the digit limit>, chirality=1)")
+    assert repr(VanishingCycle((10**4000, -1), -1)) == (
+        f"VanishingCycle(homology_class=({10**4000}, -1), chirality=-1)")
 
 
 @NO_DIGIT_LIMIT

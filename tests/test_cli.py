@@ -415,17 +415,17 @@ def test_matrix_document_parsing():
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch, tmp_path):
-    # each form of `signature` consumes the step stream; a failure after its
-    # first step exits 3 with no total, though --trace has printed that step
+    # each form of `signature` consumes the stream of step readouts; a failure
+    # after its first step exits 3 with no total, though --trace has printed that step
     import lefsig.cli as cli_mod
 
-    steps = cli_mod._steps
+    readouts = cli_mod._readouts
 
     def boom(word):
-        yield next(steps(word))
+        yield next(readouts(word))
         raise InternalConsistencyError("forced")
 
-    monkeypatch.setattr(cli_mod, "_steps", boom)
+    monkeypatch.setattr(cli_mod, "_readouts", boom)
     path = str(DATA_DIR / "positive_g1.json")
     for flags, printed in (((), 0), (("--trace",), 2), (("--json",), 0)):
         code, out, err = run(capsys, "signature", path, *flags)
