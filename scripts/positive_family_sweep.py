@@ -10,14 +10,7 @@ Usage: python scripts/positive_family_sweep.py [--max-n 20] [--genus 1]
 import argparse
 import sys
 
-from lefsig import (
-    PositiveFamilySpec,
-    cover_signature,
-    generate,
-    signature,
-    signature_zero_certificate,
-    word_action,
-)
+from lefsig import cover_signature, generate, signature, signature_zero_certificate, word_action
 from lefsig.cover import correction_terms
 
 
@@ -27,7 +20,7 @@ def main():
     parser.add_argument("--genus", type=int, default=1)
     args = parser.parse_args()
 
-    block = generate(PositiveFamilySpec(args.genus, 1, 1))
+    block = generate(args.genus, 1, 1)
     base = signature(block).total
     phi = word_action(block)
     print(f"block of {len(block)} cycles on genus {args.genus}, signature {base}")
@@ -36,7 +29,7 @@ def main():
     sigs = []  # sigma(S_m) for every m < n so far, off one pass of the ladder
     terms = correction_terms(phi, args.max_n)
     for n in range(1, args.max_n + 1):
-        engine_total = signature(generate(PositiveFamilySpec(args.genus, 1, n))).total
+        engine_total = signature(generate(args.genus, 1, n)).total
         cover_total = cover_signature(base, phi, n)
         if n == 1:
             cert = "(no corrections)"

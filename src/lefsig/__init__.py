@@ -11,12 +11,7 @@ from .engine import (
 )
 from .errors import InputError, InternalConsistencyError, LefsigError
 from .maslov import fiber_sum_defect, maslov_index, meyer_cocycle
-from .positive import (
-    BLOCK_VECTORS,
-    PositiveFamilySpec,
-    generate,
-    signature_zero_certificate,
-)
+from .positive import BLOCK_VECTORS, generate, signature_zero_certificate
 from .ratlinalg import Matrix, signature_symmetric
 from .symplectic import (
     Lagrangian,
@@ -41,7 +36,6 @@ __all__ = [
     "LefsigError",
     "Matrix",
     "MonodromyWord",
-    "PositiveFamilySpec",
     "SignatureTrace",
     "StepRecord",
     "Surface",

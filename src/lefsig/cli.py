@@ -39,7 +39,7 @@ from .cover import correction_terms
 from .engine import _readouts, _term
 from .errors import InputError, InternalConsistencyError, _require_range
 from .maslov import maslov_index, meyer_cocycle
-from .positive import PositiveFamilySpec, generate
+from .positive import generate
 from .ratlinalg import Matrix
 from .symplectic import (
     MAX_DIMENSION,
@@ -322,7 +322,7 @@ def cmd_meyer(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    word = generate(PositiveFamilySpec(args.genus, args.boundary, args.n))
+    word = generate(args.genus, args.boundary, args.n)
     text = serialize_fibration_document(FibrationDocument(word, f"positive block x{args.n}"))
     if args.out:
         with open(args.out, "w") as f:

@@ -34,9 +34,10 @@ The steps are one left-to-right stream, `_readouts`: step k needs only
 gamma_k and the step state (Phi_k, I_k), which one `prefix_sweep` yields,
 and `_readout` reads it in ints, (solvable, sigma_k, (delta, n)), which the
 CLI writes out as they are.  Records are for library readers: `signature`
-collects them and leaves the word's cache empty, `local_sigma(word, k)` reads
-the pair the word keeps (the sweep's one tuple, built on first use), and
-`_record` is the one place a witness is divided out into Fractions.
+makes one per readout and sums the terms in the same pass, leaving the word's
+cache empty, `local_sigma(word, k)` reads the pair the word keeps (the
+sweep's one tuple, built on first use), and `_record` is the one place a
+witness is divided out into Fractions.
 
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
@@ -155,25 +156,19 @@ def _readouts(word: MonodromyWord) -> Iterator[tuple[int, VanishingCycle, Matrix
         yield k, cycle, phi_k, _readout(cycle, phi_k, rows)
 
 
-def _steps(word: MonodromyWord) -> Iterator[StepRecord]:
-    """The step records of the word in order, one per readout."""
-    return (_record(*step) for step in _readouts(word))
-
-
 def _term(cycle: VanishingCycle, sigma: int) -> int:
     """The step's term of the total: -c_k sigma_k, or -c_k on a null cycle."""
     return -cycle.chirality * (1 if cycle.is_null_homologous else sigma)
 
 
-def _contribution(step: StepRecord) -> int:
-    return _term(step.cycle, step.sigma)
-
-
 def signature(word: MonodromyWord) -> SignatureTrace:
     """Run the per-cycle algorithm over the whole word and total it up."""
-    steps = tuple(_steps(word))
-    nulls = sum(s.cycle.is_null_homologous for s in steps)
-    return SignatureTrace(word, steps, nulls, sum(map(_contribution, steps)))
+    steps, nulls, total = [], 0, 0
+    for k, cycle, phi_k, readout in _readouts(word):
+        steps.append(_record(k, cycle, phi_k, readout))
+        nulls += cycle.is_null_homologous
+        total += _term(cycle, readout[1])
+    return SignatureTrace(word, tuple(steps), nulls, total)
 
 
 def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:

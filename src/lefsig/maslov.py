@@ -52,7 +52,7 @@ from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 from .ratlinalg import Matrix, _int_kernel, clear_denominators, signature_symmetric
-from .symplectic import Lagrangian, SymplecticSpace, _space_of
+from .symplectic import Lagrangian, _gram, _space_of
 
 
 def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
@@ -63,8 +63,8 @@ def maslov_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     if b.space != space or c.space != space:
         raise InputError("Lagrangian triple must share one ambient space")
     n = space.half_dim
-    kernel = _int_kernel(list(map(list, space.gram(a.basis, b.basis + c.basis))), 2 * n)
-    qcb = tuple(zip(*space.gram(c.basis, b.basis)))  # column j: Q(c_i, b_j) down i
+    kernel = _int_kernel(list(map(list, _gram(a.basis, b.basis + c.basis))), 2 * n)
+    qcb = tuple(zip(*_gram(c.basis, b.basis)))  # column j: Q(c_i, b_j) down i
     qyb = [[sum(map(mul, v[n:], col)) for col in qcb] for v in kernel]  # Q(y, b_j)
     form = tuple(tuple(sum(map(mul, row, v[:n])) for v in kernel) for row in qyb)
     if (content := gcd(*chain(*form))) > 1:  # a positive scale: the signature stays
@@ -97,7 +97,7 @@ def _meyer_defect(a: Matrix, b: Matrix) -> int:
     xs, ys = [v[:d] for v in kernel], [v[d:] for v in kernel]
     us = [[sum(map(mul, ra, x)) + yi for ra, yi in zip(a.entries, y)] for x, y in zip(xs, ys)]
     ws = [[yi - sum(map(mul, rb, y)) for rb, yi in zip(b.entries, y)] for y in ys]
-    form = Matrix._exact(SymplecticSpace(d // 2).gram(us, ws), len(kernel))
+    form = Matrix._exact(_gram(us, ws), len(kernel))
     try:
         return signature_symmetric(form)
     except InputError as exc:  # it checks symmetry; F is symmetric on the kernel only

@@ -11,6 +11,9 @@ lands in the cone of symmetric 2x2 matrices with negative (1,1) and positive
 (2,2) entry.  The cone is closed under addition and everything in it has
 signature 0, which certifies that all branched-cover corrections of powers
 of B vanish; the cover route then reproduces n * sigma(block) with no loss.
+
+`generate` sizes the word by `MonodromyWord.repeated`, whose range rule (at
+most `sys.maxsize`) is the one bound on how many blocks a word can hold.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import sys
 from itertools import islice
 
-from ._record import _Record, _setattr
 from .cover import correction_sums
 from .errors import InputError, _require_range
 from .ratlinalg import Matrix
@@ -27,30 +29,19 @@ from .symplectic import MonodromyWord, Surface, VanishingCycle
 BLOCK_VECTORS: tuple[tuple[int, int], ...] = ((1, 0), (2, 5), (1, 5))
 
 
-class PositiveFamilySpec(_Record):
-    """Parameters of a positive-signature word: fiber genus >= 1, boundary
-    components >= 0, and how many times to repeat the block."""
-
-    _fields = ("genus", "boundary", "repetitions")
-
-    def __init__(self, genus: int, boundary: int, repetitions: int) -> None:
-        _require_range("genus", genus, 1)
-        _require_range("boundary", boundary, 0)
-        _require_range("repetitions", repetitions, 1)
-        _setattr(self, "genus", genus)
-        _setattr(self, "boundary", boundary)
-        _setattr(self, "repetitions", repetitions)
-
-
-def generate(spec: PositiveFamilySpec) -> MonodromyWord:
-    """The block word, padded with zeros to the ambient dimension and repeated.
+def generate(genus: int, boundary: int, repetitions: int) -> MonodromyWord:
+    """The block word on a fiber of genus >= 1 with boundary components >= 0,
+    padded with zeros to the ambient dimension and repeated >= 1 times.
 
     Padding keeps the cycles supported on the first handle, so the signature
     is the same as in the genus-one case: one per repetition.
     """
-    surface = Surface(spec.genus, spec.boundary)
+    _require_range("genus", genus, 1)
+    _require_range("boundary", boundary, 0)
+    _require_range("repetitions", repetitions, 1)
+    surface = Surface(genus, boundary)
     block = tuple(VanishingCycle(v + (0,) * (2 * surface.half_dim - 2)) for v in BLOCK_VECTORS)
-    return MonodromyWord(surface, block * spec.repetitions)
+    return MonodromyWord(surface, block).repeated(repetitions)
 
 
 def signature_zero_certificate(b: Matrix, n: int) -> tuple[Matrix, bool]:

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are ints or Fractions, never floats or bools, so solves, kernels and
-signatures are exact and a sign is never lost to rounding.  Matrices are
+signatures are exact and a sign is never lost to rounding; a string entry is
+read only as the literal `-?[0-9]+(/[0-9]+)?` (`as_rational`).  Matrices are
 immutable tuples of tuples.  `Matrix(...)` checks every entry; the results
 of its own arithmetic are not checked again, because ints and Fractions are
 closed under +, - and *.  `_product`, for `Matrix @` and the cover ladder,
@@ -23,6 +24,7 @@ in `signature_symmetric` updates only the live trailing block.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
@@ -37,11 +39,14 @@ Rational = int | Fraction  # the entry type: never a float or a bool
 Scalar = Rational | str
 Vector = tuple[Rational, ...]
 _EXACT = {int, Fraction}  # the types of Rational, which Matrix checks per row
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the one string form of a Rational
 
 
 def as_rational(x: Scalar) -> Rational:
     """Exact rational of an int (kept an int), a Fraction, or a string like '3/4'.
 
+    A string must match `_LITERAL`; the rest of `Fraction`'s grammar (exponents,
+    decimals, `_`, spaces, `+`) is refused unread: "1e3000000" builds no int.
     Floats are rejected on purpose: admitting one would silently poison
     every exactness guarantee downstream.  Bools are rejected too, as
     `Matrix(...)` and `errors._require_int` reject them.
@@ -51,13 +56,15 @@ def as_rational(x: Scalar) -> Rational:
     if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-            shown = repr(x) if not 0 < limit < len(x) else (
-                f"{len(x)} characters, past the int-to-str digit limit of {limit}")
-            raise InputError(f"not a rational literal: {shown}") from exc
+        if _LITERAL.fullmatch(x):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):  # past the digit limit, or p/0
+                pass
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        shown = repr(x) if not 0 < limit < len(x) else (
+            f"{len(x)} characters, past the int-to-str digit limit of {limit}")
+        raise InputError(f"not a rational literal: {shown}")
     raise InputError(f"not an exact rational: {x!r}")
 
 

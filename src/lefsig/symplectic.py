@@ -6,14 +6,15 @@ symplectic intersection form: in the basis a1, b1, ..., ah, bh its Gram
 matrix J has 2x2 blocks [[0, 1], [-1, 0]] down the diagonal.  That is the
 only form here, so a `SymplecticSpace` is its half dimension h, and the
 space of a matrix or a cycle is its size: `_space_of` is the one check of a
-caller's monodromy matrix.  The pairing, the Gram blocks and the sweep apply
-J, one swap-and-negate of each pair, (J v)_2i = v_2i+1 and
-(J v)_2i+1 = -v_2i (`_apply_form`); the dense `form` is built only for a
-caller that reads it.  A Dehn twist along a simple closed curve acts on
-homology as a transvection; a factorization of a fibration's monodromy into
-twists becomes a word of integer vectors, one per vanishing cycle.
-Chirality -1 marks a left-handed twist, which acts by the inverse
-transvection.
+caller's monodromy matrix.  `gram` and `pairing` check a caller's vectors;
+the library's own rows go to `_gram` unchecked.  The pairing, the Gram
+blocks and the sweep apply J, one swap-and-negate of each pair,
+(J v)_2i = v_2i+1 and (J v)_2i+1 = -v_2i (`_apply_form`); the dense `form`
+is built only for a caller that reads it.  A Dehn twist along a simple
+closed curve acts on homology as a transvection; a factorization of a
+fibration's monodromy into twists becomes a word of integer vectors, one per
+vanishing cycle.  Chirality -1 marks a left-handed twist, which acts by the
+inverse transvection.
 Every twist action, single or a word's prefixes, comes from one exact
 left-to-right sweep, `prefix_sweep`, which yields the step state
 (Phi_0, I_0), (Phi_1, I_1), ... one pair at a time: the prefix action by a
@@ -75,13 +76,12 @@ class SymplecticSpace(_Record):
 
     def gram(self, us: Sequence[Sequence[Rational]],
              vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
-        """Rows (Q(u, v) for v in vs) for u in us: J v once per v, then each
-        entry one C-level sum of products of u and J v."""
-        us, vs = _as_tuple(us), _as_tuple(vs)
+        """Rows (Q(u, v) for v in vs) for u in us (`_gram`), each container
+        and each vector in it read by the vector rule and of length dim."""
+        us, vs = tuple(map(_as_tuple, _as_tuple(us))), tuple(map(_as_tuple, _as_tuple(vs)))
         if bad := {*map(len, us), *map(len, vs)} - {self.dim}:
             raise InputError(f"gram of a vector of length {min(bad)} in dimension {self.dim}")
-        jvs = [_apply_form(v) for v in vs]
-        return tuple(tuple(sum(map(mul, u, w)) for w in jvs) for u in us)
+        return _gram(us, vs)
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
         """Q(x, y) = x^T J y, one sum of products of x and J y."""
@@ -89,6 +89,14 @@ class SymplecticSpace(_Record):
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
         return sum(map(mul, x, _apply_form(y)))
+
+
+def _gram(us: Sequence[Sequence[Rational]],
+          vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
+    """`gram` unchecked, for rows the library built, of one even length: J v
+    once per v, then each entry one C-level sum of products of u and J v."""
+    jvs = [_apply_form(v) for v in vs]
+    return tuple(tuple(sum(map(mul, u, w)) for w in jvs) for u in us)
 
 
 def _apply_form(v: Sequence[Rational]) -> list[Rational]:
@@ -269,7 +277,7 @@ def is_symplectic(m: Matrix) -> bool:
         return False
     space = SymplecticSpace(m.rows // 2)
     columns = m.transpose().entries
-    return space.gram(columns, columns) == space.form.entries
+    return _gram(columns, columns) == space.form.entries
 
 
 def _space_of(m: Matrix, name: str) -> SymplecticSpace:
@@ -303,7 +311,7 @@ class Lagrangian(_Record):
             raise InputError(
                 f"spanning set has rank {len(basis)}, a Lagrangian needs {space.half_dim}"
             )
-        if any(map(any, space.gram(basis, basis))):
+        if any(map(any, _gram(basis, basis))):
             raise InputError("spanning set is not isotropic")
         _setattr(self, "space", space)
         _setattr(self, "basis", basis)

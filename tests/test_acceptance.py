@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from lefsig import (
     Matrix,
-    PositiveFamilySpec,
     Surface,
     SymplecticSpace,
     cover_signature,
@@ -58,7 +57,7 @@ def test_criterion_01_positive_block_signature():
 
 def test_criterion_02_positive_family_with_certificates():
     totals_ok = all(
-        signature(generate(PositiveFamilySpec(1, 1, n))).total == n
+        signature(generate(1, 1, n)).total == n
         for n in range(1, 21)
     )
     corrections_ok = True

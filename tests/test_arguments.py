@@ -10,8 +10,9 @@ range rule's refusal, as for `SymplecticSpace`.  A vector is read through
 `ratlinalg.as_vector`'s rule: a str or a non-iterable is an `InputError`,
 never a bare `TypeError` or one entry per character.  A caller's container
 of vectors follows the same rule, as do `MonodromyWord`'s container of cycles
-(each item a `VanishingCycle`, or the refusal names its index) and both
-arguments of `SymplecticSpace.pairing`.  A count that no sequence can hold
+(each item a `VanishingCycle`, or the refusal names its index), each vector
+inside `SymplecticSpace.gram`'s two containers and both arguments of
+`SymplecticSpace.pairing`.  A count that no sequence can hold
 (past `sys.maxsize`) is the range rule's refusal, not a bare
 `OverflowError`.  A record's repr names a value past the int-to-str digit
 limit by its size instead of raising that limit's `ValueError`.
@@ -32,6 +33,7 @@ from lefsig import (
     VanishingCycle,
     cover_signature,
     fiber_sum_defect,
+    generate,
     is_symplectic,
     meyer_cocycle,
     signature_zero_certificate,
@@ -135,6 +137,10 @@ BARE_ERRORS = [  # (call, the refusal as a regular expression); each died with a
                  id="word.chiralities"),
     pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], 5), "expected a vector, got 5",
                  id="gram"),
+    pytest.param(lambda: SymplecticSpace(1).gram([5], [[1, 0]]), "expected a vector, got 5",
+                 id="gram.u"),
+    pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], ["10"]), "expected a vector, got '10'",
+                 id="gram.v"),
     pytest.param(lambda: SymplecticSpace(1).pairing(5, [1, 0]), "expected a vector, got 5",
                  id="pairing.x"),
     pytest.param(lambda: SymplecticSpace(1).pairing([1, 0], "10"), "expected a vector, got '10'",
@@ -147,6 +153,8 @@ BARE_ERRORS = [  # (call, the refusal as a regular expression); each died with a
                  rf"n .+ out of range 1\.\.{sys.maxsize}", id="signature_zero_certificate"),
     pytest.param(lambda: word(Surface(1, 0), [[1, 0]]).repeated(10**30),
                  rf"n {10**30} out of range 1\.\.{sys.maxsize}", id="repeated"),
+    pytest.param(lambda: generate(1, 0, 10**30), rf"n {10**30} out of range 1\.\.{sys.maxsize}",
+                 id="generate"),
     pytest.param(lambda: Matrix.identity(10**30), rf"n {10**30} out of range 0\.\.{sys.maxsize}",
                  id="identity"),
     pytest.param(lambda: Matrix.zeros(10**30, 0),

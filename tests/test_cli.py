@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lefsig import PositiveFamilySpec, Surface, generate, signature, word, word_action
+from lefsig import Surface, generate, signature, word, word_action
 from lefsig.cli import (
     FibrationDocument,
     build_parser,
@@ -145,7 +145,7 @@ def _traced_peak(fn) -> int:
 def test_signature_command_streams_its_steps(tmp_path):
     # 900 cycles: the library's trace keeps every record and Phi_k; plain
     # `signature` keeps a running total, and --json the text of each step
-    doc = FibrationDocument(generate(PositiveFamilySpec(1, 1, 300)))
+    doc = FibrationDocument(generate(1, 1, 300))
     path = tmp_path / "p300.json"
     path.write_text(serialize_fibration_document(doc))
     sink = _CountingSink()
@@ -386,6 +386,12 @@ def test_genus_above_the_ceiling_exits_2(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err == "error: genus and boundary give a fiber dimension above 1000\n"
+
+
+def test_a_repetition_count_no_word_can_hold_exits_2(capsys):
+    n = "1" + "0" * 30  # 31 digits: used to die with a bare OverflowError
+    assert run(capsys, "generate", "--genus", "1", "--boundary", "0", "--n", n) == (
+        2, "", f"error: n {n} out of range 1..{sys.maxsize}\n")
 
 
 def test_missing_field_error_is_independent_of_hash_seed(tmp_path):

@@ -23,7 +23,7 @@ from lefsig import (
     word,
     word_action,
 )
-from lefsig.engine import _contribution, _steps
+from lefsig.engine import _readouts, _record
 from lefsig.ratlinalg import vec_dot
 
 from .fixtures import (
@@ -128,18 +128,21 @@ def test_trace_internal_consistency():
 
 
 def test_stream_trace_and_random_access_agree():
-    """`signature` collects the step stream without building the word's one
-    kept sweep; `local_sigma` builds it on demand, n + 1 pairs (Phi_k, I_k),
-    and gives the same records."""
+    """`signature` makes one `_record` per readout of the step stream, without
+    building the word's one kept sweep; `local_sigma` builds it on demand,
+    n + 1 pairs (Phi_k, I_k), and gives the same records."""
     rng = random.Random(28)
     words = [word(Surface(2, 1), [])] + [stream_word(rng) for _ in range(60)]
     seen = {"null": 0, "repeated": 0, "non-primitive": 0, "left": 0}
     for w in words:
-        streamed = tuple(_steps(w))
+        streamed = tuple(_record(*step) for step in _readouts(w))
         trace = signature(w)
         assert "_sweep" not in w.__dict__
         assert streamed == trace.steps
-        assert trace.total == sum(map(_contribution, streamed))
+        # signature = - sum_k c_k sigma_k - sum over null-homologous k of c_k
+        assert trace.total == (-sum(s.cycle.chirality * s.sigma for s in streamed)
+                               - sum(s.cycle.chirality for s in streamed
+                                     if s.cycle.is_null_homologous))
         assert trace.steps == tuple(local_sigma(w, k) for k in range(1, len(w) + 1))
         if len(w):
             assert len(w.__dict__["_sweep"]) == len(w) + 1

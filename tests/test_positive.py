@@ -11,7 +11,6 @@ from lefsig import (
     BLOCK_VECTORS,
     InputError,
     Matrix,
-    PositiveFamilySpec,
     generate,
     signature,
     signature_zero_certificate,
@@ -27,7 +26,7 @@ def test_block_vectors_are_the_published_ones():
 
 
 def test_generate_genus_one():
-    w = generate(PositiveFamilySpec(1, 1, 1))
+    w = generate(1, 1, 1)
     assert len(w) == 3
     assert [c.homology_class for c in w.cycles] == list(POSITIVE_VECTORS)
     assert word_action(w) == BLOCK_ACTION
@@ -36,8 +35,8 @@ def test_generate_genus_one():
 
 def test_padded_block_matches_genus_one():
     # Id - Phi_k at genus 40 is Id - Phi_k at genus 1 beside a zero block
-    small = signature(generate(PositiveFamilySpec(1, 0, 4)))
-    padded = signature(generate(PositiveFamilySpec(40, 0, 4)))
+    small = signature(generate(1, 0, 4))
+    padded = signature(generate(40, 0, 4))
     assert padded.total == small.total == 4
     assert [s.sigma for s in padded.steps] == [s.sigma for s in small.steps]
     assert [s.witness for s in padded.steps] == [
@@ -46,7 +45,7 @@ def test_padded_block_matches_genus_one():
 
 
 def test_generate_pads_to_higher_genus():
-    w = generate(PositiveFamilySpec(3, 0, 2))
+    w = generate(3, 0, 2)
     assert len(w) == 6
     assert all(len(c.homology_class) == 6 for c in w.cycles)
     assert all(c.homology_class[2:] == (0, 0, 0, 0) for c in w.cycles)
@@ -55,17 +54,17 @@ def test_generate_pads_to_higher_genus():
 
 def test_generate_signature_is_repetition_count():
     for n in (1, 2, 4, 7):
-        assert signature(generate(PositiveFamilySpec(1, 1, n))).total == n
-    assert signature(generate(PositiveFamilySpec(2, 3, 3))).total == 3
+        assert signature(generate(1, 1, n)).total == n
+    assert signature(generate(2, 3, 3)).total == 3
 
 
 def test_family_spec_validation():
     with pytest.raises(InputError, match="genus"):
-        PositiveFamilySpec(0, 1, 1)
+        generate(0, 1, 1)
     with pytest.raises(InputError, match="^boundary must be >= 0, got -1$"):
-        PositiveFamilySpec(1, -1, 1)
+        generate(1, -1, 1)
     with pytest.raises(InputError, match="repetition"):
-        PositiveFamilySpec(1, 1, 0)
+        generate(1, 1, 0)
 
 
 def test_certificate_n1_value():

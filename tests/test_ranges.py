@@ -24,11 +24,11 @@ import pytest
 
 from lefsig import (
     Matrix,
-    PositiveFamilySpec,
     Surface,
     SymplecticSpace,
     VanishingCycle,
     cover_signature,
+    generate,
     local_sigma,
     local_sigma_via_maslov,
     shortcut_dual_preserved,
@@ -101,12 +101,10 @@ RANGES = [  # (field, low, high or None, call of the value and a scratch directo
                  id="cover_signature"),
     pytest.param("n", 1, sys.maxsize, lambda v, _: signature_zero_certificate(BLOCK_ACTION, v),
                  id="signature_zero_certificate"),
-    pytest.param("genus", 1, None, lambda v, _: PositiveFamilySpec(v, 0, 1),
-                 id="PositiveFamilySpec.genus"),
-    pytest.param("boundary", 0, None, lambda v, _: PositiveFamilySpec(1, v, 1),
-                 id="PositiveFamilySpec.boundary"),
-    pytest.param("repetitions", 1, None, lambda v, _: PositiveFamilySpec(1, 0, v),
-                 id="PositiveFamilySpec.repetitions"),
+    pytest.param("genus", 1, None, lambda v, _: generate(v, 0, 1), id="generate.genus"),
+    pytest.param("boundary", 0, None, lambda v, _: generate(1, v, 1), id="generate.boundary"),
+    pytest.param("repetitions", 1, None, lambda v, _: generate(1, 0, v),
+                 id="generate.repetitions"),
     pytest.param("--n", 1, None, lambda v, _: _power(v), id="power--n"),
     pytest.param("dimension", 0, CEILING, _meyer, id="document.dimension"),
 ]
@@ -157,7 +155,7 @@ PAST_THE_DIGIT_LIMIT = [  # (message up to the refused value, call)
     pytest.param("genus must be an integer, got ", lambda: Surface(Fraction(HUGE), 0),
                  id="Surface.genus"),
     pytest.param("genus must be an integer, got ",
-                 lambda: PositiveFamilySpec(Fraction(HUGE), 0, 1), id="PositiveFamilySpec.genus"),
+                 lambda: generate(Fraction(HUGE), 0, 1), id="generate.genus"),
     pytest.param("base_sigma must be an integer, got ",
                  lambda: cover_signature(Fraction(HUGE), Matrix.identity(2), 2),
                  id="cover_signature.base_sigma"),

@@ -24,7 +24,6 @@ from lefsig import (
     Lagrangian,
     Matrix,
     MonodromyWord,
-    PositiveFamilySpec,
     SignatureTrace,
     StepRecord,
     Surface,
@@ -59,7 +58,6 @@ def _samples():
         (SignatureTrace, ("word", "steps", "null_homologous_count", "total"),
          (w, trace.steps, 0, trace.total), (w, (), 0, trace.total)),
         (CorrectionTerm, ("power", "matrix", "sigma"), (2, m, 0), (2, m, 1)),
-        (PositiveFamilySpec, ("genus", "boundary", "repetitions"), (2, 1, 3), (2, 0, 3)),
         (FibrationDocument, ("word", "name"), (w, "two twists"), (w,)),
     ]
 
@@ -84,7 +82,7 @@ def test_every_record_is_sampled():
     def subclasses(cls):
         return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
     assert subclasses(_Record) == {sample[0] for sample in _samples()}
-    assert len(_samples()) == 11
+    assert len(_samples()) == 10
 
 
 @pytest.mark.parametrize("cls, names, args, other", _samples(),

@@ -113,7 +113,7 @@ def test_foreign_imports_are_found(tmp_path):
 
 PUBLIC_API = [
     "BLOCK_VECTORS", "CorrectionTerm", "InputError", "InternalConsistencyError",
-    "Lagrangian", "LefsigError", "Matrix", "MonodromyWord", "PositiveFamilySpec",
+    "Lagrangian", "LefsigError", "Matrix", "MonodromyWord",
     "SignatureTrace", "StepRecord", "Surface", "SymplecticSpace", "VanishingCycle",
     "cover_signature", "direct_sum_lagrangian", "fiber_sum_defect", "generate",
     "is_symplectic", "local_sigma",

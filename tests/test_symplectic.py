@@ -12,11 +12,11 @@ from lefsig import (
     InputError,
     Lagrangian,
     Matrix,
-    PositiveFamilySpec,
     Surface,
     SymplecticSpace,
     VanishingCycle,
     direct_sum_lagrangian,
+    generate,
     is_symplectic,
     local_sigma,
     map_lagrangian,
@@ -535,11 +535,11 @@ def test_vanishing_cycle_rejects_bools_and_floats(vector, chirality, field):
     (lambda: Surface(True, 0), "genus"),
     (lambda: Surface(1, 2.0), "boundary"),
     (lambda: Surface(1, False), "boundary"),
-    (lambda: PositiveFamilySpec(1.5, 0, 1), "genus"),
-    (lambda: PositiveFamilySpec(True, 0, 1), "genus"),
-    (lambda: PositiveFamilySpec(1, True, 1), "boundary"),
-    (lambda: PositiveFamilySpec(1, 0, 2.5), "repetitions"),
-    (lambda: PositiveFamilySpec(1, 0, True), "repetitions"),
+    (lambda: generate(1.5, 0, 1), "genus"),
+    (lambda: generate(True, 0, 1), "genus"),
+    (lambda: generate(1, True, 1), "boundary"),
+    (lambda: generate(1, 0, 2.5), "repetitions"),
+    (lambda: generate(1, 0, True), "repetitions"),
 ])
 def test_surface_and_family_spec_reject_bools_and_floats(make, field):
     with pytest.raises(InputError, match=field):
