@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
@@ -120,7 +119,7 @@ def serialize_fibration_document(doc: FibrationDocument) -> str:
             f'  "cycles": [{cycles}\n  ]\n}}\n')
 
 
-def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, list[Matrix]]:
+def parse_matrix_document(text: str, expect: int) -> tuple[int, list[Matrix]]:
     """Parse {"dimension": d, "matrices": [...]}; any number of rows (none only
     if d = 0), entries integers or "p/q" strings; `expect` pins the matrix count."""
     obj = _load_object(text)
@@ -132,7 +131,7 @@ def parse_matrix_document(text: str, expect: int | None = None) -> tuple[int, li
     raw = obj["matrices"]
     if not isinstance(raw, list):
         raise InputError("matrices must be a list")
-    if expect is not None and len(raw) != expect:
+    if len(raw) != expect:
         raise InputError(f"expected {expect} matrices, got {len(raw)}")
     out = []
     for idx, rows in enumerate(raw, start=1):
@@ -153,8 +152,6 @@ def _bracket(items: Iterable[object]) -> str:
 
 
 def _read(path: str) -> str:
-    if not os.path.isfile(path):
-        raise InputError(f"no such file: {path}")
     try:  # RFC 8259 JSON is UTF-8, whatever the locale; a BOM stays an error
         with open(path, "rb") as f:
             return f.read().decode("utf-8")

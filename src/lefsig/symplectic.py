@@ -6,9 +6,9 @@ symplectic intersection form: in the basis a1, b1, ..., ah, bh its Gram
 matrix J has 2x2 blocks [[0, 1], [-1, 0]] down the diagonal.  That is the
 only form here, so a `SymplecticSpace` is its half dimension h, and the
 space of a matrix or a cycle is its size: `_space_of` is the one check of a
-caller's monodromy matrix.  `gram` and `pairing` check a caller's vectors;
-the library's own rows go to `_gram` unchecked.  The pairing, the Gram
-blocks and the sweep apply J, one swap-and-negate of each pair,
+caller's monodromy matrix.  `pairing` reads a caller's vectors by
+`as_vector`; the library's own rows go to `_gram` unchecked.  The pairing,
+the Gram blocks and the sweep apply J, one swap-and-negate of each pair,
 (J v)_2i = v_2i+1 and (J v)_2i+1 = -v_2i (`_apply_form`); the dense `form`
 is built only for a caller that reads it.  A Dehn twist along a simple
 closed curve acts on homology as a transvection; a factorization of a
@@ -74,18 +74,10 @@ class SymplecticSpace(_Record):
             rows[i][i + 1], rows[i + 1][i] = 1, -1
         return Matrix._exact(tuple(map(tuple, rows)), n)
 
-    def gram(self, us: Sequence[Sequence[Rational]],
-             vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
-        """Rows (Q(u, v) for v in vs) for u in us (`_gram`), each container
-        and each vector in it read by the vector rule and of length dim."""
-        us, vs = tuple(map(_as_tuple, _as_tuple(us))), tuple(map(_as_tuple, _as_tuple(vs)))
-        if bad := {*map(len, us), *map(len, vs)} - {self.dim}:
-            raise InputError(f"gram of a vector of length {min(bad)} in dimension {self.dim}")
-        return _gram(us, vs)
-
-    def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
-        """Q(x, y) = x^T J y, one sum of products of x and J y."""
-        x, y = _as_tuple(x), _as_tuple(y)
+    def pairing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Rational:
+        """Q(x, y) = x^T J y, one sum of products of x and J y, each vector
+        read by `as_vector`: entries exact rationals or 'p/q' strings."""
+        x, y = as_vector(x), as_vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"pairing of lengths {len(x)} and {len(y)} in dimension {self.dim}")
         return sum(map(mul, x, _apply_form(y)))
@@ -93,8 +85,9 @@ class SymplecticSpace(_Record):
 
 def _gram(us: Sequence[Sequence[Rational]],
           vs: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
-    """`gram` unchecked, for rows the library built, of one even length: J v
-    once per v, then each entry one C-level sum of products of u and J v."""
+    """Rows (Q(u, v) for v in vs) for u in us, unchecked, for rows the library
+    built, of one even length: J v once per v, then each entry one C-level sum
+    of products of u and J v."""
     jvs = [_apply_form(v) for v in vs]
     return tuple(tuple(sum(map(mul, u, w)) for w in jvs) for u in us)
 
@@ -271,7 +264,7 @@ def word_action(word: MonodromyWord, upto: int | None = None) -> Matrix:
 
 
 def is_symplectic(m: Matrix) -> bool:
-    """True iff M is square of even size 2h and M^T J M, the `gram` matrix of
+    """True iff M is square of even size 2h and M^T J M, the `_gram` matrix of
     its columns, is J exactly; a size past the fiber ceiling is an `InputError`."""
     if not m.is_square() or m.rows % 2:
         return False

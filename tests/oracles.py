@@ -38,8 +38,8 @@ The dual-preservation shortcut is kept as the library once ran it: a checked
 Fractions.  The library asks one int elimination instead.
 
 `is_symplectic` once formed M^T J M by two `Matrix` products; the library
-reads the Gram matrix of M's columns off `SymplecticSpace.gram` instead and
-must give the same verdict.  `gram` and `pairing` apply J by one
+reads the Gram matrix of M's columns off `symplectic._gram` instead and
+must give the same verdict.  `_gram` and `pairing` apply J by one
 swap-and-negate per vector; `reference_gram` writes the dense J out itself
 (`standard_form`) and sums each J v over its nonzero pattern, and the two
 must agree entry for entry, down to the type.
@@ -79,7 +79,7 @@ from lefsig.maslov import maslov_index
 from lefsig.engine import SignatureTrace
 from lefsig.errors import InputError
 from lefsig.ratlinalg import Matrix, Vector, as_vector, signature_symmetric, vec_dot
-from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, word_action
+from lefsig.symplectic import Lagrangian, MonodromyWord, SymplecticSpace, _gram, word_action
 
 
 def span_basis(vectors, dim: int) -> tuple[Vector, ...]:
@@ -281,9 +281,8 @@ def lion_vergne_index(a: Lagrangian, b: Lagrangian, c: Lagrangian) -> int:
     """Minus the signature of Kashiwara's form on A + B + C, the 3n x 3n
     matrix [[0, P, R^T], [P^T, 0, S], [R, S^T, 0]] with P = A J B^T,
     S = B J C^T and R = C J A^T, as the library once computed the index."""
-    space = a.space
-    n = space.half_dim
-    p, s, r = (space.gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
+    n = a.space.half_dim
+    p, s, r = (_gram(x.basis, y.basis) for x, y in ((a, b), (b, c), (c, a)))
     pt, st, rt = (tuple(zip(*m)) for m in (p, s, r))
     zero = ((0,) * n,) * n
     form = tuple(x + y + z for blocks in ((zero, p, rt), (pt, zero, s), (r, st, zero))

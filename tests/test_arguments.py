@@ -10,9 +10,9 @@ range rule's refusal, as for `SymplecticSpace`.  A vector is read through
 `ratlinalg.as_vector`'s rule: a str or a non-iterable is an `InputError`,
 never a bare `TypeError` or one entry per character.  A caller's container
 of vectors follows the same rule, as do `MonodromyWord`'s container of cycles
-(each item a `VanishingCycle`, or the refusal names its index), each vector
-inside `SymplecticSpace.gram`'s two containers and both arguments of
-`SymplecticSpace.pairing`.  A count that no sequence can hold
+(each item a `VanishingCycle`, or the refusal names its index) and both
+arguments of `SymplecticSpace.pairing`, whose entries are read by
+`ratlinalg.as_rational`'s exact-entry rule.  A count that no sequence can hold
 (past `sys.maxsize`) is the range rule's refusal, not a bare
 `OverflowError`.  A record's repr names a value past the int-to-str digit
 limit by its size instead of raising that limit's `ValueError`.
@@ -135,12 +135,6 @@ BARE_ERRORS = [  # (call, the refusal as a regular expression); each died with a
     pytest.param(lambda: word(Surface(1, 0), 5), "expected a vector, got 5", id="word.vectors"),
     pytest.param(lambda: word(Surface(1, 0), [[1, 0]], 5), "expected a vector, got 5",
                  id="word.chiralities"),
-    pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], 5), "expected a vector, got 5",
-                 id="gram"),
-    pytest.param(lambda: SymplecticSpace(1).gram([5], [[1, 0]]), "expected a vector, got 5",
-                 id="gram.u"),
-    pytest.param(lambda: SymplecticSpace(1).gram([[1, 0]], ["10"]), "expected a vector, got '10'",
-                 id="gram.v"),
     pytest.param(lambda: SymplecticSpace(1).pairing(5, [1, 0]), "expected a vector, got 5",
                  id="pairing.x"),
     pytest.param(lambda: SymplecticSpace(1).pairing([1, 0], "10"), "expected a vector, got '10'",
@@ -171,6 +165,26 @@ def test_a_container_or_count_is_refused_not_a_bare_error(call, refusal):
     with pytest.raises(InputError) as exc:
         call()
     assert re.fullmatch(refusal, str(exc.value)), str(exc.value)
+
+
+# (the refusal, call); each returned a float or an int, or died with a bare TypeError
+PAIRING_ENTRIES = [
+    pytest.param("not an exact rational: 0.5",
+                 lambda: SymplecticSpace(1).pairing([0.5, 0], [0, 1]), id="pairing.float"),
+    pytest.param("not an exact rational: True",
+                 lambda: SymplecticSpace(1).pairing([True, 0], [0, 1]), id="pairing.bool"),
+    pytest.param("not a rational literal: 'x'",
+                 lambda: SymplecticSpace(1).pairing(["x", 0], [0, 1]), id="pairing.str"),
+    pytest.param("not an exact rational: 0.5",
+                 lambda: SymplecticSpace(1).pairing([1, 0], [0, 0.5]), id="pairing.y"),
+]
+
+
+@pytest.mark.parametrize("refusal, call", PAIRING_ENTRIES)
+def test_a_pairing_entry_follows_the_exact_entry_rule(refusal, call):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == refusal
 
 
 @NO_DIGIT_LIMIT

@@ -288,10 +288,17 @@ def test_generate_roundtrip(capsys, tmp_path):
     assert out.strip().endswith("signature: 1")
 
 
-def test_missing_file_exits_2(capsys):
+def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "signature", "no-such-file.json")
     assert code == 2
-    assert "no such file" in err
+    assert "No such file or directory" in err and "no-such-file.json" in err
+    code, _, err = run(capsys, "signature", str(tmp_path))
+    assert code == 2
+    assert "Is a directory" in err
+    code, out, err = run(capsys, "generate", "--genus", "1", "--boundary", "0", "--n", "1",
+                         "--out", str(tmp_path / "missing" / "g.json"))
+    assert (code, out) == (2, "")
+    assert "No such file or directory" in err and "g.json" in err
 
 
 def _cycles(items: str) -> str:
@@ -409,15 +416,15 @@ def test_missing_field_error_is_independent_of_hash_seed(tmp_path):
 
 def test_matrix_document_parsing():
     dim, mats = parse_matrix_document(
-        '{"dimension": 2, "matrices": [[["1/2", 0], [3, "-2/3"]]]}')
+        '{"dimension": 2, "matrices": [[["1/2", 0], [3, "-2/3"]]]}', expect=1)
     assert dim == 2
     assert str(mats[0].at(0, 0)) == "1/2"
     with pytest.raises(Exception, match="matrix 1: not an exact rational: 0.5"):
-        parse_matrix_document('{"dimension": 2, "matrices": [[[0.5, 0]]]}')
+        parse_matrix_document('{"dimension": 2, "matrices": [[[0.5, 0]]]}', expect=1)
     with pytest.raises(Exception, match="expected 3 matrices"):
         parse_matrix_document('{"dimension": 2, "matrices": []}', expect=3)
     with pytest.raises(Exception, match="even"):
-        parse_matrix_document('{"dimension": 3, "matrices": []}')
+        parse_matrix_document('{"dimension": 3, "matrices": []}', expect=0)
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch, tmp_path):

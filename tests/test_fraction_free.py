@@ -19,7 +19,7 @@ from lefsig.ratlinalg import (
     signature_symmetric,
     vec_dot,
 )
-from lefsig.symplectic import SymplecticSpace, VanishingCycle, prefix_sweep
+from lefsig.symplectic import SymplecticSpace, VanishingCycle, _gram, prefix_sweep
 
 from .fixtures import block_sum, random_lagrangian
 from .oracles import (
@@ -152,7 +152,7 @@ def _kashiwara_form(rng: random.Random, genus: int) -> Matrix:
     so many rows hold 0 in the pivot column."""
     space = SymplecticSpace(genus)
     a, b, c = (random_lagrangian(rng, space).basis for _ in range(3))
-    p, s, r = space.gram(a, b), space.gram(b, c), space.gram(c, a)
+    p, s, r = _gram(a, b), _gram(b, c), _gram(c, a)
     zero = ((0,) * genus,) * genus
     blocks = ((zero, p, tuple(zip(*r))), (tuple(zip(*p)), zero, s), (r, tuple(zip(*s)), zero))
     return Matrix([x + y + z for row in blocks for x, y, z in zip(*row)], 3 * genus)

@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import reduce
-from operator import matmul
+from operator import add, matmul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +171,10 @@ def test_signature_manufactured_pivot_after_elimination(rows):
 def test_signature_rejects_non_symmetric():
     with pytest.raises(InputError):
         signature_symmetric(Matrix.from_rows([[0, 1], [0, 0]]))
+    for m in (Matrix.zeros(2, 3), Matrix.zeros(0, 1)):
+        with pytest.raises(InputError) as exc:
+            signature_symmetric(m)
+        assert str(exc.value) == "signature of a non-square matrix"
 
 
 def test_signature_empty_matrix():
@@ -248,7 +252,9 @@ def test_matrix_requires_exact_entries():
                            (lambda: Matrix.identity(1.0), "n must be an integer, got 1.0"),
                            (lambda: Matrix.zeros(2.0, 2), "rows must be an integer, got 2.0"),
                            (lambda: Matrix.zeros(2, True), "cols must be an integer, got True"),
-                           (lambda: Matrix((), 2.0), "cols must be an integer, got 2.0")):
+                           (lambda: Matrix((), 2.0), "cols must be an integer, got 2.0"),
+                           (lambda: Matrix.from_rows([]),
+                            "cannot infer column count of an empty matrix")):
         with pytest.raises(InputError, match=message):
             build()
 
@@ -395,6 +401,13 @@ def test_matmul_matches_the_vec_dot_reference():
 def test_matmul_shape_mismatch():
     with pytest.raises(InputError):
         Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+    for a, b in ((Matrix.zeros(2, 3), Matrix.zeros(3, 2)),
+                 (Matrix.zeros(0, 2), Matrix.zeros(0, 1))):
+        for op in (add, sub):
+            with pytest.raises(InputError) as exc:
+                op(a, b)
+            assert str(exc.value) == (
+                f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
 def test_span_basis_canonical():

@@ -17,9 +17,9 @@ third-party module there would make a dependency the package does not declare.
 `lefsig.__all__` is pinned so that a name deleted from a module cannot linger
 as a stale export, and a new public name is a deliberate edit here.  So are
 the public names `lefsig.ratlinalg` defines and the public attributes of
-`Matrix`, `MonodromyWord` and `Lagrangian`, operator methods included: an entry
-point that nothing outside the tests calls is gone, and it cannot come back
-unnoticed.
+`Matrix`, `MonodromyWord`, `Lagrangian` and `SymplecticSpace`, operator
+methods included: an entry point that nothing outside the tests calls is
+gone, and it cannot come back unnoticed.
 
 Every annotation in the package resolves: with postponed evaluation an
 annotation naming a module that is imported only inside a function reads fine
@@ -34,7 +34,7 @@ import typing
 from pathlib import Path
 
 import lefsig
-from lefsig import Lagrangian, Matrix, MonodromyWord
+from lefsig import Lagrangian, Matrix, MonodromyWord, SymplecticSpace
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "lefsig").glob("*.py"))
@@ -137,6 +137,7 @@ CLASS_API = {
              "is_square", "rows", "transpose", "zeros"],
     MonodromyWord: ["__init__", "__len__", "repeated", "space"],
     Lagrangian: ["__init__"],
+    SymplecticSpace: ["__init__", "dim", "form", "pairing"],
 }
 
 

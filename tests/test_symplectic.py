@@ -128,6 +128,11 @@ def test_pairing_is_determinant_in_the_plane():
     assert sp.pairing([1, 0], [0, 1]) == 1
     assert sp.pairing([0, 1], [1, 0]) == -1
     assert sp.pairing([2, 5], [1, 5]) == 5
+    # entries by `as_vector`: a "p/q" literal is a rational, and an int pair stays an int
+    got = [sp.pairing(["1/2", 0], [0, 1]), sp.pairing([1, 0], ["0", "-6/8"]),
+           sp.pairing([2, 5], [1, 5]), sp.pairing([Fraction(1, 3), 0], [0, 3])]
+    assert got == [Fraction(1, 2), Fraction(-3, 4), 5, 1]
+    assert list(map(type, got)) == [Fraction, Fraction, int, Fraction]
     for x, y in (([1], [1, 0]), ([1, 0], [1, 0, 0])):
         with pytest.raises(InputError, match=f"lengths {len(x)} and {len(y)} in dimension 2"):
             sp.pairing(x, y)
@@ -201,7 +206,7 @@ def test_is_symplectic_matches_the_product_oracle():
 
 
 def test_gram_matches_the_per_vector_oracle():
-    # J applied by swap-and-negate in `gram`, `pairing` and `_apply_form`
+    # J applied by swap-and-negate in `_gram`, `pairing` and `_apply_form`
     # against the dense J written out, values and types, on every standard
     # space up to genus 6, int and Fraction vectors, empty us and vs
     rng = random.Random(1973)
@@ -221,7 +226,7 @@ def test_gram_matches_the_per_vector_oracle():
         for _ in range(8):
             us = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
             vs = [vector(d, rng.random() < 0.3) for _ in range(rng.randint(0, 4))]
-            got, want = space.gram(us, vs), reference_gram(space, us, vs)
+            got, want = symplectic._gram(us, vs), reference_gram(space, us, vs)
             assert got == want and types(got) == types(want), (space, us, vs)
             for v in vs:
                 jv, want_jv = symplectic._apply_form(v), reference_apply_form(v)
@@ -232,9 +237,9 @@ def test_gram_matches_the_per_vector_oracle():
             assert types([got]) == types([[reference_gram(space, [u], [v])[0][0]
                                            for u, v in pairs]])
         u = vector(d, False)
-        assert space.gram([u], []) == reference_gram(space, [u], []) == ((),)
-        assert space.gram([], [u]) == reference_gram(space, [], [u]) == ()
-    assert SymplecticSpace(0).gram([(), ()], [()]) == ((0,), (0,))
+        assert symplectic._gram([u], []) == reference_gram(space, [u], []) == ((),)
+        assert symplectic._gram([], [u]) == reference_gram(space, [], [u]) == ()
+    assert symplectic._gram([(), ()], [()]) == ((0,), (0,))
     assert SymplecticSpace(0).pairing((), ()) == 0
 
 
@@ -260,16 +265,6 @@ def test_signature_applies_the_form_without_building_it():
     assert shortcut_dual_preserved(w, 30) == shortcut_dual_preserved(small.word, 30)
     assert "form" not in w.space.__dict__
     assert w.space.form.rows == 1000 and "form" in w.space.__dict__
-
-
-def test_gram_rejects_a_vector_of_the_wrong_length():
-    plane = SymplecticSpace(1)
-    assert plane.gram([(1, 0)], [(0, 1)]) == ((1,),)
-    for us, vs, length in (([(1,)], [(0, 1)], 1), ([(1, 0, 5)], [(0, 1)], 3),
-                           ([(1, 0)], [(0, 1, 7)], 3), ([], [(0, 1), ()], 0)):
-        with pytest.raises(InputError, match=f"^gram of a vector of length {length} in "
-                                             "dimension 2$"):
-            plane.gram(us, vs)
 
 
 def test_word_action_block():
@@ -364,6 +359,10 @@ def test_half_dim_table():
 def test_word_rejects_wrong_vector_length():
     with pytest.raises(InputError, match="expected 4"):
         word(Surface(2, 0), [[1, 0]])
+    for chiralities in ([], [1, -1, 1]):
+        with pytest.raises(InputError) as exc:
+            word(Surface(1, 0), [[1, 0], [0, 1]], chiralities)
+        assert str(exc.value) == "one chirality per cycle required"
 
 
 def test_zero_dimensional_word_allows_only_empty_cycles():
