@@ -14,13 +14,15 @@ Fibration documents are JSON objects {"genus": g, "boundary": b, "cycles":
 are {"dimension": d, "matrices": [[[...]], ...]} with integer or "p/q" string
 entries.  Exit codes: 0 success, 2 bad input, 3 internal consistency failure.
 
-`signature`, `power` and `generate` read the engine's stream of integer step
-readouts and keep only what they print, with no record made and no witness
-divided out.  `signature --json` and `power --json` write their JSON
-directly, one f-string per step or correction term, byte for byte as the
-standard JSON encoder lays it out at indent 2 (the golden transcript and
-tests/oracles.py pin it): every value is an int, a bool, null or a witness
-string of `-0-9/`, which `_quotients` writes as `str(Fraction)` would.
+Plain `signature`, `power`'s base and Phi_n and `generate`'s self-check read
+the engine's partial fiber sums (`engine._total_and_action`); `--trace` and
+`--json` read its stream of integer step readouts and keep only what they
+print.  Neither makes a record or divides a witness out.  `signature --json`
+and `power --json` write their JSON directly, one f-string per step or
+correction term, byte for byte as the standard JSON encoder lays it out at
+indent 2 (the golden transcript and tests/oracles.py pin it): every value is
+an int, a bool, null or a witness string of `-0-9/`, which `_quotients`
+writes as `str(Fraction)` would.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd
 
 from ._record import _Record, _setattr
 from .cover import correction_terms
-from .engine import _readouts, _term
+from .engine import _readouts, _term, _total_and_action
 from .errors import InputError, InternalConsistencyError, _require_range
 from .maslov import maslov_index, meyer_cocycle
 from .positive import generate
@@ -185,12 +187,13 @@ def _step_json(k: int, cycle: VanishingCycle, solvable: bool, sigma: int,
 
 
 def cmd_signature(args: argparse.Namespace) -> int:
-    """Each form keeps only what it prints from the stream of readouts: the
-    total; the total and one row at a time; or, since the JSON layout puts the
-    total first, the total, the null count and each step's text."""
+    """The plain total by partial fiber sums; the step forms keep only what they
+    print from the stream of readouts: the total and one row at a time, or,
+    since the JSON layout puts the total first, the total, the null count and
+    each step's text."""
     doc = parse_fibration_document(_read(args.file))
     if not (args.json or args.trace):
-        print(f"signature: {sum(_term(c, r[1]) for _, c, _, r in _readouts(doc.word))}")
+        print(f"signature: {_total_and_action(doc.word)[0]}")
         return 0
     total, nulls, texts = 0, 0, []
     # witnesses may pass CPython's int-to-str digit limit (4300 by default, none
@@ -229,10 +232,7 @@ def cmd_signature(args: argparse.Namespace) -> int:
 def cmd_power(args: argparse.Namespace) -> int:
     doc = parse_fibration_document(_read(args.file))
     _require_range("--n", args.n, 1)
-    base = 0
-    phi = Matrix.identity(doc.word.space.dim)  # the action of the empty word
-    for _, cycle, phi, readout in _readouts(doc.word):  # Phi_n is the last step's
-        base += _term(cycle, readout[1])
+    base, phi = _total_and_action(doc.word)
     sigmas = [t.sigma for t in correction_terms(phi, args.n)]
     total = args.n * base - sum(sigmas)
     if args.json:
@@ -328,7 +328,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     # round-trip through the parser before certifying, as a self-check
     reparsed = parse_fibration_document(text)
-    print(f"signature: {sum(_term(c, r[1]) for _, c, _, r in _readouts(reparsed.word))}")
+    print(f"signature: {_total_and_action(reparsed.word)[0]}")
     return 0
 
 

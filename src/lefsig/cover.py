@@ -23,10 +23,16 @@ only the S_m it hands out in a `Matrix`: a term is one `ratlinalg._product`
 (the rule of `Matrix @`) and one pass of adds.
 
 The ladder gives the terms and the certificate's S_m; the total comes from the
-partial fiber sum tree of w^n.  Wall non-additivity (Meyer 1973) splits it as
-sigma(w^(a+b)) = sigma(w^a) + sigma(w^b) - defect(phi^b, phi^a), so
-`cover_signature` squares and multiplies on (sigma(w^a), phi^a) pairs with
-O(log n) defects and products.  sigma(S_m) = defect(phi, phi^m) ties the two.
+partial fiber sum tree of w^n.  Wall non-additivity (Meyer 1973) glues two
+words u (first) and v as
+
+    (sigma_u, Phi_u) + (sigma_v, Phi_v) = (sigma_u + sigma_v - defect(Phi_v, Phi_u), Phi_v Phi_u),
+
+the one gluing rule `_glue`, and `_power` squares and multiplies on it for
+(sigma(w^n), phi^n) with O(log n) defects and products.  Both are unchecked:
+`cover_signature` checks its arguments and then calls `_power`, and the
+engine's plain total calls it on each component's period (`engine`).
+sigma(S_m) = defect(phi, phi^m) ties the ladder to the tree.
 """
 
 from __future__ import annotations
@@ -72,20 +78,26 @@ def correction_terms(phi: Matrix, n: int) -> Iterator[CorrectionTerm]:
     return (CorrectionTerm(m, total, signature_symmetric(total)) for m, total in sums)
 
 
+def _glue(u: tuple[int, Matrix], v: tuple[int, Matrix]) -> tuple[int, Matrix]:
+    """(sigma(u v), Phi_v Phi_u) from the pairs of u (first) and v, unchecked:
+    sigma(u) + sigma(v) - defect(Phi_v, Phi_u), for symplectic Phi of one size."""
+    return u[0] + v[0] - _meyer_defect(v[1], u[1]), v[1] @ u[1]
+
+
+def _power(u: tuple[int, Matrix], n: int) -> tuple[int, Matrix]:
+    """(sigma(u^n), Phi_u^n) from (sigma(u), Phi_u) by square and multiply on
+    `_glue`, for n >= 1, unchecked: the partial fiber sum tree of u^n."""
+    out = u
+    for bit in bin(n)[3:]:  # out is the pair of u^k, k the leading bits of n
+        out = _glue(out, out)
+        if bit == "1":
+            out = _glue(out, u)
+    return out
+
+
 def cover_signature(base_sigma: int, phi: Matrix, n: int) -> int:
     """Signature of the n-fold cyclic cover branched over a regular fiber, on the tree."""
     _require_int("base_sigma", base_sigma)
     _require_range("n", n, 1)
     _space_of(phi, "phi")
-    # sigma(w^k), phi^k = later @ power for k the leading bits of n, multiplied once needed
-    sigma, power, later = base_sigma, phi, None
-    for bit in bin(n)[3:]:
-        if later is not None:
-            power = later @ power
-        sigma = 2 * sigma - _meyer_defect(power, power)
-        later = power
-        if bit == "1":
-            power = power @ power
-            sigma += base_sigma - _meyer_defect(phi, power)
-            later = phi
-    return sigma
+    return _power((base_sigma, phi), n)[0]

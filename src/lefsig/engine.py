@@ -39,6 +39,23 @@ cache empty, `local_sigma(word, k)` reads the pair the word keeps (the
 sweep's one tuple, built on first use), and `_record` is the one place a
 witness is divided out into Fractions.
 
+The plain total and Phi_n need no step of w itself (`_total_and_action`, which
+plain `signature`, `power` and `generate` read).  Join two handles when some
+cycle touches both: one union-find pass gives the final components, and it
+stops joining once one component holds every handle.  Cycles of other
+components act on other handles, so Phi_k is block-diagonal over them and the
+identity on untouched handles, each step of w is the matching step of the
+restricted word w|C, and
+
+    signature = sum over final components C of sigma(w|C)  -  sum over null k of c_k.
+
+Each w|C is u^m for u its shortest period dividing its length, which the
+prefix function of its cycle tuple gives in one pass; u runs through
+`_readouts` at C's dimension, and (sigma(u^m), Phi_u^m) comes from
+`cover._power`, the partial fiber sum tree on the one gluing rule
+(sigma(u) + sigma(v) - defect(Phi_v, Phi_u), Phi_v Phi_u).  Phi_n is the
+blocks put back in place.
+
 Every step equals a Wall non-additivity defect, the signature of Meyer's
 form on V for the single twist glued to the prefix (`maslov.fiber_sum_defect`),
 which `local_sigma_via_maslov` recomputes independently; the two routes agree
@@ -49,14 +66,17 @@ purpose: it shares no row selection with the step solve.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from operator import mul
+from itertools import compress
+from operator import itemgetter, mul
 
 from ._record import _Record, _setattr
+from .cover import _power
 from .errors import InputError, _require_range
 from .maslov import _meyer_defect
 from .ratlinalg import Matrix, Vector, _divide, _int_solve, sign
 from .symplectic import (
     MonodromyWord,
+    Surface,
     VanishingCycle,
     _apply_form,
     prefix_sweep,
@@ -169,6 +189,81 @@ def signature(word: MonodromyWord) -> SignatureTrace:
         nulls += cycle.is_null_homologous
         total += _term(cycle, readout[1])
     return SignatureTrace(word, tuple(steps), nulls, total)
+
+
+def _period(keys: Sequence[object]) -> int:
+    """The smallest p with keys == keys[:p] * (n // p), n = len(keys) >= 1: the
+    prefix function's longest proper border b of the whole gives the smallest
+    period n - b, which is such a p when it divides n; else none below n is."""
+    border, borders = 0, [0] * len(keys)
+    for i in range(1, len(keys)):
+        while border and keys[i] != keys[border]:
+            border = borders[border - 1]
+        if keys[i] == keys[border]:
+            border += 1
+        borders[i] = border
+    p = len(keys) - border
+    return p if len(keys) % p == 0 else len(keys)
+
+
+def _total_and_action(word: MonodromyWord) -> tuple[int, Matrix]:
+    """The plain total and Phi_n of the word by partial fiber sums over its final
+    components, each glued from its period (module docstring); no record made."""
+    d = word.space.dim
+    parent = list(range(d // 2))  # union-find over the handles, by path halving
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    parts, nulls, live = d // 2, 0, []
+    for cycle in word.cycles:
+        g = cycle.homology_class
+        if not any(g):
+            nulls += cycle.chirality
+            continue
+        live.append(cycle)
+        if parts > 1:  # once one component holds every handle, nothing is left to join
+            head, *rest = {find(i >> 1) for i in compress(range(d), g)}
+            for t in rest:
+                parent[t] = head
+            parts -= len(rest)
+    if parts == 1:  # one component holds every handle, and every live cycle
+        components = [(range(d), live)] if live else []
+    else:
+        members: dict[int, list[VanishingCycle]] = {}
+        for cycle in live:
+            head = next(compress(range(d), cycle.homology_class)) >> 1
+            members.setdefault(find(head), []).append(cycle)
+        coords: dict[int, list[int]] = {root: [] for root in members}
+        for t in range(d // 2):
+            if (root := find(t)) in coords:
+                coords[root] += (2 * t, 2 * t + 1)
+        components = [(coords[root], cycles) for root, cycles in members.items()]
+    total, blocks = -nulls, []
+    for coords, cycles in components:
+        pick = itemgetter(*coords)  # w|C: each cycle on C's coordinates
+        keys = [(pick(c.homology_class), c.chirality) for c in cycles]
+        p = _period(keys)
+        u = cycles[:p] if len(coords) == d else [VanishingCycle(*key) for key in keys[:p]]
+        sigma = 0
+        for _, cycle, phi, readout in _readouts(MonodromyWord(Surface(len(coords) // 2, 0), u)):
+            sigma += _term(cycle, readout[1])
+        sigma, phi = _power((sigma, phi), len(keys) // p)
+        if len(coords) == d:  # the only component: Phi_n is its block
+            return total + sigma, phi
+        total += sigma
+        blocks.append((coords, phi))
+    rows = list(Matrix.identity(d).entries)  # Phi_n: the blocks in place, the identity elsewhere
+    for coords, phi in blocks:
+        for i, block_row in zip(coords, phi.entries):
+            row = [0] * d
+            for j, x in zip(coords, block_row):
+                row[j] = x
+            rows[i] = tuple(row)
+    return total, Matrix._exact(tuple(rows), d)
 
 
 def local_sigma_via_maslov(word: MonodromyWord, k: int) -> int:

@@ -74,6 +74,36 @@ def chain_word(n: int = 1) -> MonodromyWord:
     return word(Surface(1, 2), [list(v) for v in CHAIN_CYCLES] * n)
 
 
+def chain_classes(genus: int) -> list[tuple[int, ...]]:
+    """The standard chain c_1 .. c_{2g+1} on the closed genus-g fiber: b_1, a_1,
+    b_1 - b_2, a_2, ..., b_{g-1} - b_g, a_g, b_g in the basis a_1, b_1, ...,
+    a_g, b_g, so Q(c_i, c_{i+1}) = +-1 and every other pair is 0."""
+    def vector(*entries: tuple[int, int]) -> tuple[int, ...]:
+        v = [0] * (2 * genus)
+        for i, x in entries:
+            v[i] = x
+        return tuple(v)
+
+    classes = [vector((1, 1))]  # b_1
+    for i in range(genus):
+        classes.append(vector((2 * i, 1)))  # a_{i+1}
+        b_next = ((2 * i + 3, -1),) if i + 1 < genus else ()
+        classes.append(vector((2 * i + 1, 1), *b_next))  # b_{i+1} - b_{i+2}, or b_g
+    return classes
+
+
+def odd_chain_relation(genus: int) -> MonodromyWord:
+    """(t_{c_1} ... t_{c_{2g+1}})^{2g+2}: a hyperelliptic relation, signature -2(g+1)^2
+    (H. Endo, Math. Ann. 316 (2000))."""
+    return word(Surface(genus, 0), chain_classes(genus) * (2 * genus + 2))
+
+
+def even_chain_relation(genus: int) -> MonodromyWord:
+    """(t_{c_1} ... t_{c_{2g}})^{4g+2}: a hyperelliptic relation, signature -4g(g+1)
+    (H. Endo, Math. Ann. 316 (2000))."""
+    return word(Surface(genus, 0), chain_classes(genus)[:-1] * (4 * genus + 2))
+
+
 FIXTURE_WORDS = {
     "positive": positive_word,
     "delta-pair": delta_pair_word,

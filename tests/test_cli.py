@@ -428,17 +428,21 @@ def test_matrix_document_parsing():
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch, tmp_path):
-    # each form of `signature` consumes the stream of step readouts; a failure
-    # after its first step exits 3 with no total, though --trace has printed that step
+    # each form of `signature` consumes a stream of step readouts: --trace and
+    # --json the word's, plain `signature` its components' periods through the
+    # engine's partial fiber sums; a failure after the first step exits 3 with
+    # no total, though --trace has printed that step
     import lefsig.cli as cli_mod
+    import lefsig.engine as engine_mod
 
-    readouts = cli_mod._readouts
+    readouts = engine_mod._readouts
 
     def boom(word):
         yield next(readouts(word))
         raise InternalConsistencyError("forced")
 
     monkeypatch.setattr(cli_mod, "_readouts", boom)
+    monkeypatch.setattr(engine_mod, "_readouts", boom)
     path = str(DATA_DIR / "positive_g1.json")
     for flags, printed in (((), 0), (("--trace",), 2), (("--json",), 0)):
         code, out, err = run(capsys, "signature", path, *flags)
